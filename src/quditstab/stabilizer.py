@@ -90,9 +90,15 @@ class StabilizerGroup:
             yield out
 
     def _solve_word(self, v: Sequence[int]) -> Optional[Vector]:
-        if not self.generators:
-            return () if not any(v) else None
-        return solve_linear(self.tau_matrix.transpose(), v)
+        """Exponents of a word over v, from tau_image's cached membership solve.
+
+        tau_image drops generators with a zero module image; they get exponent 0.
+        """
+        lam = self.tau_image.coefficients_for(v)
+        if lam is None:
+            return None
+        coefs = iter(lam)
+        return tuple(next(coefs) if any(row) else 0 for row in self.tau_matrix.entries)
 
     def element_over(self, v: Sequence[int]) -> Optional[PauliElement]:
         """The canonical element of H with module image v, or None.
@@ -245,7 +251,8 @@ def coset_order_matched_lift(group: StabilizerGroup, v: Sequence[int], coset_ord
         raise AssertionError("no zeta correction exists")
     x = (target // gcd) * pow(coset_order // gcd, -1, db // gcd) % (db // gcd)
     out = multiply(PauliElement.scalar(d, group.n, x), g)
-    assert membership(group, power(out, coset_order))
+    if not membership(group, power(out, coset_order)):
+        raise AssertionError("corrected lift does not reach the group")
     return out
 
 

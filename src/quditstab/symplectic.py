@@ -8,7 +8,8 @@ the modulo part pairs to zero with the carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import Degenerate, NotFree, NotFreeSymplectic, NotIsotropic, NotLagrangian
@@ -41,9 +42,17 @@ def standard_gram(n: int, d: int) -> ZdMatrix:
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """Free ambient module with an alternating form given by its Gram matrix."""
+    """Free ambient module with an alternating form given by its Gram matrix.
+
+    The nonzero Gram entries are listed once at construction, so pairing and
+    functional cost one step per nonzero entry (2 * rank for the standard
+    form) instead of a dense product.
+    """
 
     gram: ZdMatrix
+    # (i, j, x) for every nonzero entry, row by row, with x == gram[i][j] mod d
+    # taken in (-d/2, d/2] so that the standard form multiplies by +-1
+    _terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -56,10 +65,16 @@ class SymplecticSpace:
             for j in range(i + 1, g.cols):
                 if (g.entries[i][j] + g.entries[j][i]) % d:
                     raise ValueError("Gram matrix must be antisymmetric")
+        terms = tuple((i, j, x if 2 * x <= d else x - d)
+                      for i, row in enumerate(g.entries) for j, x in enumerate(row) if x)
+        object.__setattr__(self, "_terms", terms)
 
     @classmethod
     def standard(cls, n: int, d: int) -> "SymplecticSpace":
-        return cls(standard_gram(n, d))
+        space = cls(standard_gram(n, d))
+        # the standard Gram matrix has determinant 1, so no determinant is needed
+        object.__setattr__(space, "is_symplectic", True)
+        return space
 
     @property
     def modulus(self) -> int:
@@ -69,18 +84,20 @@ class SymplecticSpace:
     def rank(self) -> int:
         return self.gram.rows
 
-    @property
+    @cached_property
     def is_symplectic(self) -> bool:
         return self.gram.is_invertible()
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        d = self.modulus
-        gv = self.gram.mul_vector(v)
-        return sum(a * b for a, b in zip(u, gv)) % d
+        return sum(u[i] * x * v[j] for i, j, x in self._terms) % self.modulus
 
     def functional(self, u: Sequence[int]) -> Vector:
         """Coefficient row r with r . x == pairing(u, x) for all x."""
-        return self.gram.transpose().mul_vector(u)
+        d = self.modulus
+        out = [0] * self.rank
+        for i, j, x in self._terms:
+            out[j] += u[i] * x
+        return tuple(y % d for y in out)
 
     def full_module(self) -> Submodule:
         return Submodule.full(self.modulus, self.rank)
@@ -111,7 +128,8 @@ def perp(space: SymplecticSpace, sub: Submodule) -> Submodule:
         raise ValueError("submodule does not live in this space")
     if not sub.generators:
         return space.full_module()
-    rows = [space.gram.mul_vector(g) for g in sub.generators]
+    # row G g, which is the functional of -g: (G g) . x == pairing(x, g)
+    rows = [space.functional(vec_scale(-1, g, d)) for g in sub.generators]
     return Submodule(d, m, kernel_matrix(ZdMatrix.from_rows(d, rows, cols=m)))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -190,29 +191,99 @@ class ZdMatrix:
         return math.gcd(self.det(), self.modulus) == 1
 
 
+# smith_normal_form records its elementary operations, in the order applied,
+# as row operations on an identity matrix: (SWAP, i, j, 0) swaps rows i and j,
+# (ADD, i, j, q) adds q * row_j to row_i and (SCALE, i, i, w) multiplies row_i by
+# the unit w.  A column operation col_j += q * col_k is kept as its transpose,
+# the row operation (ADD, j, k, q).
+_SWAP, _ADD, _SCALE = 0, 1, 2
+
+
+def _apply_row_ops(d: int, n: int, ops: Iterable[tuple[int, int, int, int]]) -> ZdMatrix:
+    """The n x n identity with the row operations applied in order."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for kind, i, j, q in ops:
+        if kind == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == _ADD:
+            rows[i] = [(x + q * y) % d for x, y in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [(q * x) % d for x in rows[i]]
+    return ZdMatrix.from_rows(d, rows, n)
+
+
+def _inverse_transposes(d: int, ops: Sequence[tuple[int, int, int, int]]):
+    """For each operation, the operation whose matrix is its inverse transpose."""
+    for kind, i, j, q in ops:
+        if kind == _SWAP:
+            yield kind, i, j, q
+        elif kind == _ADD:
+            yield kind, j, i, -q
+        else:
+            yield kind, i, i, pow(q, -1, d)
+
+
 @dataclass(frozen=True)
 class SmithForm:
-    """Result of Smith reduction: u @ a @ v is diagonal.
+    """Result of Smith reduction of an r x c matrix a: u @ a @ v is diagonal.
 
     diag holds one entry per diagonal position of the reduced matrix, each a
     positive divisor of d; the value d itself encodes a zero entry.  The
     divisor chain diag[0] | diag[1] | ... | d holds, and u, v (with their
-    tracked inverses) are invertible over Z/dZ.
+    inverses u_inv, v_inv) are invertible over Z/dZ.
+
+    The reduction records its elementary row and column operations; each
+    transform is built from them on first access and then cached, so a caller
+    pays only for the transforms it reads.
     """
 
-    u: ZdMatrix
-    v: ZdMatrix
+    modulus: int
+    shape: tuple[int, int]
     diag: tuple[int, ...]
-    u_inv: ZdMatrix
-    v_inv: ZdMatrix
+    row_ops: tuple[tuple[int, int, int, int], ...]
+    col_ops: tuple[tuple[int, int, int, int], ...]
+
+    @cached_property
+    def u(self) -> ZdMatrix:
+        return _apply_row_ops(self.modulus, self.shape[0], self.row_ops)
+
+    @cached_property
+    def u_inv(self) -> ZdMatrix:
+        d = self.modulus
+        return _apply_row_ops(d, self.shape[0], _inverse_transposes(d, self.row_ops)).transpose()
+
+    @cached_property
+    def v(self) -> ZdMatrix:
+        return _apply_row_ops(self.modulus, self.shape[1], self.col_ops).transpose()
+
+    @cached_property
+    def v_inv(self) -> ZdMatrix:
+        d = self.modulus
+        return _apply_row_ops(d, self.shape[1], _inverse_transposes(d, self.col_ops))
 
     def reconstruct(self, rows: int, cols: int) -> ZdMatrix:
         """The diagonal matrix u @ a @ v, for checking."""
-        d = self.u.modulus
+        d = self.modulus
         out = [[0] * cols for _ in range(rows)]
         for i, s in enumerate(self.diag):
             out[i][i] = s % d
         return ZdMatrix.from_rows(d, out)
+
+    def solve(self, b: Sequence[int]) -> Optional[Vector]:
+        """Some x with a @ x == b mod d, or None if there is no solution."""
+        d = self.modulus
+        r, c = self.shape
+        cvec = self.u.mul_vector(vec_reduce(b, d))
+        y = [0] * c
+        for i in range(r):
+            if i < len(self.diag):
+                si = self.diag[i]
+                if cvec[i] % si:
+                    return None
+                y[i] = cvec[i] // si
+            elif cvec[i]:
+                return None
+        return self.v.mul_vector(y)
 
 
 def smith_normal_form(mat: ZdMatrix) -> SmithForm:
@@ -225,39 +296,28 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
     d = mat.modulus
     r, c = mat.rows, mat.cols
     m = [list(row) for row in mat.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    vi = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    row_ops: list[tuple[int, int, int, int]] = []
+    col_ops: list[tuple[int, int, int, int]] = []
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for row in ui:
-            row[i], row[j] = row[j], row[i]
+        row_ops.append((_SWAP, i, j, 0))
 
     def row_addmul(i, j, q):
         # row_i += q * row_j
         if q == 0:
             return
         m[i] = [(x + q * y) % d for x, y in zip(m[i], m[j])]
-        u[i] = [(x + q * y) % d for x, y in zip(u[i], u[j])]
-        for row in ui:
-            row[j] = (row[j] - q * row[i]) % d
+        row_ops.append((_ADD, i, j, q))
 
     def row_scale(i, w):
-        winv = pow(w, -1, d) if d > 1 else 0
         m[i] = [(w * x) % d for x in m[i]]
-        u[i] = [(w * x) % d for x in u[i]]
-        for row in ui:
-            row[i] = (row[i] * winv) % d
+        row_ops.append((_SCALE, i, i, w))
 
     def col_swap(i, j):
         for row in m:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        col_ops.append((_SWAP, i, j, 0))
 
     def col_addmul(j, k, q):
         # col_j += q * col_k
@@ -265,9 +325,7 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
             return
         for row in m:
             row[j] = (row[j] + q * row[k]) % d
-        for row in v:
-            row[j] = (row[j] + q * row[k]) % d
-        vi[k] = [(x - q * y) % d for x, y in zip(vi[k], vi[j])]
+        col_ops.append((_ADD, j, k, q))
 
     def min_nonzero(k):
         best = None
@@ -323,35 +381,16 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
             row_addmul(k, bad, 1)
 
     diag = tuple(m[i][i] if m[i][i] else d for i in range(min(r, c)))
-    return SmithForm(
-        u=ZdMatrix.from_rows(d, u),
-        v=ZdMatrix.from_rows(d, v),
-        diag=diag,
-        u_inv=ZdMatrix.from_rows(d, ui),
-        v_inv=ZdMatrix.from_rows(d, vi),
-    )
+    return SmithForm(d, (r, c), diag, tuple(row_ops), tuple(col_ops))
 
 
 def solve_linear(mat: ZdMatrix, b: Sequence[int]) -> Optional[Vector]:
     """Some x with mat @ x == b mod d, or None if there is no solution."""
-    d = mat.modulus
-    r, c = mat.rows, mat.cols
-    if len(b) != r:
+    if len(b) != mat.rows:
         raise ValueError("bad right-hand side length")
-    if r == 0:
-        return (0,) * c
-    s = smith_normal_form(mat)
-    cvec = s.u.mul_vector(vec_reduce(b, d))
-    y = [0] * c
-    for i in range(r):
-        if i < len(s.diag):
-            si = s.diag[i]
-            if cvec[i] % si:
-                return None
-            y[i] = cvec[i] // si
-        elif cvec[i]:
-            return None
-    return s.v.mul_vector(y)
+    if mat.rows == 0:
+        return (0,) * mat.cols
+    return smith_normal_form(mat).solve(b)
 
 
 def kernel_matrix(mat: ZdMatrix) -> list[Vector]:
@@ -377,7 +416,10 @@ class Submodule:
     """Finitely generated submodule of (Z/dZ)^m, with cached Smith data.
 
     Instances are immutable by convention; all derived data is computed
-    once from the generator tuple.
+    once from the generator tuple.  Each instance caches two Smith forms on
+    first use: that of the generator matrix (invariant factors, quasi-basis)
+    and that of its transpose, which every membership solve reuses, so a run
+    of contains/coefficients_for queries reduces a matrix only once.
     """
 
     def __init__(self, modulus: int, ambient_rank: int, generators: Iterable[Sequence[int]]):
@@ -391,7 +433,6 @@ class Submodule:
             if any(g):
                 gens.append(g)
         self.generators: tuple[Vector, ...] = tuple(gens)
-        self._smith: Optional[SmithForm] = None
 
     @classmethod
     def zero(cls, d: int, m: int) -> "Submodule":
@@ -406,11 +447,14 @@ class Submodule:
         return ZdMatrix.from_rows(self.modulus, self.generators) if self.generators \
             else ZdMatrix.zeros(self.modulus, 0, self.ambient_rank)
 
-    @property
+    @cached_property
     def smith(self) -> SmithForm:
-        if self._smith is None:
-            self._smith = smith_normal_form(self.generator_matrix)
-        return self._smith
+        return smith_normal_form(self.generator_matrix)
+
+    @cached_property
+    def _span_smith(self) -> SmithForm:
+        """Smith form of the transposed generator matrix: coefficients solve against it."""
+        return smith_normal_form(self.generator_matrix.transpose())
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -459,7 +503,7 @@ class Submodule:
         v = vec_reduce(v, self.modulus)
         if not self.generators:
             return () if not any(v) else None
-        return solve_linear(self.generator_matrix.transpose(), v)
+        return self._span_smith.solve(v)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coefficients_for(v) is not None

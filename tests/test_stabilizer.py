@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from quditstab import zmod
 from quditstab.errors import ContainsScalar, NotAbelian, NotFree
 from quditstab.pauli import (
     PauliElement,
@@ -80,6 +85,48 @@ class TestMembership:
             for p in elements:
                 assert membership(group, p)
                 assert order(p) <= group.d
+
+    def test_queries_share_one_smith_form(self, monkeypatch):
+        rng = random.Random(41)
+        group = validate(12, 2, [PauliElement.z_op(12, 2, 0, 3), PauliElement.x_op(12, 2, 1, 2),
+                                 PauliElement.z_op(12, 2, 1, 6)])
+        members = [group.word((rng.randrange(12), rng.randrange(12), rng.randrange(12)))
+                   for _ in range(25)]
+        others = [multiply(PauliElement.scalar(12, 2, 1 + rng.randrange(23)), p) for p in members]
+        calls = []
+        real = zmod.smith_normal_form
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(zmod, "smith_normal_form", counting)
+        assert [membership(group, p) for p in members] == [True] * 25
+        assert [membership(group, p) for p in others] == [False] * 25
+        assert len(calls) == 1
+
+
+class TestCosetOrderMatchedLift:
+    def test_failed_check_raises_under_optimisation(self):
+        # the final membership check must survive python -O, which strips asserts
+        script = textwrap.dedent("""
+            import quditstab.stabilizer as S
+            from quditstab.pauli import PauliElement
+            group = S.validate(4, 1, [PauliElement.z_op(4, 1, 0, 2)])
+            S.membership = lambda group, p: False
+            try:
+                S.coset_order_matched_lift(group, (0, 2), 2)
+            except AssertionError as exc:
+                print("raised:", exc)
+            else:
+                print("returned")
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised:"), out.stdout
 
 
 class TestNormalizerMembership:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditstab.errors import Degenerate, NotFreeSymplectic, NotIsotropic, NotLagrangian
 from quditstab.symplectic import (
@@ -13,8 +15,54 @@ from quditstab.symplectic import (
     structure_decomposition,
     symplectic_basis,
 )
-from quditstab.zmod import Submodule, divisors, vec_add, vec_scale
+from quditstab.zmod import Submodule, ZdMatrix, divisors, vec_add, vec_scale
 from tests.helpers import assert_symplectic_basis, random_isotropic_vectors
+
+
+@st.composite
+def antisymmetric_grams(draw):
+    """A random alternating Gram matrix at composite d, with vectors to pair."""
+    d = draw(st.sampled_from([4, 6, 12, 360]))
+    m = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=0, max_value=d - 1)
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j] % d
+    vector = st.lists(entry, min_size=m, max_size=m)
+    return ZdMatrix.from_rows(d, rows, cols=m), draw(vector), draw(vector)
+
+
+class TestSymplecticSpace:
+    @given(antisymmetric_grams())
+    @settings(max_examples=150, deadline=None)
+    def test_pairing_and_functional_match_dense_products(self, case):
+        gram, u, v = case
+        d = gram.modulus
+        space = SymplecticSpace(gram)
+        dense = gram.transpose().mul_vector(u)
+        assert space.functional(u) == dense
+        assert space.pairing(u, v) == sum(x * y for x, y in zip(u, gram.mul_vector(v))) % d
+        assert space.pairing(u, v) == sum(x * y for x, y in zip(dense, v)) % d
+
+    def test_is_symplectic_computed_once(self, monkeypatch):
+        calls = []
+        real = ZdMatrix.det
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(ZdMatrix, "det", counting)
+        standard = SymplecticSpace.standard(3, 6)
+        sub = Submodule(6, 6, [(1, 0, 0, 0, 0, 0)])
+        perp(standard, sub)
+        perp(standard, perp(standard, sub))
+        assert calls == []
+        general = SymplecticSpace(ZdMatrix.from_rows(6, [[0, 5], [1, 0]]))
+        assert general.is_symplectic and general.is_symplectic
+        assert calls == [(2, 2)]
 
 
 class TestPerp:

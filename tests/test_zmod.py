@@ -48,11 +48,17 @@ class TestSmithNormalForm:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 9, 12])
     def test_random_contract(self, d):
+        # tall shapes are those of transposed generator matrices; the lazily
+        # built transforms are read in a random order
         rng = random.Random(d)
         for _ in range(60):
-            r, c = rng.randint(0, 4), rng.randint(0, 4)
+            r, c = rng.randint(0, 8), rng.randint(0, 4)
             a = random_matrix(rng, d, r, c)
             s = smith_normal_form(a)
+            names = ["u", "u_inv", "v", "v_inv"]
+            rng.shuffle(names)
+            for name in names:
+                getattr(s, name)
             assert (s.u @ a @ s.v).entries == s.reconstruct(r, c).entries
             assert (s.u @ s.u_inv).entries == ZdMatrix.identity(d, r).entries
             assert (s.v @ s.v_inv).entries == ZdMatrix.identity(d, c).entries
