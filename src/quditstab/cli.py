@@ -1,8 +1,9 @@
 """Command-line interface: analyze, kitaev build, oracle verify, canonicalize.
 
 Exit codes: 0 success, 2 validation errors (machine-readable error object
-on stdout), 3 oracle verdict failure.  Reports embed the tool version and
-the convention flags so golden files are self-describing.
+on stdout), 3 oracle verdict failure, 4 a broken internal invariant (a bug:
+the error object names the stage whose check failed).  Reports embed the
+tool version and the convention flags so golden files are self-describing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import QuditStabError
+from .errors import InternalInvariant, QuditStabError, json_int
 from .kitaev import (
     ShiftPair,
     SurfaceGraph,
@@ -21,7 +22,7 @@ from .kitaev import (
     apply_twist,
     build_model,
 )
-from .oracle import oracle_bound, verify_report
+from .oracle import DEFAULT_BOUND, verify_report
 from .stabilizer import (
     StabilizerGroup,
     StabilizerReport,
@@ -74,11 +75,15 @@ def _error_exit(exc: Exception, fmt: str, kind: Optional[str] = None) -> int:
 
 
 def _guard(fn):
-    """Map library and request-schema failures to exit code 2."""
+    """Map library and request-schema failures to exit code 2, broken invariants to 4."""
 
     def wrapper(args) -> int:
         try:
             return fn(args)
+        except InternalInvariant as exc:
+            obj = {"error": {"type": "InternalInvariant", "stage": exc.stage, "detail": exc.detail}}
+            _emit(obj, args.format)
+            return 4
         except QuditStabError as exc:
             return _error_exit(exc, args.format)
         except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -96,7 +101,7 @@ def _report_from_json(d: int, n: int, obj: dict) -> StabilizerReport:
 
     pairs = tuple(
         LogicalPair(
-            int(p["divisor"]),
+            json_int(p["divisor"], "divisor"),
             PauliElement.from_json_dict({"d": d, "n": n, **p["z"]}),
             PauliElement.from_json_dict({"d": d, "n": n, **p["x"]}),
         )
@@ -115,10 +120,10 @@ def _report_from_json(d: int, n: int, obj: dict) -> StabilizerReport:
     return StabilizerReport(
         d=d,
         n=n,
-        cardinality=int(obj["cardinality"]),
-        dim_protected=int(obj["dim_protected"]),
-        quotient_divisors=tuple(obj["quotient_divisors"]),
-        canonical_chain=tuple(obj["canonical_chain"]),
+        cardinality=json_int(obj["cardinality"], "cardinality"),
+        dim_protected=json_int(obj["dim_protected"], "dim_protected"),
+        quotient_divisors=tuple(json_int(x, "quotient_divisors") for x in obj["quotient_divisors"]),
+        canonical_chain=tuple(json_int(x, "canonical_chain") for x in obj["canonical_chain"]),
         kind=kind,
         rank=rank,
         logical_operators=pairs,
@@ -185,7 +190,8 @@ def cmd_kitaev_build(args) -> int:
         from .kitaev import charge_configuration
         from .stabilizer import CharacterMap
 
-        chi = CharacterMap(tuple(int(x) for x in _load_json(args.character)["values"]))
+        values = _load_json(args.character)["values"]
+        chi = CharacterMap(tuple(json_int(x, "values") for x in values))
         charges = charge_configuration(model, chi)
         payload["charges"] = {
             "electric": [
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ov = osub.add_parser("verify", help="verify an analysis report by brute force")
     ov.add_argument("--input", default="-", help="JSON with {d, n, generators, report}")
     ov.add_argument("--bound", type=int, default=None,
-                    help=f"state-space bound (default {oracle_bound()}, env QUDITSTAB_ORACLE_BOUND)")
+                    help=f"state-space bound (default {DEFAULT_BOUND}, env QUDITSTAB_ORACLE_BOUND)")
     add_common(ov)
     ov.set_defaults(func=cmd_oracle_verify)
 

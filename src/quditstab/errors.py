@@ -1,8 +1,34 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the JSON readers."""
 
 
 class QuditStabError(Exception):
     """Base class for all errors raised by this library."""
+
+
+class InternalInvariant(AssertionError):
+    """A computed result failed the library's own consistency check.
+
+    This is a bug, not a bad input.  stage names the check, e.g.
+    "oracle.basis" or "analyze.lifts".  It is an AssertionError so that
+    callers expecting one keep working, and unlike an assert it survives
+    python -O.
+    """
+
+    def __init__(self, stage: str, detail: str):
+        super().__init__(f"{stage}: {detail}")
+        self.stage = stage
+        self.detail = detail
+
+
+def json_int(value, what: str) -> int:
+    """value itself when it is an int (and not a bool); TypeError otherwise.
+
+    JSON floats and booleans are rejected rather than coerced, so "d": 4.7
+    is not read as 4 nor "d": true as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class InconsistentValues(QuditStabError):
@@ -61,6 +87,10 @@ class InconsistentCharacter(QuditStabError):
 
 class TooLarge(QuditStabError):
     """State space exceeds the configured oracle bound."""
+
+
+class BadBound(QuditStabError):
+    """The oracle bound from the environment is not a positive integer."""
 
 
 class BadSurface(QuditStabError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import NotSymplectic
+from .errors import InternalInvariant, NotSymplectic
 from .pauli import (
     PauliElement,
     inverse,
@@ -121,7 +121,7 @@ def heisenberg_structure(
     car = carrier if carrier is not None else space.full_module()
     mod_card = modulo.cardinality if modulo is not None else 1
     if sq != car.cardinality // mod_card:
-        raise AssertionError("cardinality identity failed")
+        raise InternalInvariant("heisenberg.cardinality", "cardinality identity failed")
     group_order = phase_modulus(d) * sq
 
     lifts: tuple[PauliElement, ...] = ()
@@ -249,5 +249,7 @@ def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
     images = z_images + x_images
     orders = (d,) * (2 * n)
     if not verify_presentation(images, orders, standard_gram(n, d)):
-        raise AssertionError("lifted images violate the presentation")
+        raise InternalInvariant(
+            "heisenberg.lift_symplectic", "lifted images violate the presentation"
+        )
     return PauliAutomorphism(d, n, z_images, x_images)

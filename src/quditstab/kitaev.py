@@ -22,10 +22,12 @@ from .errors import (
     BadSplit,
     BadSurface,
     Disconnected,
+    InternalInvariant,
     NotADualPath,
     NotAPath,
     OddEuler,
     PathMismatch,
+    json_int,
 )
 from .pauli import PauliElement, multiply, power
 from .stabilizer import CharacterMap, StabilizerGroup, validate, validate_character
@@ -300,7 +302,7 @@ def charge_configuration(model: KitaevModel, chi: CharacterMap) -> ChargeConfigu
     electric = {s: chi.values[i] % d for i, s in enumerate(model.graph.vertices)}
     magnetic = {fi: chi.values[ns + fi] % d for fi in range(len(model.graph.faces))}
     if sum(electric.values()) % d or sum(magnetic.values()) % d:
-        raise AssertionError("charges do not sum to zero")
+        raise InternalInvariant("kitaev.charges", "charges do not sum to zero")
     return ChargeConfiguration(electric, magnetic)
 
 
@@ -365,7 +367,7 @@ class ShiftPair:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "ShiftPair":
-        return cls(_freeze(obj["vertex"]), int(obj["a"]), int(obj["b"]),
+        return cls(_freeze(obj["vertex"]), json_int(obj["a"], "a"), json_int(obj["b"], "b"),
                    tuple(_normalize_steps(obj["path"])))
 
 

@@ -8,20 +8,21 @@ complex numbers.
 Orbits of the group action on basis indices are explored once; each orbit
 carries the spanning-tree phases and the cycle-closure discrepancies, from
 which the consistent characters (and hence all eigenspace dimensions) are
-read off.
+read off.  A verification represents each generator once and shares one
+scan without words among its checks; the scan that tracks generator words
+is built only when the character sweep fits its work limit.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import product as _cartesian
 from typing import Optional, Sequence
 
-from .errors import TooLarge
+from .errors import BadBound, InternalInvariant, TooLarge
 from .pauli import PauliElement, inverse, multiply, phase_modulus, power
-from .stabilizer import StabilizerGroup, StabilizerReport, membership
+from .stabilizer import StabilizerGroup, StabilizerReport, characters, membership
 from .zmod import Submodule
 
 DEFAULT_BOUND = 200_000
@@ -29,10 +30,19 @@ _BOUND_ENV = "QUDITSTAB_ORACLE_BOUND"
 
 
 def oracle_bound(explicit: Optional[int] = None) -> int:
+    """The state-space bound: explicit, else $QUDITSTAB_ORACLE_BOUND, else DEFAULT_BOUND."""
     if explicit is not None:
         return explicit
     env = os.environ.get(_BOUND_ENV)
-    return int(env) if env else DEFAULT_BOUND
+    if not env:
+        return DEFAULT_BOUND
+    try:
+        value = int(env)
+    except ValueError:
+        raise BadBound(f"{_BOUND_ENV}={env!r} is not an integer") from None
+    if value <= 0:
+        raise BadBound(f"{_BOUND_ENV}={env!r} is not positive")
+    return value
 
 
 def _check_size(d: int, n: int, bound: Optional[int]) -> int:
@@ -65,24 +75,33 @@ class PhasePermutation:
 
 
 def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
-    """Exact phase-permutation of p: X shifts a digit, Z scales by xi^digit."""
+    """Exact phase-permutation of p: X shifts a digit, Z scales by xi^digit.
+
+    Basis index i = sum_r digit_r * d^(n-1-r).  The tables grow one qudit at
+    a time, most significant digit first: every entry built so far is
+    followed by the d entries of the next digit, read off per-qudit shift
+    and scale tables.
+    """
     d, n = p.d, p.n
-    size = _check_size(d, n, bound)
+    _check_size(d, n, bound)
     db = phase_modulus(d)
-    perm = [0] * size
-    phase = [0] * size
-    c = p.phase
-    a, b = p.a, p.b
-    strides = [d ** (n - 1 - r) for r in range(n)]
-    for i, digits in enumerate(_cartesian(range(d), repeat=n)):
-        t = 0
-        ph = c
-        for r in range(n):
-            t += ((digits[r] + a[r]) % d) * strides[r]
-            ph += 2 * b[r] * digits[r]
-        perm[i] = t
-        phase[i] = ph % db
+    perm = [0]
+    phase = [p.phase % db]
+    for r in range(n):
+        stride = d ** (n - 1 - r)
+        shift = [((x + p.a[r]) % d) * stride for x in range(d)]
+        scale = [(2 * p.b[r] * x) % db for x in range(d)]
+        perm = [t + s for t in perm for s in shift]
+        phase = [(q + s) % db for q in phase for s in scale]
     return PhasePermutation(d, n, tuple(perm), tuple(phase))
+
+
+def _consistent(rows: Sequence[tuple[int, ...]], w: Sequence[int], db: int) -> bool:
+    """delta_e == (2*delta_word) . w for every closure row."""
+    for row in rows:
+        if (sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db:
+            return False
+    return True
 
 
 @dataclass
@@ -99,22 +118,29 @@ class OrbitCertificate:
     closure_rows: list[tuple[int, ...]] = field(default_factory=list)
 
     def consistent_with(self, w: Sequence[int], db: int) -> bool:
-        for row in self.closure_rows:
-            de = row[0]
-            if (sum(c * x for c, x in zip(row[1:], w)) - de) % db:
-                return False
-        return True
+        return _consistent(self.closure_rows, w, db)
 
 
 class _Scan:
-    """Orbit exploration over the generator actions."""
+    """Orbit exploration over the generator actions.
 
-    def __init__(self, group: StabilizerGroup, bound: Optional[int], with_words: bool):
-        d, n = group.d, group.n
-        self.size = _check_size(d, n, bound)
-        self.db = phase_modulus(d)
-        self.group = group
-        self.reps = [represent(g, bound) for g in group.generators]
+    Without words an orbit's closure rows are its distinct nonzero phase
+    discrepancies (delta_e,); with words they are a quasi-basis of the rows
+    (delta_e, 2*delta_word), reduced once per distinct set of raw rows.
+    Orbits, members and potentials do not depend on words.  reps are the
+    generator actions when the caller has built them already.
+    """
+
+    def __init__(
+        self,
+        group: StabilizerGroup,
+        bound: Optional[int],
+        with_words: bool,
+        reps: Optional[list[PhasePermutation]] = None,
+    ):
+        self.size = _check_size(group.d, group.n, bound)
+        self.db = phase_modulus(group.d)
+        self.reps = reps if reps is not None else [represent(g, bound) for g in group.generators]
         self.with_words = with_words
         self.pot = [0] * self.size
         self.orbit_id = [-1] * self.size
@@ -130,6 +156,7 @@ class _Scan:
         orbit_id = self.orbit_id
         words: list[Optional[tuple[int, ...]]] = [None] * self.size if self.with_words else []
         zero_word = (0,) * g
+        reduced: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
         for start in range(self.size):
             if orbit_id[start] != -1:
                 continue
@@ -170,12 +197,66 @@ class _Scan:
                         elif de:
                             raw_rows.add((de,))
             if raw_rows:
-                if self.with_words:
-                    reduced = Submodule(db, 1 + g, sorted(raw_rows))
-                    cert.closure_rows = [v for v, _ in reduced.quasi_basis()]
+                key = tuple(sorted(raw_rows))
+                if not self.with_words:
+                    cert.closure_rows = list(key)
                 else:
-                    cert.closure_rows = [(de,) for de in sorted({r[0] for r in raw_rows})]
+                    if key not in reduced:
+                        basis = Submodule(db, 1 + g, key).quasi_basis()
+                        reduced[key] = [v for v, _ in basis]
+                    cert.closure_rows = list(reduced[key])
             self.orbits.append(cert)
+
+
+def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optional[str]:
+    """Why the character sweep is too large, or None when it fits.
+
+    Work is roughly #characters * #orbits * (generators + 1); orbits do not
+    depend on words, so any scan of the group can size the sweep.
+    """
+    work = group.cardinality * len(scan.orbits) * (len(group.generators) + 1)
+    if work > work_limit:
+        return f"character sweep work {work} exceeds limit {work_limit}"
+    return None
+
+
+def _protected_dimension(scan: _Scan) -> int:
+    return sum(1 for cert in scan.orbits if not cert.closure_rows)
+
+
+def _eigenspace_dimensions(group: StabilizerGroup, words: _Scan) -> dict[tuple[int, ...], int]:
+    """Sweep the characters over orbit classes: orbits with equal closure rows."""
+    db = words.db
+    classes = Counter(tuple(cert.closure_rows) for cert in words.orbits)
+    out: dict[tuple[int, ...], int] = {}
+    for chi in characters(group):
+        w = chi.values
+        out[w] = sum(size for rows, size in classes.items() if _consistent(rows, w, db))
+    if sum(out.values()) != words.size:
+        raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
+    return out
+
+
+def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
+    """The w-eigenspace basis from a scan with words whenever w is nonzero."""
+    db = scan.db
+    vectors = []
+    for cert in scan.orbits:
+        if not cert.consistent_with(w, db):
+            continue
+        if scan.with_words:
+            vec = _chi_potentials(scan, cert, w)
+            if vec is None:
+                raise InternalInvariant(
+                    "oracle.basis", "orbit marked consistent but potentials clash")
+        else:
+            vec = {i: scan.pot[i] for i in cert.members}
+        vectors.append(vec)
+    for vec in vectors:
+        for j, rep in enumerate(scan.reps):
+            if not _maps_to_multiple(vec, rep, db, expect=(2 * w[j]) % db):
+                raise InternalInvariant("oracle.basis", "protected vector is not fixed")
+    return vectors
 
 
 def orbit_certificates(group: StabilizerGroup, bound: Optional[int] = None) -> list[OrbitCertificate]:
@@ -184,8 +265,7 @@ def orbit_certificates(group: StabilizerGroup, bound: Optional[int] = None) -> l
 
 def protected_dimension(group: StabilizerGroup, bound: Optional[int] = None) -> int:
     """dim of the fixed space: orbits whose phase cocycle closes trivially."""
-    scan = _Scan(group, bound, with_words=False)
-    return sum(1 for cert in scan.orbits if not cert.closure_rows)
+    return _protected_dimension(_Scan(group, bound, with_words=False))
 
 
 def eigenspace_dimensions(
@@ -196,24 +276,13 @@ def eigenspace_dimensions(
     """Map character exponent vectors to eigenspace dimensions.
 
     Work is roughly #characters * #orbits * generators; raises TooLarge
-    when that exceeds work_limit.
+    when that exceeds work_limit, before any word is tracked.
     """
-    scan = _Scan(group, bound, with_words=True)
-    g = len(group.generators)
-    card = group.cardinality
-    if card * len(scan.orbits) * (g + 1) > work_limit:
-        raise TooLarge("character sweep exceeds the work limit")
-    from .stabilizer import characters
-
-    db = scan.db
-    out: dict[tuple[int, ...], int] = {}
-    for chi in characters(group):
-        w = chi.values
-        out[w] = sum(1 for cert in scan.orbits if cert.consistent_with(w, db))
-    total = sum(out.values())
-    if total != scan.size:
-        raise AssertionError("eigenspace dimensions do not sum to d^n")
-    return out
+    scan = _Scan(group, bound, with_words=False)
+    excess = _sweep_excess(group, scan, work_limit)
+    if excess:
+        raise TooLarge(excess)
+    return _eigenspace_dimensions(group, _Scan(group, bound, with_words=True, reps=scan.reps))
 
 
 def protected_basis(
@@ -226,27 +295,8 @@ def protected_basis(
     Each vector is {basis index: zeta exponent}, one per consistent orbit;
     every returned vector is re-verified against all generators.
     """
-    d, n = group.d, group.n
-    db = phase_modulus(d)
-    g = len(group.generators)
-    w = tuple(chi) if chi is not None else (0,) * g
-    scan = _Scan(group, bound, with_words=(chi is not None and any(w)))
-    vectors = []
-    for cert in scan.orbits:
-        if not cert.consistent_with(w, db):
-            continue
-        if scan.with_words:
-            vec = _chi_potentials(scan, cert, w)
-            if vec is None:
-                raise AssertionError("orbit marked consistent but potentials clash")
-        else:
-            vec = {i: scan.pot[i] for i in cert.members}
-        vectors.append(vec)
-    for vec in vectors:
-        for j, rep in enumerate(scan.reps):
-            if not _maps_to_multiple(vec, rep, db, expect=(2 * w[j]) % db):
-                raise AssertionError("protected vector is not fixed")
-    return vectors
+    w = tuple(chi) if chi is not None else (0,) * len(group.generators)
+    return _protected_basis(_Scan(group, bound, with_words=any(w)), w)
 
 
 def _chi_potentials(scan: _Scan, cert: OrbitCertificate, w: Sequence[int]):
@@ -284,6 +334,7 @@ class OracleVerdict:
     checks: dict[str, bool]
     details: dict[str, str]
     histogram: Optional[dict[int, int]]
+    skipped: dict[str, str] = field(default_factory=dict)  # check -> why it did not run
 
     def to_json_dict(self) -> dict:
         return {
@@ -293,6 +344,7 @@ class OracleVerdict:
             "eigenspace_histogram": (
                 {str(k): v for k, v in sorted(self.histogram.items())} if self.histogram else None
             ),
+            "skipped": dict(self.skipped),
         }
 
 
@@ -308,19 +360,25 @@ def verify_report(
     the fixed space, (c) the Heisenberg relations of the logical pairs
     hold modulo the group, (d) the cardinality identity of the reported
     quotient structure.  An eigenspace histogram (dimension -> number of
-    characters) is included when the character sweep fits the work limit.
+    characters) and (e) transitivity are included when the character sweep
+    fits the work limit; otherwise skipped names the check and why.
+
+    Each generator is represented once, and one scan without words serves
+    the dimension, the protected basis and the sizing of the sweep.
     """
     d, n = group.d, group.n
     db = phase_modulus(d)
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
+    skipped: dict[str, str] = {}
 
-    dim = protected_dimension(group, bound)
+    scan = _Scan(group, bound, with_words=False)
+    dim = _protected_dimension(scan)
     checks["dimension"] = dim == report.dim_protected
     if not checks["dimension"]:
         details["dimension"] = f"oracle {dim} != reported {report.dim_protected}"
 
-    basis = protected_basis(group, None, bound)
+    basis = _protected_basis(scan, (0,) * len(group.generators))
     ok = True
     for pair in report.logical_operators:
         for op in (pair.z_like, pair.x_like):
@@ -366,24 +424,25 @@ def verify_report(
         details["irreducibility_count"] = "divisors inconsistent with the group order"
 
     histogram: Optional[dict[int, int]] = None
-    try:
-        dims = eigenspace_dimensions(group, bound, work_limit=histogram_work_limit)
-        histogram = {}
-        for w, dim_chi in dims.items():
-            histogram[dim_chi] = histogram.get(dim_chi, 0) + 1
+    excess = _sweep_excess(group, scan, histogram_work_limit)
+    if excess:
+        skipped["transitivity"] = excess
+    else:
+        words = _Scan(group, bound, with_words=True, reps=scan.reps)
+        dims = _eigenspace_dimensions(group, words)
+        histogram = dict(Counter(dims.values()))
         if len(set(dims.values())) > 1:
             checks["transitivity"] = False
             details["transitivity"] = "eigenspace dimensions differ across characters"
         else:
             checks["transitivity"] = True
-    except TooLarge:
-        pass
 
     return OracleVerdict(
         passed=all(checks.values()),
         checks=checks,
         details=details,
         histogram=histogram,
+        skipped=skipped,
     )
 
 

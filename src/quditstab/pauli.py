@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInvariant, json_int
 from .zmod import Vector, vector_order
 
 ELEMENT_TEXT = re.compile(
@@ -85,8 +85,10 @@ class PauliElement:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PauliElement":
-        return cls(int(obj["d"]), int(obj["n"]), int(obj["phase"]),
-                   tuple(int(x) for x in obj["a"]), tuple(int(x) for x in obj["b"]))
+        return cls(json_int(obj["d"], "d"), json_int(obj["n"], "n"),
+                   json_int(obj["phase"], "phase"),
+                   tuple(json_int(x, "a") for x in obj["a"]),
+                   tuple(json_int(x, "b") for x in obj["b"]))
 
     def to_text(self) -> str:
         parts = [f"z^{self.phase}"]
@@ -206,7 +208,9 @@ def order_matched_lift(d: int, v: Sequence[int]) -> PauliElement:
     if residual == 0:
         return g
     if residual != d:  # only the -1 defect can occur
-        raise AssertionError("unexpected residual phase in order-matched lift")
+        raise InternalInvariant(
+            "pauli.order_matched_lift", "unexpected residual phase in order-matched lift"
+        )
     return PauliElement(d, g.n, d // m0, g.a, g.b)
 
 

@@ -19,8 +19,10 @@ from .errors import (
     ContainsScalar,
     DimensionMismatch,
     InconsistentCharacter,
+    InternalInvariant,
     NotAbelian,
     NotFree,
+    json_int,
 )
 from .heisenberg import PauliAutomorphism, crt_canonical_chain, lift_symplectic
 from .pauli import (
@@ -120,10 +122,11 @@ class StabilizerGroup:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerGroup":
-        d, n = int(obj["d"]), int(obj["n"])
+        d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
         gens = [
-            PauliElement(d, n, int(g.get("phase", 0)),
-                         tuple(int(x) for x in g["a"]), tuple(int(x) for x in g["b"]))
+            PauliElement(d, n, json_int(g.get("phase", 0), "phase"),
+                         tuple(json_int(x, "a") for x in g["a"]),
+                         tuple(json_int(x, "b") for x in g["b"]))
             for g in obj.get("generators", [])
         ]
         return validate(d, n, gens)
@@ -244,15 +247,15 @@ def coset_order_matched_lift(group: StabilizerGroup, v: Sequence[int], coset_ord
         raise ValueError("power of the lift does not map into the group image")
     w = multiply(ga, inverse(h))
     if any(w.a) or any(w.b):
-        raise AssertionError("residual is not scalar")
+        raise InternalInvariant("analyze.lifts", "residual is not scalar")
     target = (-w.phase) % db
     gcd = math.gcd(coset_order, db)
     if target % gcd:
-        raise AssertionError("no zeta correction exists")
+        raise InternalInvariant("analyze.lifts", "no zeta correction exists")
     x = (target // gcd) * pow(coset_order // gcd, -1, db // gcd) % (db // gcd)
     out = multiply(PauliElement.scalar(d, group.n, x), g)
     if not membership(group, power(out, coset_order)):
-        raise AssertionError("corrected lift does not reach the group")
+        raise InternalInvariant("analyze.lifts", "corrected lift does not reach the group")
     return out
 
 
@@ -293,16 +296,16 @@ def analyze(group: StabilizerGroup) -> StabilizerReport:
     for dv in divisors:
         dim *= dv
     if dim * group.cardinality != d**n:
-        raise AssertionError("dimension bookkeeping failed")
+        raise InternalInvariant("analyze.dimension", "dimension bookkeeping failed")
     kind, rank = _classify(group, divisors)
     pairs = []
     for b in blocks:
         e_op = coset_order_matched_lift(group, b.e, b.divisor)
         f_op = coset_order_matched_lift(group, b.f, b.divisor)
         if not (normalizer_membership(group, e_op) and normalizer_membership(group, f_op)):
-            raise AssertionError("logical operator escapes the normaliser")
+            raise InternalInvariant("analyze.lifts", "logical operator escapes the normaliser")
         if commutation_phase(e_op, f_op) != (d // b.divisor) % d:
-            raise AssertionError("logical pair has the wrong commutation phase")
+            raise InternalInvariant("analyze.lifts", "logical pair has the wrong commutation phase")
         pairs.append(LogicalPair(b.divisor, e_op, f_op))
     return StabilizerReport(
         d=d,
@@ -368,7 +371,9 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
         unit = tuple(1 if i == j else 0 for i in range(2 * n))
         col = solve_linear(cmat, unit)
         if col is None:
-            raise AssertionError("symplectic basis matrix is not invertible")
+            raise InternalInvariant(
+                "canonicalize.basis", "symplectic basis matrix is not invertible"
+            )
         inv_cols.append(col)
     beta = ZdMatrix.from_rows(d, list(zip(*inv_cols)), cols=2 * n)
     aut = lift_symplectic(group.space, beta)
@@ -381,7 +386,9 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
         w = elem.phase
         if d % 2 == 0:
             if w % 2:
-                raise AssertionError("unexpected odd phase on a conjugated generator")
+                raise InternalInvariant(
+                    "canonicalize.phase_fix", "unexpected odd phase on a conjugated generator"
+                )
             a_exp[i] = (w // 2) % d
         else:
             a_exp[i] = (w * pow(2, -1, d)) % d
@@ -395,7 +402,7 @@ def _image_group_element(group: StabilizerGroup, aut: PauliAutomorphism, v: Vect
     img_group = StabilizerGroup(group.d, group.n, images)
     elem = img_group.element_over(v)
     if elem is None:
-        raise AssertionError("target vector not in the conjugated image")
+        raise InternalInvariant("canonicalize.image", "target vector not in the conjugated image")
     return elem
 
 
@@ -439,5 +446,5 @@ def characters(group: StabilizerGroup) -> list[CharacterMap]:
         sols = Submodule(d, g, kernel_matrix(ZdMatrix.from_rows(d, rel_rows, cols=g)))
     out = [CharacterMap(v) for v in sols.enumerate_elements()]
     if len(out) != group.cardinality:
-        raise AssertionError("character count mismatch")
+        raise InternalInvariant("characters.count", "character count mismatch")
     return out

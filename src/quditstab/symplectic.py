@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import Degenerate, NotFree, NotFreeSymplectic, NotIsotropic, NotLagrangian
+from .errors import (
+    Degenerate,
+    InternalInvariant,
+    NotFree,
+    NotFreeSymplectic,
+    NotIsotropic,
+    NotLagrangian,
+)
 from .zmod import (
     Submodule,
     Vector,
@@ -302,7 +309,7 @@ def _free_order_d_preimage(v: Vector, b: int, d: int) -> Vector:
             return e
         t += 1
         if t > d:
-            raise AssertionError("no free preimage found")
+            raise InternalInvariant("symplectic.free_preimage", "no free preimage found")
 
 
 def _lagrangian_recursive(
@@ -416,5 +423,5 @@ def classify_isotropic_block(
     if (a * b) % d or b % a:
         raise NotIsotropic("isotropy contract violated")
     if Submodule(d, 2, [vec_scale(a, e, d), vec_scale(b, f, d)]) != sub:
-        raise AssertionError("block presentation failed")
+        raise InternalInvariant("symplectic.classify_block", "block presentation failed")
     return a, b, (e, f)

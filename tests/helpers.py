@@ -8,6 +8,7 @@ symbolic normal-form code paths it is used to check.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import numpy as np
 
@@ -42,6 +43,22 @@ def pauli_matrix(p: PauliElement) -> np.ndarray:
 
 def matrices_equal(p: PauliElement, m: np.ndarray) -> bool:
     return np.allclose(pauli_matrix(p), m, atol=1e-9)
+
+
+def represent_reference(p: PauliElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(perm, phase) of p on the basis states by an n-digit loop per state."""
+    d, n = p.d, p.n
+    db = phase_modulus(d)
+    strides = [d ** (n - 1 - r) for r in range(n)]
+    perm, phase = [], []
+    for digits in product(range(d), repeat=n):
+        t, ph = 0, p.phase
+        for r in range(n):
+            t += ((digits[r] + p.a[r]) % d) * strides[r]
+            ph += 2 * p.b[r] * digits[r]
+        perm.append(t)
+        phase.append(ph % db)
+    return tuple(perm), tuple(phase)
 
 
 def brute_span(gens, d, m) -> set:

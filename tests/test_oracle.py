@@ -1,11 +1,17 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditstab.errors import TooLarge
+import quditstab.oracle as oracle_module
+from quditstab.errors import BadBound, InternalInvariant, TooLarge
+from quditstab.kitaev import build_model, torus_grid_graph
 from quditstab.oracle import (
     eigenspace_dimensions,
+    oracle_bound,
     orbit_certificates,
     protected_basis,
     protected_dimension,
@@ -13,12 +19,38 @@ from quditstab.oracle import (
     verify_report,
 )
 from quditstab.pauli import PauliElement, multiply, phase_modulus
-from quditstab.stabilizer import analyze, validate
-from tests.helpers import random_pauli, random_stabilizer_group
+from quditstab.stabilizer import analyze, characters, validate
+from tests.helpers import random_pauli, random_stabilizer_group, represent_reference
 
 
 def x4z4_group():
     return validate(8, 1, [PauliElement.x_op(8, 1, 0, 4), PauliElement.z_op(8, 1, 0, 4)])
+
+
+def d6_group():
+    """Mixed orders at d=6: Z_1^2 X_2^3, X_1^3 X_2^3 and Z_3^3 on three qudits."""
+    gens = [
+        PauliElement(6, 3, 0, (0, 3, 0), (2, 0, 0)),
+        PauliElement(6, 3, 0, (3, 3, 0), (0, 0, 0)),
+        PauliElement.z_op(6, 3, 2, 3),
+    ]
+    return validate(6, 3, gens)
+
+
+def z_block_group(d, n, k):
+    """<Z_1..Z_k> on n qudits: every basis state is its own orbit."""
+    return validate(d, n, [PauliElement.z_op(d, n, i) for i in range(k)])
+
+
+@st.composite
+def pauli_for_represent(draw):
+    d = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.integers(min_value=0, max_value=5))
+    digits = st.integers(min_value=0, max_value=d - 1)
+    a = tuple(draw(st.lists(digits, min_size=n, max_size=n)))
+    b = tuple(draw(st.lists(digits, min_size=n, max_size=n)))
+    phase = draw(st.integers(min_value=0, max_value=phase_modulus(d) - 1))
+    return PauliElement(d, n, phase, a, b)
 
 
 class TestRepresent:
@@ -44,6 +76,13 @@ class TestRepresent:
             p, q = random_pauli(rng, d, n), random_pauli(rng, d, n)
             assert represent(multiply(p, q)) == represent(p).compose(represent(q))
 
+    @given(pauli_for_represent())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_digit_loop(self, p):
+        rep = represent(p)
+        assert (rep.perm, rep.phase) == represent_reference(p)
+        assert isinstance(rep.perm, tuple) and isinstance(rep.phase, tuple)
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             represent(PauliElement.identity(2, 20))
@@ -56,6 +95,13 @@ class TestRepresent:
             represent(PauliElement.identity(2, 4))
         monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "16")
         represent(PauliElement.identity(2, 4))
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_bound_env(self, monkeypatch, value):
+        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", value)
+        with pytest.raises(BadBound):
+            oracle_bound()
+        assert oracle_bound(64) == 64
 
 
 class TestEigenspaces:
@@ -82,6 +128,30 @@ class TestEigenspaces:
             assert len(dims) == group.cardinality
             assert sum(dims.values()) == group.d**group.n
             assert len(set(dims.values())) == 1
+
+    @pytest.mark.parametrize("make_group", [x4z4_group, d6_group])
+    def test_class_weighted_equals_per_orbit_count(self, make_group):
+        group = make_group()
+        db = phase_modulus(group.d)
+        certs = orbit_certificates(group)
+        naive = {
+            chi.values: sum(1 for c in certs if c.consistent_with(chi.values, db))
+            for chi in characters(group)
+        }
+        dims = eigenspace_dimensions(group)
+        assert dims == naive
+        assert list(dims) == list(naive)
+        # orbits sharing closure rows are counted as one class
+        assert len(Counter(tuple(c.closure_rows) for c in certs)) < len(certs)
+
+    def test_work_limit_checked_before_word_scan(self, monkeypatch):
+        def no_submodule(*args, **kwargs):
+            raise AssertionError("word scan reduced closure rows")
+
+        monkeypatch.setattr(oracle_module, "Submodule", no_submodule)
+        with pytest.raises(TooLarge, match="character sweep work 48 exceeds limit 47"):
+            # 4 characters * 4 orbits {0,4}, {1,5}, {2,6}, {3,7} * (2 generators + 1)
+            eigenspace_dimensions(x4z4_group(), work_limit=47)
 
 
 class TestProtectedBasis:
@@ -140,6 +210,66 @@ class TestVerifyReport:
                     group = validate(d, n, [PauliElement.z_op(d, n, i) for i in range(k)])
                     verdict = verify_report(group, analyze(group))
                     assert verdict.passed, (d, n, k, verdict.details)
+
+    def test_represents_each_operator_once(self, monkeypatch):
+        calls = Counter()
+        original = oracle_module.represent
+
+        def counting(p, bound=None):
+            calls[p] += 1
+            return original(p, bound)
+
+        monkeypatch.setattr(oracle_module, "represent", counting)
+        model = build_model(torus_grid_graph(2, 2), 2)
+        for group in (x4z4_group(), d6_group(), model.stabilizer):
+            calls.clear()
+            report = analyze(group)
+            verdict = verify_report(group, report)
+            assert verdict.passed and "transitivity" in verdict.checks
+            ops = list(group.generators)
+            for pair in report.logical_operators:
+                ops += [pair.z_like, pair.x_like]
+            assert sum(calls.values()) == len(ops)
+            assert calls == Counter(ops)
+
+    def test_skipped_sweep_builds_no_word_scan(self, monkeypatch):
+        scans = []
+        original_scan = oracle_module._Scan
+
+        def recording_scan(group, bound, with_words, reps=None):
+            scans.append(with_words)
+            return original_scan(group, bound, with_words, reps)
+
+        def no_submodule(*args, **kwargs):
+            raise AssertionError("word scan reduced closure rows")
+
+        monkeypatch.setattr(oracle_module, "_Scan", recording_scan)
+        monkeypatch.setattr(oracle_module, "Submodule", no_submodule)
+        group = z_block_group(2, 12, 8)
+        verdict = verify_report(group, analyze(group))
+        # 2^8 characters * 2^12 orbits * (8 generators + 1) > 8_000_000
+        assert verdict.skipped == {
+            "transitivity": "character sweep work 9437184 exceeds limit 8000000"
+        }
+        assert "transitivity" not in verdict.checks
+        assert verdict.histogram is None
+        assert verdict.passed
+        assert scans == [False]
+        assert verdict.to_json_dict()["skipped"] == verdict.skipped
+
+    def test_nothing_skipped_when_the_sweep_fits(self):
+        group = x4z4_group()
+        verdict = verify_report(group, analyze(group))
+        assert verdict.skipped == {}
+        assert verdict.to_json_dict()["skipped"] == {}
+
+    def test_unfixed_basis_is_an_internal_invariant(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_maps_to_multiple", lambda *args, **kw: False)
+        group = x4z4_group()
+        with pytest.raises(InternalInvariant) as info:
+            verify_report(group, analyze(group))
+        assert info.value.stage == "oracle.basis"
+        assert isinstance(info.value, AssertionError)
 
     def test_agreement_random(self):
         rng = random.Random(52)

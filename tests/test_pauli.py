@@ -224,6 +224,15 @@ class TestSerialization:
         assert PauliElement.from_text(p.d, p.to_text()) == p
         assert PauliElement.from_json_dict(p.to_json_dict()) == p
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", 6.0), ("d", True), ("n", 2.5), ("phase", 7.0), ("a", [1, 5.0]), ("b", [0, False])],
+    )
+    def test_rejects_float_and_bool(self, field, value):
+        obj = {**PauliElement(6, 2, 7, (1, 5), (0, 3)).to_json_dict(), field: value}
+        with pytest.raises(TypeError, match="must be an integer"):
+            PauliElement.from_json_dict(obj)
+
     def test_text_shape(self):
         p = PauliElement(6, 2, 7, (1, 5), (0, 3))
         assert p.to_text() == "z^7 * X1^1 Z1^0 * X2^5 Z2^3"

@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from quditstab import zmod
-from quditstab.errors import ContainsScalar, NotAbelian, NotFree
+from quditstab.errors import ContainsScalar, InternalInvariant, NotAbelian, NotFree
 from quditstab.pauli import (
     PauliElement,
     commutation_phase,
@@ -127,6 +127,16 @@ class TestCosetOrderMatchedLift:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised:"), out.stdout
+
+    def test_failed_check_names_its_stage(self, monkeypatch):
+        import quditstab.stabilizer as S
+
+        group = validate(4, 1, [PauliElement.z_op(4, 1, 0, 2)])
+        monkeypatch.setattr(S, "membership", lambda group, p: False)
+        with pytest.raises(InternalInvariant) as info:
+            S.coset_order_matched_lift(group, (0, 2), 2)
+        assert info.value.stage == "analyze.lifts"
+        assert info.value.detail == "corrected lift does not reach the group"
 
 
 class TestNormalizerMembership:
