@@ -38,11 +38,9 @@ from .symplectic import (
 from .heisenberg import (
     HeisenbergStructure,
     PauliAutomorphism,
-    QuasiBasis,
     crt_canonical_chain,
     heisenberg_structure,
     lift_symplectic,
-    quasi_basis,
     verify_presentation,
 )
 from .stabilizer import (
@@ -76,7 +74,6 @@ from .kitaev import (
     build_model,
     charge_configuration,
     dual_path_operator,
-    genus,
     genus2_bouquet_graph,
     normalizer_generators,
     path_operator,

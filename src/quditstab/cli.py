@@ -29,7 +29,6 @@ from .stabilizer import (
     analyze,
     canonical_conjugation,
 )
-from .pauli import PauliElement
 
 CONVENTIONS = {
     "normal_form": "X-before-Z per qudit, phases as exponents of zeta",
@@ -96,41 +95,6 @@ def _group_from_request(req: dict) -> StabilizerGroup:
     return StabilizerGroup.from_json_dict(req)
 
 
-def _report_from_json(d: int, n: int, obj: dict) -> StabilizerReport:
-    from .stabilizer import CssSplit, LogicalPair
-
-    pairs = tuple(
-        LogicalPair(
-            json_int(p["divisor"], "divisor"),
-            PauliElement.from_json_dict({"d": d, "n": n, **p["z"]}),
-            PauliElement.from_json_dict({"d": d, "n": n, **p["x"]}),
-        )
-        for p in obj.get("logical_operators", [])
-    )
-    css = obj.get("css")
-    css_obj = None
-    if css:
-        css_obj = CssSplit(
-            tuple(PauliElement.from_json_dict({"d": d, "n": n, **g}) for g in css["z_generators"]),
-            tuple(PauliElement.from_json_dict({"d": d, "n": n, **g}) for g in css["x_generators"]),
-        )
-    cls = obj["classification"]
-    kind = cls.split("(")[0]
-    rank = int(cls.split("(")[1].rstrip(")")) if "(" in cls else None
-    return StabilizerReport(
-        d=d,
-        n=n,
-        cardinality=json_int(obj["cardinality"], "cardinality"),
-        dim_protected=json_int(obj["dim_protected"], "dim_protected"),
-        quotient_divisors=tuple(json_int(x, "quotient_divisors") for x in obj["quotient_divisors"]),
-        canonical_chain=tuple(json_int(x, "canonical_chain") for x in obj["canonical_chain"]),
-        kind=kind,
-        rank=rank,
-        logical_operators=pairs,
-        css=css_obj,
-    )
-
-
 @_guard
 def cmd_analyze(args) -> int:
     group = _group_from_request(_load_json(args.input))
@@ -160,7 +124,7 @@ def cmd_canonicalize(args) -> int:
 def cmd_oracle_verify(args) -> int:
     req = _load_json(args.input)
     group = _group_from_request(req)
-    report = _report_from_json(group.d, group.n, req["report"])
+    report = StabilizerReport.from_json_dict({**req["report"], "d": group.d, "n": group.n})
     verdict = verify_report(group, report, bound=args.bound)
     _emit(_wrap_report(verdict.to_json_dict()), args.format)
     return 0 if verdict.passed else 3

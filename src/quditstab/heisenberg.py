@@ -9,6 +9,7 @@ order-matched lifting of the generator images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,59 +24,28 @@ from .pauli import (
     phase_modulus,
     power,
 )
-from .symplectic import SymplecticSpace, standard_gram, structure_decomposition
+from .symplectic import SymplecticSpace, structure_decomposition
 from .zmod import Submodule, Vector, ZdMatrix
 
 
-@dataclass(frozen=True)
-class QuasiBasis:
-    """Generators with only diagonal relations, orders ascending."""
-
-    elements: tuple[Vector, ...]
-    orders: tuple[int, ...]
-
-
-def quasi_basis(module: Submodule) -> QuasiBasis:
-    pairs = module.quasi_basis()
-    return QuasiBasis(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-
-
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def crt_canonical_chain(divisors: Sequence[int]) -> tuple[int, ...]:
-    """Regroup divisors by prime powers into an ascending divisibility chain.
+    """The ascending divisibility chain of the divisors' direct sum, 1s dropped.
 
-    Chinese-remainder recombination: the multiset of prime powers is
-    preserved, the k-th largest powers of each prime are multiplied
-    together.
+    Chinese-remainder recombination without factoring: replacing a pair by
+    (gcd, lcm) keeps every prime's multiset of exponents, and one sweep over
+    all pairs leaves each entry dividing the entries after it.
     """
-    by_prime: dict[int, list[int]] = {}
-    for dv in divisors:
-        for p, e in _factorint(dv).items():
-            by_prime.setdefault(p, []).append(e)
-    for lst in by_prime.values():
-        lst.sort(reverse=True)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    chain = []
-    for k in range(depth):
-        val = 1
-        for p, lst in by_prime.items():
-            if k < len(lst):
-                val *= p ** lst[k]
-        chain.append(val)
-    chain.reverse()
-    return tuple(chain)
+    chain = list(divisors)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return tuple(x for x in chain if x > 1)
+
+
+def _pairing_table(space: SymplecticSpace, vectors: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """pairing(u, v) for every u (rows) and v (columns) of vectors."""
+    return tuple(tuple(space.pairing(u, v) for v in vectors) for u in vectors)
 
 
 @dataclass(frozen=True)
@@ -107,9 +77,8 @@ def heisenberg_structure(
     """Block divisors, CRT chain and cardinality of Heis(carrier/modulo).
 
     The cardinality identity #Heis = phase_modulus(d) * (prod divisors)^2
-    is checked against the module cardinality.  Generator lifts are
-    provided when the ambient is the standard Pauli module (they are
-    ambient-order lifts of the block representatives).
+    is checked against the module cardinality.  Generator lifts are the
+    ambient-order lifts of the block representatives.
     """
     d = space.modulus
     blocks = structure_decomposition(space, carrier, modulo)
@@ -124,31 +93,18 @@ def heisenberg_structure(
         raise InternalInvariant("heisenberg.cardinality", "cardinality identity failed")
     group_order = phase_modulus(d) * sq
 
-    lifts: tuple[PauliElement, ...] = ()
-    if space.rank % 2 == 0:
-        n = space.rank // 2
-        if space.gram == standard_gram(n, d):
-            out = []
-            for b in blocks:
-                out.append(order_matched_lift(d, b.e))
-                out.append(order_matched_lift(d, b.f))
-            lifts = tuple(out)
-
     vectors = [v for b in blocks for v in (b.e, b.f)]
     orders = []
     for b in blocks:
         orders.extend((b.divisor, b.divisor))
-    form_values = tuple(
-        tuple(space.pairing(u, v) for v in vectors) for u in vectors
-    )
     return HeisenbergStructure(
         modulus=d,
         block_divisors=block_divisors,
         canonical_chain=crt_canonical_chain(block_divisors),
         group_order=group_order,
-        lifts=lifts,
+        lifts=tuple(order_matched_lift(d, v) for v in vectors),
         quasi_orders=tuple(orders),
-        form_values=form_values,
+        form_values=_pairing_table(space, vectors),
     )
 
 
@@ -234,21 +190,18 @@ def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
     Images are order-matched lifts of the mapped basis vectors; the
     presentation relations are checked before returning.
     """
-    d = space.modulus
-    if space.rank % 2:
-        raise ValueError("standard module has even rank")
-    n = space.rank // 2
-    if space.gram != standard_gram(n, d):
-        raise ValueError("lift_symplectic expects the standard module")
+    d, n = space.modulus, space.n
     if psi.rows != 2 * n or psi.cols != 2 * n or psi.modulus != d:
         raise ValueError("matrix does not act on this module")
-    if (psi.transpose() @ space.gram @ psi) != space.gram:
+    # psi is symplectic iff its columns pair as the unit vectors do
+    form_values = _pairing_table(space, ZdMatrix.identity(d, 2 * n).entries)
+    if _pairing_table(space, [psi.col(k) for k in range(2 * n)]) != form_values:
         raise NotSymplectic("matrix does not preserve the form")
     z_images = tuple(order_matched_lift(d, psi.col(k)) for k in range(n))
     x_images = tuple(order_matched_lift(d, psi.col(n + k)) for k in range(n))
     images = z_images + x_images
     orders = (d,) * (2 * n)
-    if not verify_presentation(images, orders, standard_gram(n, d)):
+    if not verify_presentation(images, orders, form_values):
         raise InternalInvariant(
             "heisenberg.lift_symplectic", "lifted images violate the presentation"
         )

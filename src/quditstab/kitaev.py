@@ -153,10 +153,6 @@ class SurfaceGraph:
         return self._side_face[(eid, RIGHT)]
 
 
-def genus(graph: SurfaceGraph) -> int:
-    return graph.genus
-
-
 @dataclass(frozen=True)
 class ChargeConfiguration:
     """Electric charges per vertex and magnetic charges per face, mod d."""

@@ -73,10 +73,6 @@ class PauliElement:
         b[k] = power
         return cls(d, n, 0, (0,) * n, tuple(b))
 
-    @classmethod
-    def from_exponents(cls, d: int, n: int, phase: int, a: Sequence[int], b: Sequence[int]) -> "PauliElement":
-        return cls(d, n, phase, tuple(a), tuple(b))
-
     def __mul__(self, other: "PauliElement") -> "PauliElement":
         return multiply(self, other)
 
@@ -166,7 +162,7 @@ def is_identity(p: PauliElement) -> bool:
 
 def order(p: PauliElement) -> int:
     """Least m >= 1 with p**m equal to the identity."""
-    m0 = module_vector_order(module_vector(p), p.d)
+    m0 = vector_order(module_vector(p), p.d)
     residual = power(p, m0)
     db = p.phase_order
     return m0 * (db // math.gcd(db, residual.phase))
@@ -184,10 +180,6 @@ def module_vector(p: PauliElement) -> Vector:
     return p.b + p.a
 
 
-def module_vector_order(v: Sequence[int], d: int) -> int:
-    return vector_order(v, d)
-
-
 def from_module_vector(d: int, v: Sequence[int]) -> PauliElement:
     """The bare monomial X^a Z^b with module image v (phase zero)."""
     if len(v) % 2:
@@ -203,7 +195,7 @@ def order_matched_lift(d: int, v: Sequence[int]) -> PauliElement:
     case multiplying by zeta^(d/order) fixes the order.
     """
     g = from_module_vector(d, v)
-    m0 = module_vector_order(v, d)
+    m0 = vector_order(v, d)
     residual = power(g, m0).phase
     if residual == 0:
         return g

@@ -231,6 +231,40 @@ class StabilizerReport:
             "css": self.css.to_json_dict() if self.css else None,
         }
 
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "StabilizerReport":
+        d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
+
+        def element(p: dict) -> PauliElement:
+            return PauliElement.from_json_dict({"d": d, "n": n, **p})
+
+        pairs = tuple(
+            LogicalPair(json_int(p["divisor"], "divisor"), element(p["z"]), element(p["x"]))
+            for p in obj.get("logical_operators", [])
+        )
+        css = obj.get("css")
+        css_obj = None
+        if css:
+            css_obj = CssSplit(
+                tuple(element(g) for g in css["z_generators"]),
+                tuple(element(g) for g in css["x_generators"]),
+            )
+        cls_text = obj["classification"]
+        kind = cls_text.split("(")[0]
+        rank = int(cls_text.split("(")[1].rstrip(")")) if "(" in cls_text else None
+        return cls(
+            d=d,
+            n=n,
+            cardinality=json_int(obj["cardinality"], "cardinality"),
+            dim_protected=json_int(obj["dim_protected"], "dim_protected"),
+            quotient_divisors=tuple(json_int(x, "quotient_divisors") for x in obj["quotient_divisors"]),
+            canonical_chain=tuple(json_int(x, "canonical_chain") for x in obj["canonical_chain"]),
+            kind=kind,
+            rank=rank,
+            logical_operators=pairs,
+            css=css_obj,
+        )
+
 
 def coset_order_matched_lift(group: StabilizerGroup, v: Sequence[int], coset_order: int) -> PauliElement:
     """A Pauli element over v whose coset_order-th power lies in the group.

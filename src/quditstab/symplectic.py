@@ -1,15 +1,17 @@
-"""Alternating and symplectic forms on finite Z/dZ-modules.
+"""The standard symplectic module and its submodules and quotients.
 
-The ambient is always a free module (Z/dZ)^m with the form given by a Gram
-matrix.  Non-free symplectic modules arise as quotients carrier/modulo and
-are handled on representatives: the induced form is well defined because
-the modulo part pairs to zero with the carrier.
+The ambient is always the standard module (Z/dZ)^(2n) with coordinates
+(z_1..z_n, x_1..x_n) and the commutation form
+phi(u, v) = sum_i u_z[i] * v_x[i] - u_x[i] * v_z[i] mod d.  Non-free
+symplectic modules arise as quotients carrier/modulo and are handled on
+representatives: the induced form is well defined because the modulo part
+pairs to zero with the carrier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -28,83 +30,36 @@ from .zmod import (
     quotient_quasi_basis,
     solve_linear,
     vec_add,
+    vec_dot,
     vec_scale,
     vec_sub,
     vector_order,
 )
 
 
-def standard_gram(n: int, d: int) -> ZdMatrix:
-    """Gram matrix of the standard basis (z_1..z_n, x_1..x_n)."""
-    rows = []
-    for i in range(2 * n):
-        row = [0] * (2 * n)
-        if i < n:
-            row[n + i] = 1 % d
-        else:
-            row[i - n] = (-1) % d
-        rows.append(row)
-    return ZdMatrix.from_rows(d, rows, cols=2 * n)
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """Free ambient module with an alternating form given by its Gram matrix.
+    """The standard module (Z/dZ)^(2n) with the commutation form, paired in O(n)."""
 
-    The nonzero Gram entries are listed once at construction, so pairing and
-    functional cost one step per nonzero entry (2 * rank for the standard
-    form) instead of a dense product.
-    """
-
-    gram: ZdMatrix
-    # (i, j, x) for every nonzero entry, row by row, with x == gram[i][j] mod d
-    # taken in (-d/2, d/2] so that the standard form multiplies by +-1
-    _terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols:
-            raise ValueError("Gram matrix must be square")
-        d = g.modulus
-        for i in range(g.rows):
-            if g.entries[i][i] % d:
-                raise ValueError("alternating form needs zero diagonal")
-            for j in range(i + 1, g.cols):
-                if (g.entries[i][j] + g.entries[j][i]) % d:
-                    raise ValueError("Gram matrix must be antisymmetric")
-        terms = tuple((i, j, x if 2 * x <= d else x - d)
-                      for i, row in enumerate(g.entries) for j, x in enumerate(row) if x)
-        object.__setattr__(self, "_terms", terms)
+    n: int
+    modulus: int
 
     @classmethod
     def standard(cls, n: int, d: int) -> "SymplecticSpace":
-        space = cls(standard_gram(n, d))
-        # the standard Gram matrix has determinant 1, so no determinant is needed
-        object.__setattr__(space, "is_symplectic", True)
-        return space
-
-    @property
-    def modulus(self) -> int:
-        return self.gram.modulus
+        return cls(n, d)
 
     @property
     def rank(self) -> int:
-        return self.gram.rows
-
-    @cached_property
-    def is_symplectic(self) -> bool:
-        return self.gram.is_invertible()
+        return 2 * self.n
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[i] * x * v[j] for i, j, x in self._terms) % self.modulus
+        n = self.n
+        return (sum(map(mul, u[:n], v[n:])) - sum(map(mul, u[n:], v[:n]))) % self.modulus
 
     def functional(self, u: Sequence[int]) -> Vector:
-        """Coefficient row r with r . x == pairing(u, x) for all x."""
-        d = self.modulus
-        out = [0] * self.rank
-        for i, j, x in self._terms:
-            out[j] += u[i] * x
-        return tuple(y % d for y in out)
+        """Coefficient row r with r . x == pairing(u, x) for all x: (-u_x | u_z)."""
+        d, n = self.modulus, self.n
+        return tuple(-x % d for x in u[n:]) + tuple(z % d for z in u[:n])
 
     def full_module(self) -> Submodule:
         return Submodule.full(self.modulus, self.rank)
@@ -128,14 +83,12 @@ class ElementaryBlock:
 
 def perp(space: SymplecticSpace, sub: Submodule) -> Submodule:
     """Orthogonal complement {m : pairing(m, n) == 0 for all n in sub}."""
-    if not space.is_symplectic:
-        raise ValueError("perp requires a symplectic ambient form")
     d, m = space.modulus, space.rank
     if sub.ambient_rank != m or sub.modulus != d:
         raise ValueError("submodule does not live in this space")
     if not sub.generators:
         return space.full_module()
-    # row G g, which is the functional of -g: (G g) . x == pairing(x, g)
+    # the functional of -g: its row r has r . x == pairing(x, g)
     rows = [space.functional(vec_scale(-1, g, d)) for g in sub.generators]
     return Submodule(d, m, kernel_matrix(ZdMatrix.from_rows(d, rows, cols=m)))
 
@@ -236,8 +189,6 @@ def extend_isotropic_basis(
     Returns (e_1..e_n, f_1..f_n) with e_1..e_k equal to the given vectors.
     """
     d, m = space.modulus, space.rank
-    if not space.is_symplectic:
-        raise ValueError("ambient form must be symplectic")
     es = [tuple(x % d for x in b) for b in basis]
     k = len(es)
     for i in range(k):
@@ -313,17 +264,22 @@ def _free_order_d_preimage(v: Vector, b: int, d: int) -> Vector:
 
 
 def _lagrangian_recursive(
-    gram: ZdMatrix, l_coords: list[Vector]
+    space: SymplecticSpace, basis: ZdMatrix, l_coords: list[Vector]
 ) -> tuple[list[Vector], list[Vector], list[int]]:
-    """Canonical form inside a free symplectic module given by gram.
+    """Canonical form inside the free symplectic module spanned by basis's rows.
 
-    Returns (es, fs, divisors) in local coordinates, divisors ascending.
+    A vector x in basis coordinates stands for x . basis in the ambient space,
+    whose form it inherits.  Returns (es, fs, divisors) in basis coordinates,
+    divisors ascending.
     """
-    d = gram.modulus
-    m = gram.rows
+    d, m = space.modulus, basis.rows
     if m == 0:
         return [], [], []
-    space = SymplecticSpace(gram)
+    basis_t = basis.transpose()
+
+    def functional(x: Vector) -> Vector:
+        return basis.mul_vector(space.functional(basis_t.mul_vector(x)))
+
     lsub = Submodule(d, m, l_coords)
     qb = lsub.quasi_basis()
     if not qb:
@@ -331,13 +287,14 @@ def _lagrangian_recursive(
     mvec, a = qb[-1]
     b = d // a
     e = _free_order_d_preimage(mvec, b, d)
-    f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)], cols=m), (1,))
+    rows = [functional(e)]
+    f = solve_linear(ZdMatrix.from_rows(d, rows, cols=m), (1,))
     if f is None:
         raise NotLagrangian("no symplectic partner; input is not Lagrangian")
     if not lsub.contains(vec_scale(a, f, d)):
         raise NotLagrangian("a*f escapes the module; input is not Lagrangian")
 
-    rows = [space.functional(e), space.functional(f)]
+    rows.append(functional(f))
     w_basis = [
         q[0] for q in Submodule(d, m, kernel_matrix(ZdMatrix.from_rows(d, rows, cols=m))).quasi_basis()
     ]
@@ -346,18 +303,17 @@ def _lagrangian_recursive(
     if m > 2:
         w_mat = ZdMatrix.from_rows(d, w_basis, cols=m)
         w_mat_t = w_mat.transpose()
-        sub_gram = w_mat @ gram @ w_mat_t
         l_rest = []
         for g in l_coords:
-            # project away the block component, then express in the W basis
-            ge = space.pairing(g, e)
-            gf = space.pairing(g, f)
-            g2 = vec_sub(g, vec_add(vec_scale(gf, e, d), vec_scale((-ge) % d, f, d), d), d)
+            # project away the block component, then express in the W basis;
+            # the form is alternating, so pairing(g, e) == -(rows[0] . g)
+            ge, gf = -vec_dot(rows[0], g, d), -vec_dot(rows[1], g, d)
+            g2 = vec_sub(g, vec_add(vec_scale(gf, e, d), vec_scale(-ge, f, d), d), d)
             coords = solve_linear(w_mat_t, g2)
             if coords is None:
                 raise NotLagrangian("module does not split along the block")
             l_rest.append(coords)
-        es_l, fs_l, divs = _lagrangian_recursive(sub_gram, l_rest)
+        es_l, fs_l, divs = _lagrangian_recursive(space, w_mat @ basis, l_rest)
         es = [tuple(w_mat_t.mul_vector(x)) for x in es_l]
         fs = [tuple(w_mat_t.mul_vector(x)) for x in fs_l]
     else:
@@ -378,7 +334,9 @@ def lagrangian_canonical_form(space: SymplecticSpace, lagr: Submodule) -> Lagran
         raise NotLagrangian("module is not equal to its perp")
     if space.rank == 0:
         return LagrangianForm(d, (), (), ())
-    es, fs, divs = _lagrangian_recursive(space.gram, list(lagr.generators))
+    es, fs, divs = _lagrangian_recursive(
+        space, ZdMatrix.identity(d, space.rank), list(lagr.generators)
+    )
     form = LagrangianForm(d, tuple(es), tuple(fs), tuple(divs))
     for x, y in zip(divs, divs[1:]):
         if y % x:
@@ -402,16 +360,12 @@ def classify_isotropic_block(
     d = space.modulus
     if space.rank != 2:
         raise ValueError("classify_isotropic_block needs a rank-2 space")
-    if not space.is_symplectic:
-        raise ValueError("the block form must be symplectic")
     for u in sub.generators:
         for v in sub.generators:
             if space.pairing(u, v):
                 raise NotIsotropic("submodule is not isotropic")
-    w = space.gram.entries[0][1]
     if sub.is_zero:
-        winv = pow(w, -1, d) if d > 1 else 0
-        return d, d, ((1 % d, 0), (0, winv))
+        return d, d, ((1 % d, 0), (0, 1 % d))
     qb = sub.quasi_basis()
     mvec, c = qb[-1]
     a = d // c
@@ -419,7 +373,8 @@ def classify_isotropic_block(
     f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)], cols=2), (1,))
     if f is None:
         raise NotIsotropic("no symplectic partner for the maximal-order element")
-    b = next(k for k in range(1, d + 1) if d % k == 0 and sub.contains(vec_scale(k, f, d)))
+    # the order of f modulo the submodule
+    b = Submodule(d, 2, sub.generators + (f,)).cardinality // sub.cardinality
     if (a * b) % d or b % a:
         raise NotIsotropic("isotropy contract violated")
     if Submodule(d, 2, [vec_scale(a, e, d), vec_scale(b, f, d)]) != sub:

@@ -187,9 +187,6 @@ class ZdMatrix:
             prev = m[k][k]
         return (sign * m[n - 1][n - 1]) % self.modulus
 
-    def is_invertible(self) -> bool:
-        return math.gcd(self.det(), self.modulus) == 1
-
 
 # smith_normal_form records its elementary operations, in the order applied,
 # as row operations on an identity matrix: (SWAP, i, j, 0) swaps rows i and j,
@@ -543,11 +540,6 @@ class Submodule:
                 x = vec_add(x, vec_scale(coef, g, d), d)
             gens.append(x)
         return Submodule(d, m, gens)
-
-    def sum_with(self, other: "Submodule") -> "Submodule":
-        if (self.modulus, self.ambient_rank) != (other.modulus, other.ambient_rank):
-            raise ValueError("modules live in different ambients")
-        return Submodule(self.modulus, self.ambient_rank, self.generators + other.generators)
 
     def enumerate_elements(self) -> Iterator[Vector]:
         """All elements, via quasi-basis coefficients (no duplicates)."""

@@ -127,6 +127,42 @@ def random_symplectic_matrix(rng: random.Random, n: int, d: int, steps: int = 6)
     return mat
 
 
+def standard_gram(n: int, d: int) -> ZdMatrix:
+    """Dense Gram matrix of the commutation form on (z_1..z_n, x_1..x_n)."""
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][n + i] = 1 % d
+        rows[n + i][i] = -1 % d
+    return ZdMatrix.from_rows(d, rows, cols=2 * n)
+
+
+def chain_reference(divisors, primes) -> tuple:
+    """Divisor chain by regrouping prime powers over primes known to cover the divisors.
+
+    The k-th largest power of every prime goes into the k-th largest entry.
+    """
+    exponents = {}
+    for dv in divisors:
+        for p in primes:
+            e = 0
+            while dv % p == 0:
+                dv //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+        assert dv == 1, "the primes do not cover the divisors"
+    depth = max((len(es) for es in exponents.values()), default=0)
+    chain = []
+    for k in range(depth):
+        entry = 1
+        for p, es in exponents.items():
+            es = sorted(es, reverse=True)
+            if k < len(es):
+                entry *= p ** es[k]
+        chain.append(entry)
+    return tuple(reversed(chain))
+
+
 def assert_symplectic_basis(space: SymplecticSpace, es, fs) -> None:
     for i in range(len(es)):
         for j in range(len(es)):

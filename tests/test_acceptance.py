@@ -196,11 +196,11 @@ def test_criterion_5_shifted_free_iff():
         assert envelope.contains_module(group.tau_image)
         inner_perp = perp(group.space, group.tau_image).intersection(envelope)
         assert inner_perp == group.tau_image
-        # and the Lagrangian canonical form machinery accepts it in envelope coordinates
-        basis = [v for v, _ in envelope.quasi_basis()]
-        bmat = ZdMatrix.from_rows(d, basis, cols=2 * n)
-        bt = bmat.transpose()
-        local_gram = bmat @ group.space.gram @ bt
+        # and the Lagrangian canonical form machinery accepts it in the
+        # coordinates of a symplectic basis of the envelope, where the form is standard
+        env_es, env_fs = symplectic_basis(group.space, envelope)
+        basis = list(env_es) + list(env_fs)
+        bt = ZdMatrix.from_rows(d, basis, cols=2 * n).transpose()
         from quditstab.zmod import solve_linear
 
         local_l = []
@@ -208,7 +208,7 @@ def test_criterion_5_shifted_free_iff():
             coords = solve_linear(bt, g)
             assert coords is not None
             local_l.append(coords)
-        local_space = SymplecticSpace(local_gram)
+        local_space = SymplecticSpace.standard(len(env_es), d)
         form = lagrangian_canonical_form(local_space, Submodule(d, len(basis), local_l))
         assert form.reconstruct() == Submodule(d, len(basis), local_l)
         shifted_cases += 1

@@ -1,13 +1,15 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditstab.errors import NotSymplectic
 from quditstab.heisenberg import (
     crt_canonical_chain,
     heisenberg_structure,
     lift_symplectic,
-    quasi_basis,
     verify_presentation,
 )
 from quditstab.pauli import (
@@ -17,22 +19,46 @@ from quditstab.pauli import (
     phase_modulus,
     power,
 )
-from quditstab.symplectic import SymplecticSpace, standard_gram
+from quditstab.stabilizer import analyze, validate
+from quditstab.symplectic import SymplecticSpace
 from quditstab.zmod import Submodule, ZdMatrix
-from tests.helpers import random_pauli, random_symplectic_matrix
+from tests.helpers import chain_reference, random_pauli, random_symplectic_matrix, standard_gram
+
+# primes whose products give moduli up to 2^64 with a known factorisation
+PRIMES = (2, 3, 5, 7, 11, 13, 65537, 998244353, 1000000007, 4294967291)
+
+
+@st.composite
+def divisor_lists(draw):
+    """Up to six divisors of a modulus d <= 2^64 built from PRIMES."""
+    d, exponents = 1, {}
+    for p in draw(st.lists(st.sampled_from(PRIMES), max_size=12)):
+        if d * p <= 2**64:
+            d *= p
+            exponents[p] = exponents.get(p, 0) + 1
+    size = draw(st.integers(min_value=0, max_value=6))
+    out = []
+    for _ in range(size):
+        dv = 1
+        for p, e in exponents.items():
+            dv *= p ** draw(st.integers(min_value=0, max_value=e))
+        out.append(dv)
+    return out
+
+
+def quasi_orders(module: Submodule) -> tuple:
+    return tuple(o for _, o in module.quasi_basis())
 
 
 class TestQuasiBasis:
     def test_free_module(self):
-        qb = quasi_basis(Submodule(5, 2, [(1, 0), (0, 1)]))
-        assert qb.orders == (5, 5)
+        assert quasi_orders(Submodule(5, 2, [(1, 0), (0, 1)])) == (5, 5)
 
     def test_cyclic(self):
-        qb = quasi_basis(Submodule(6, 2, [(2, 0), (0, 3)]))
-        assert qb.orders == (6,)
+        assert quasi_orders(Submodule(6, 2, [(2, 0), (0, 3)])) == (6,)
 
     def test_zero(self):
-        assert quasi_basis(Submodule(6, 2, [])).orders == ()
+        assert quasi_orders(Submodule(6, 2, [])) == ()
 
 
 class TestCrtChain:
@@ -63,6 +89,19 @@ class TestCrtChain:
             for x in chain:
                 prod_out *= x
             assert prod_in == prod_out
+
+    @given(divisor_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_prime_power_regrouping(self, divisors):
+        assert crt_canonical_chain(divisors) == chain_reference(divisors, PRIMES)
+
+    def test_semiprime_modulus_is_not_factored(self):
+        d = 1000000007 * 998244353
+        group = validate(d, 2, [PauliElement.z_op(d, 2, 0)])
+        start = time.perf_counter()
+        report = analyze(group)
+        assert time.perf_counter() - start < 0.1
+        assert report.quotient_divisors == report.canonical_chain == (d,)
 
 
 class TestHeisenbergStructure:

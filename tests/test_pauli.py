@@ -15,14 +15,13 @@ from quditstab.pauli import (
     is_identity,
     is_scalar,
     module_vector,
-    module_vector_order,
     multiply,
     order,
     order_matched_lift,
     phase_modulus,
     power,
 )
-from quditstab.zmod import vec_add
+from quditstab.zmod import vec_add, vector_order
 from tests.helpers import matrices_equal, pauli_matrix, random_pauli
 
 
@@ -200,7 +199,7 @@ class TestOrderMatchedLift:
             for v in itertools.product(range(d), repeat=2):
                 lift = order_matched_lift(d, v)
                 assert module_vector(lift) == v
-                assert order(lift) == module_vector_order(v, d)
+                assert order(lift) == vector_order(v, d)
 
 
 class TestScalars:

@@ -8,6 +8,7 @@ import pytest
 
 from quditstab import zmod
 from quditstab.errors import ContainsScalar, InternalInvariant, NotAbelian, NotFree
+from quditstab.kitaev import build_model, torus_grid_graph
 from quditstab.pauli import (
     PauliElement,
     commutation_phase,
@@ -18,6 +19,7 @@ from quditstab.pauli import (
 )
 from quditstab.stabilizer import (
     CharacterMap,
+    StabilizerReport,
     analyze,
     canonical_conjugation,
     character_action,
@@ -227,6 +229,16 @@ class TestAnalyze:
             assert r1.classification == r2.classification
             assert r1.cardinality == r2.cardinality
             assert r1.dim_protected == r2.dim_protected
+
+
+class TestReportJson:
+    def test_round_trip(self):
+        general = validate(6, 2, [PauliElement.z_op(6, 2, 0, 2), PauliElement.x_op(6, 2, 1, 2)])
+        groups = [build_model(torus_grid_graph(2, 2), 2).stabilizer, x4z4_group(), general]
+        reports = [analyze(group) for group in groups]
+        assert [r.kind for r in reports] == ["FREE", "GENERAL", "GENERAL"]
+        for report in reports:
+            assert StabilizerReport.from_json_dict(report.to_json_dict()) == report
 
 
 class TestCanonicalConjugation:

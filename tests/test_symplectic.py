@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditstab.errors import Degenerate, NotFreeSymplectic, NotIsotropic, NotLagrangian
+from quditstab.pauli import commutation_phase, from_module_vector
 from quditstab.symplectic import (
     SymplecticSpace,
     classify_isotropic_block,
@@ -16,37 +19,38 @@ from quditstab.symplectic import (
     symplectic_basis,
 )
 from quditstab.zmod import Submodule, ZdMatrix, divisors, vec_add, vec_scale
-from tests.helpers import assert_symplectic_basis, random_isotropic_vectors
+from tests.helpers import assert_symplectic_basis, random_isotropic_vectors, standard_gram
 
 
 @st.composite
-def antisymmetric_grams(draw):
-    """A random alternating Gram matrix at composite d, with vectors to pair."""
-    d = draw(st.sampled_from([4, 6, 12, 360]))
-    m = draw(st.integers(min_value=1, max_value=6))
-    entry = st.integers(min_value=0, max_value=d - 1)
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            rows[i][j] = draw(entry)
-            rows[j][i] = -rows[i][j] % d
-    vector = st.lists(entry, min_size=m, max_size=m)
-    return ZdMatrix.from_rows(d, rows, cols=m), draw(vector), draw(vector)
+def standard_vector_pairs(draw):
+    """Two vectors of the standard module at composite d, up to 2^64."""
+    d = draw(st.sampled_from([4, 6, 12, 360, 2**64]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(st.integers(min_value=0, max_value=d - 1), min_size=2 * n, max_size=2 * n)
+    return d, n, draw(vector), draw(vector)
 
 
 class TestSymplecticSpace:
-    @given(antisymmetric_grams())
+    @given(standard_vector_pairs())
     @settings(max_examples=150, deadline=None)
     def test_pairing_and_functional_match_dense_products(self, case):
-        gram, u, v = case
-        d = gram.modulus
-        space = SymplecticSpace(gram)
+        d, n, u, v = case
+        space = SymplecticSpace.standard(n, d)
+        gram = standard_gram(n, d)
         dense = gram.transpose().mul_vector(u)
         assert space.functional(u) == dense
         assert space.pairing(u, v) == sum(x * y for x, y in zip(u, gram.mul_vector(v))) % d
         assert space.pairing(u, v) == sum(x * y for x, y in zip(dense, v)) % d
+        lift_u, lift_v = from_module_vector(d, u), from_module_vector(d, v)
+        assert space.pairing(u, v) == commutation_phase(lift_u, lift_v)
 
-    def test_is_symplectic_computed_once(self, monkeypatch):
+    def test_holds_only_n_and_modulus(self):
+        space = SymplecticSpace.standard(3, 6)
+        assert [f.name for f in dataclasses.fields(space)] == ["n", "modulus"]
+        assert space.rank == 6
+
+    def test_perp_never_calls_det(self, monkeypatch):
         calls = []
         real = ZdMatrix.det
 
@@ -60,9 +64,6 @@ class TestSymplecticSpace:
         perp(standard, sub)
         perp(standard, perp(standard, sub))
         assert calls == []
-        general = SymplecticSpace(ZdMatrix.from_rows(6, [[0, 5], [1, 0]]))
-        assert general.is_symplectic and general.is_symplectic
-        assert calls == [(2, 2)]
 
 
 class TestPerp:
@@ -284,3 +285,12 @@ class TestClassifyIsotropicBlock:
         space = SymplecticSpace.standard(1, 8)
         with pytest.raises(NotIsotropic):
             classify_isotropic_block(space, Submodule(8, 2, [(1, 0), (0, 1)]))
+
+    def test_large_modulus_needs_no_loop_up_to_d(self):
+        d = 2**64
+        space = SymplecticSpace.standard(1, d)
+        start = time.perf_counter()
+        a, b, (e, f) = classify_isotropic_block(space, Submodule(d, 2, [(2**32, 0), (0, 2**32)]))
+        assert time.perf_counter() - start < 1.0
+        assert (a, b) == (2**32, 2**32)
+        assert space.pairing(e, f) == 1
