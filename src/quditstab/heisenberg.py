@@ -111,20 +111,20 @@ def heisenberg_structure(
 def verify_presentation(
     images: Sequence[PauliElement],
     orders: Sequence[int],
-    form_values: ZdMatrix | Sequence[Sequence[int]],
+    form_values: Sequence[Sequence[int]],
     trivial: Optional[Callable[[PauliElement], bool]] = None,
 ) -> bool:
     """Check the defining relations on candidate generator images.
 
+    form_values is the pairing table phi_kr, one row per image;
     Y_k^order_k and the commutators Y_k Y_r (zeta^(2 phi_kr) Y_r Y_k)^-1
     must be trivial; `trivial` defaults to exact identity and may be a
     membership test for relations that hold modulo a subgroup.
     """
     if trivial is None:
         trivial = is_identity
-    vals = form_values.entries if isinstance(form_values, ZdMatrix) else form_values
     t = len(images)
-    if len(orders) != t or len(vals) != t:
+    if len(orders) != t or len(form_values) != t:
         raise ValueError("images, orders and form values must align")
     for k in range(t):
         if not trivial(power(images[k], orders[k])):
@@ -134,7 +134,8 @@ def verify_presentation(
             if k == r:
                 continue
             d, n = images[k].d, images[k].n
-            rhs = multiply(PauliElement.scalar(d, n, 2 * vals[k][r]), multiply(images[r], images[k]))
+            scalar = PauliElement.scalar(d, n, 2 * form_values[k][r])
+            rhs = multiply(scalar, multiply(images[r], images[k]))
             q = multiply(multiply(images[k], images[r]), inverse(rhs))
             if not trivial(q):
                 return False

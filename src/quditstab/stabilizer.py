@@ -42,7 +42,7 @@ from .symplectic import (
     perp,
     structure_decomposition,
 )
-from .zmod import Submodule, Vector, ZdMatrix, kernel_matrix, solve_linear
+from .zmod import Submodule, Vector, ZdMatrix, kernel_matrix, vec_scale
 
 
 class StabilizerGroup:
@@ -396,21 +396,23 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
         raise NotFree("canonical conjugation needs a free module image")
     basis = [vec for vec, _ in group.tau_image.quasi_basis()]
     k = len(basis)
-    es, fs = extend_isotropic_basis(group.space, basis)
+    space = group.space
+    es, fs = extend_isotropic_basis(space, basis)
     cols = list(es) + list(fs)
     cmat = ZdMatrix.from_rows(d, list(zip(*cols)), cols=2 * n)
-    # beta is the inverse of the basis matrix: it sends e_i to z_i, f_i to x_i
-    inv_cols = []
-    for j in range(2 * n):
-        unit = tuple(1 if i == j else 0 for i in range(2 * n))
-        col = solve_linear(cmat, unit)
-        if col is None:
-            raise InternalInvariant(
-                "canonicalize.basis", "symplectic basis matrix is not invertible"
-            )
-        inv_cols.append(col)
-    beta = ZdMatrix.from_rows(d, list(zip(*inv_cols)), cols=2 * n)
-    aut = lift_symplectic(group.space, beta)
+    # beta is the inverse of the basis matrix: it sends e_i to z_i, f_i to x_i.
+    # v = sum_i pairing(v, f_i) e_i + pairing(e_i, v) f_i, so its rows are the
+    # functionals of -f_i, then of e_i
+    beta = ZdMatrix.from_rows(
+        d,
+        [space.functional(vec_scale(-1, f, d)) for f in fs] + [space.functional(e) for e in es],
+        cols=2 * n,
+    )
+    if beta @ cmat != ZdMatrix.identity(d, 2 * n):
+        raise InternalInvariant(
+            "canonicalize.basis", "the pairing-read inverse does not invert the basis"
+        )
+    aut = lift_symplectic(space, beta)
 
     a_exp = [0] * n
     for i in range(k):

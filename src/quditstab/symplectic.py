@@ -151,7 +151,9 @@ def structure_decomposition(
                     x = vec_add(x, vec_scale(c, g, d), d)
             if any(x):
                 new_gens.append(x)
-        gens = new_gens + list(modulo.generators)
+        # modulo lies in the carrier and pairs to zero with e and f, so
+        # span(new_gens) already contains it
+        gens = new_gens
 
     produced = 1
     for b in blocks:

@@ -209,6 +209,25 @@ def _apply_row_ops(d: int, n: int, ops: Iterable[tuple[int, int, int, int]]) -> 
     return ZdMatrix.from_rows(d, rows, n)
 
 
+def _apply_row_ops_to_vector(
+    d: int, vec: list[int], ops: Iterable[tuple[int, int, int, int]]
+) -> None:
+    """The row operations applied in order to the column vector vec, in place."""
+    for kind, i, j, q in ops:
+        if kind == _SWAP:
+            vec[i], vec[j] = vec[j], vec[i]
+        elif kind == _ADD:
+            vec[i] = (vec[i] + q * vec[j]) % d
+        else:
+            vec[i] = (q * vec[i]) % d
+
+
+def _transposes(ops: Iterable[tuple[int, int, int, int]]):
+    """For each operation, the operation whose matrix is its transpose."""
+    for kind, i, j, q in ops:
+        yield (kind, j, i, q) if kind == _ADD else (kind, i, j, q)
+
+
 def _inverse_transposes(d: int, ops: Sequence[tuple[int, int, int, int]]):
     """For each operation, the operation whose matrix is its inverse transpose."""
     for kind, i, j, q in ops:
@@ -231,7 +250,8 @@ class SmithForm:
 
     The reduction records its elementary row and column operations; each
     transform is built from them on first access and then cached, so a caller
-    pays only for the transforms it reads.
+    pays only for the transforms it reads.  A solve builds no transform: it
+    replays the operations on its vectors, in O(#operations).
     """
 
     modulus: int
@@ -267,10 +287,17 @@ class SmithForm:
         return ZdMatrix.from_rows(d, out)
 
     def solve(self, b: Sequence[int]) -> Optional[Vector]:
-        """Some x with a @ x == b mod d, or None if there is no solution."""
+        """Some x with a @ x == b mod d, or None if there is no solution.
+
+        Replays the recorded operations on the vectors: u @ b applies row_ops
+        in order, v @ y applies the transposed col_ops in reverse.
+        """
         d = self.modulus
         r, c = self.shape
-        cvec = self.u.mul_vector(vec_reduce(b, d))
+        cvec = list(vec_reduce(b, d))
+        if len(cvec) != r:
+            raise ValueError("bad vector length")
+        _apply_row_ops_to_vector(d, cvec, self.row_ops)
         y = [0] * c
         for i in range(r):
             if i < len(self.diag):
@@ -280,7 +307,8 @@ class SmithForm:
                 y[i] = cvec[i] // si
             elif cvec[i]:
                 return None
-        return self.v.mul_vector(y)
+        _apply_row_ops_to_vector(d, y, _transposes(reversed(self.col_ops)))
+        return tuple(y)
 
 
 def smith_normal_form(mat: ZdMatrix) -> SmithForm:

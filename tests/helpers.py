@@ -15,7 +15,7 @@ import numpy as np
 from quditstab.pauli import PauliElement, multiply, order_matched_lift, phase_modulus, power
 from quditstab.stabilizer import StabilizerGroup, validate
 from quditstab.symplectic import SymplecticSpace
-from quditstab.zmod import Submodule, ZdMatrix, vec_add
+from quditstab.zmod import SmithForm, Submodule, ZdMatrix, vec_add
 
 
 def mat_x(d: int) -> np.ndarray:
@@ -125,6 +125,38 @@ def random_symplectic_matrix(rng: random.Random, n: int, d: int, steps: int = 6)
             cols.append(tuple((u[i] + c * v[i]) % d for i in range(2 * n)))
         mat = ZdMatrix.from_rows(d, list(zip(*cols))) @ mat
     return mat
+
+
+def solve_reference(s: SmithForm, b) -> tuple | None:
+    """x with a @ x == b read through the transform matrices: v @ (u @ b / diag), or None."""
+    d = s.modulus
+    r, c = s.shape
+    cvec = s.u.mul_vector(tuple(x % d for x in b))
+    y = [0] * c
+    for i in range(r):
+        if i < len(s.diag):
+            if cvec[i] % s.diag[i]:
+                return None
+            y[i] = cvec[i] // s.diag[i]
+        elif cvec[i]:
+            return None
+    return s.v.mul_vector(y)
+
+
+def block_group(rng: random.Random, d: int, n: int, blocks) -> StabilizerGroup:
+    """Order-matched lifts of a*e_r and b*f_r for each (a, b) in blocks.
+
+    (e_r, f_r) are the columns of a random symplectic matrix; d | a*b keeps
+    the image isotropic, a == d drops e_r and b == d drops f_r.
+    """
+    basis = random_symplectic_matrix(rng, n, d, steps=2 * n)
+    gens = []
+    for r, (a, b) in enumerate(blocks):
+        for scale, col in ((a, r), (b, n + r)):
+            vec = tuple(scale * x % d for x in basis.col(col))
+            if any(vec):
+                gens.append(order_matched_lift(d, vec))
+    return validate(d, n, gens)
 
 
 def standard_gram(n: int, d: int) -> ZdMatrix:

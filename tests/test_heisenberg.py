@@ -167,12 +167,12 @@ class TestVerifyPresentation:
             gens = tuple(PauliElement.z_op(d, n, k) for k in range(n)) + tuple(
                 PauliElement.x_op(d, n, k) for k in range(n)
             )
-            assert verify_presentation(gens, (d,) * (2 * n), standard_gram(n, d))
+            assert verify_presentation(gens, (d,) * (2 * n), standard_gram(n, d).entries)
 
     def test_order_violation(self):
         # d=2: replacing Z by zeta Z bumps the order to 4
         gens = (PauliElement(2, 1, 1, (0,), (1,)), PauliElement.x_op(2, 1, 0))
-        assert not verify_presentation(gens, (2, 2), standard_gram(1, 2))
+        assert not verify_presentation(gens, (2, 2), standard_gram(1, 2).entries)
 
     def test_quotient_lifts_modulo_group(self):
         # lifts of the S_2 quasi-basis of the d=8 example hold modulo H

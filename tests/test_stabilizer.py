@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from quditstab import zmod
+from quditstab import stabilizer, symplectic, zmod
 from quditstab.errors import ContainsScalar, InternalInvariant, NotAbelian, NotFree
 from quditstab.kitaev import build_model, torus_grid_graph
 from quditstab.pauli import (
@@ -31,8 +31,8 @@ from quditstab.stabilizer import (
     validate,
 )
 from quditstab.symplectic import SymplecticSpace, perp
-from quditstab.zmod import Submodule
-from tests.helpers import random_stabilizer_group
+from quditstab.zmod import Submodule, ZdMatrix, vec_scale
+from tests.helpers import block_group, random_stabilizer_group
 
 
 def x4z4_group():
@@ -106,6 +106,13 @@ class TestMembership:
         assert [membership(group, p) for p in members] == [True] * 25
         assert [membership(group, p) for p in others] == [False] * 25
         assert len(calls) == 1
+
+    def test_queries_build_no_transform(self):
+        group = x4z4_group()
+        members = [group.word((i, j)) for i in range(3) for j in range(3)]
+        assert all(membership(group, p) for p in members)
+        assert not membership(group, PauliElement.x_op(8, 1, 0, 2))
+        assert not {"u", "u_inv", "v", "v_inv"} & set(vars(group.tau_image._span_smith))
 
 
 class TestCosetOrderMatchedLift:
@@ -297,6 +304,92 @@ class TestCanonicalConjugation:
             for g in images.generators:
                 assert membership(target, g)
             done += 1
+
+    # an inverse solved column by column (cmat @ x = unit, for each of the 2n
+    # units) reduces the 2n x 2n basis matrix 2n times: 67 reductions in all here
+    SOLVED_INVERSE_REDUCTIONS = 67
+
+    def test_inverse_read_from_the_pairing(self, monkeypatch):
+        d, n = 12, 12
+
+        def make():
+            return block_group(random.Random(7), d, n, [(1, d)] * 4)
+
+        assert analyze(make()).classification == "FREE(4)"
+        group = make()  # fresh caches, so every reduction below is counted
+        calls, bases = [], []
+        real_snf, real_extend = zmod.smith_normal_form, stabilizer.extend_isotropic_basis
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real_snf(mat)
+
+        def recording(space, basis):
+            bases.append(real_extend(space, basis))
+            return bases[-1]
+
+        monkeypatch.setattr(zmod, "smith_normal_form", counting)
+        monkeypatch.setattr(stabilizer, "extend_isotropic_basis", recording)
+        conj = canonical_conjugation(group)
+        assert len(calls) <= self.SOLVED_INVERSE_REDUCTIONS - 2 * n
+        assert (2 * n, 2 * n) not in calls
+        es, fs = bases[0]
+        cmat = ZdMatrix.from_rows(d, list(zip(*(es + fs))), cols=2 * n)
+        assert conj.symplectic_map @ cmat == ZdMatrix.identity(d, 2 * n)
+        target = validate(d, n, [PauliElement.z_op(d, n, i) for i in range(4)])
+        assert all(membership(target, conj.apply(g)) for g in group.generators)
+
+    def test_bad_basis_names_its_stage(self, monkeypatch):
+        real_extend = stabilizer.extend_isotropic_basis
+
+        def scaled(space, basis):
+            es, fs = real_extend(space, basis)
+            return es, (vec_scale(2, fs[0], space.modulus),) + fs[1:]
+
+        monkeypatch.setattr(stabilizer, "extend_isotropic_basis", scaled)
+        with pytest.raises(InternalInvariant) as info:
+            canonical_conjugation(validate(5, 2, [PauliElement.z_op(5, 2, 0)]))
+        assert info.value.stage == "canonicalize.basis"
+
+
+class TestStructureDecompositionWidth:
+    """Each block splitting reduces no more vectors than the carrier has generators."""
+
+    @staticmethod
+    def widths(monkeypatch, group):
+        carriers, widths = [], []
+        real_decompose = stabilizer.structure_decomposition
+        real_quotient = symplectic.quotient_quasi_basis
+
+        def decompose(space, carrier=None, modulo=None):
+            carriers.append(len(carrier.generators))
+            return real_decompose(space, carrier, modulo)
+
+        def quotient(gens, modulo):
+            widths.append(len(gens))
+            return real_quotient(gens, modulo)
+
+        monkeypatch.setattr(stabilizer, "structure_decomposition", decompose)
+        monkeypatch.setattr(symplectic, "quotient_quasi_basis", quotient)
+        report = analyze(group)
+        assert len(carriers) == 1 and len(widths) == len(report.quotient_divisors) + 1
+        return carriers[0], widths, report
+
+    def test_torus_5x5(self, monkeypatch):
+        group = build_model(torus_grid_graph(5, 5), 6).stabilizer
+        carrier, widths, report = self.widths(monkeypatch, group)
+        assert report.quotient_divisors == (6, 6)
+        assert max(widths) <= carrier
+        assert widths == sorted(widths, reverse=True)
+
+    def test_general_d720720(self, monkeypatch):
+        d, g = 720720, 60060  # g*g is a multiple of d, so <g e, g f> is isotropic
+        blocks = [(g, g)] * 3 + [(1, d)] * 3 + [(d, 2)] * 2 + [(d, d)] * 4
+        group = block_group(random.Random(11), d, 12, blocks)
+        carrier, widths, report = self.widths(monkeypatch, group)
+        assert report.kind == "GENERAL"
+        assert max(widths) <= carrier
+        assert widths == sorted(widths, reverse=True)
 
 
 class TestCharacters:

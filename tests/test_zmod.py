@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditstab import zmod
 from quditstab.errors import InconsistentValues, NotFree
 from quditstab.zmod import (
     Submodule,
@@ -18,7 +19,7 @@ from quditstab.zmod import (
     solve_linear,
     vec_scale,
 )
-from tests.helpers import brute_span
+from tests.helpers import brute_span, solve_reference
 
 
 def random_matrix(rng, d, r, c):
@@ -80,6 +81,60 @@ class TestSmithNormalForm:
         assert (s.u @ a @ s.v).entries == s.reconstruct(a.rows, 3).entries
         for x, y in zip(s.diag, s.diag[1:]):
             assert y % x == 0
+
+
+@st.composite
+def smith_systems(draw):
+    """A matrix with r, c <= 8 at d up to 2^64, and a right-hand side.
+
+    Entries mix uniform residues with zero divisors; half the right-hand
+    sides are images a @ x, the others uniform (often unsolvable).
+    """
+    d = draw(st.sampled_from([2, 4, 6, 12, 360, 2**64]))
+    r = draw(st.integers(min_value=0, max_value=8))
+    c = draw(st.integers(min_value=0, max_value=8))
+    special = sorted({0, 1} | {d // p for p in (2, 3) if d % p == 0})
+    entry = st.one_of(st.integers(min_value=0, max_value=d - 1), st.sampled_from(special))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    a = ZdMatrix.from_rows(d, rows, cols=c)
+    if draw(st.booleans()):
+        b = a.mul_vector(draw(st.lists(entry, min_size=c, max_size=c)))
+        return a, b, True
+    return a, tuple(draw(st.lists(entry, min_size=r, max_size=r))), False
+
+
+class TestSmithSolve:
+    @given(smith_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_transform_reference(self, system):
+        a, b, solvable = system
+        s = smith_normal_form(a)
+        x = s.solve(b)
+        assert x == solve_reference(s, b)
+        if solvable:
+            assert x is not None
+        if x is not None:
+            assert a.mul_vector(x) == b
+
+    def test_solve_builds_no_transform(self, monkeypatch):
+        forms = []
+        real = zmod.smith_normal_form
+
+        def recording(mat):
+            forms.append(real(mat))
+            return forms[-1]
+
+        monkeypatch.setattr(zmod, "smith_normal_form", recording)
+        rng = random.Random(5)
+        for d in (6, 360, 2**64):
+            a = random_matrix(rng, d, 5, 4)
+            assert solve_linear(a, a.mul_vector((1, 2, 3, 4))) is not None
+            solve_linear(a, tuple(rng.randrange(d) for _ in range(5)))  # mostly unsolvable
+            module = Submodule(d, 4, a.entries)
+            assert module.contains(a.row(0))
+        assert len(forms) == 9
+        for s in forms:
+            assert not {"u", "u_inv", "v", "v_inv"} & set(vars(s))
 
 
 class TestSolveLinear:
