@@ -414,10 +414,15 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
         )
     aut = lift_symplectic(space, beta)
 
+    img_group = StabilizerGroup(d, n, [aut.apply(g) for g in group.generators])
     a_exp = [0] * n
     for i in range(k):
         target = tuple(1 if j == i else 0 for j in range(2 * n))  # z_i
-        elem = _image_group_element(group, aut, target)
+        elem = img_group.element_over(target)
+        if elem is None:
+            raise InternalInvariant(
+                "canonicalize.image", "target vector not in the conjugated image"
+            )
         # elem == zeta^w Z_i with w even or d odd; solve xi^c == zeta^w
         w = elem.phase
         if d % 2 == 0:
@@ -430,16 +435,6 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
             a_exp[i] = (w * pow(2, -1, d)) % d
     fix = PauliElement(d, n, 0, tuple(a_exp), (0,) * n)
     return CanonicalConjugation(symplectic_map=beta, automorphism=aut, phase_fix=fix)
-
-
-def _image_group_element(group: StabilizerGroup, aut: PauliAutomorphism, v: Vector) -> PauliElement:
-    """Element of aut(H) with the given module image."""
-    images = [aut.apply(g) for g in group.generators]
-    img_group = StabilizerGroup(group.d, group.n, images)
-    elem = img_group.element_over(v)
-    if elem is None:
-        raise InternalInvariant("canonicalize.image", "target vector not in the conjugated image")
-    return elem
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ pairs to zero with the carrier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
@@ -23,12 +24,14 @@ from .errors import (
     NotLagrangian,
 )
 from .zmod import (
+    _min_nonzero,
     Submodule,
     Vector,
     ZdMatrix,
     kernel_matrix,
-    quotient_quasi_basis,
+    smith_normal_form,
     solve_linear,
+    unit_lifting_gcd,
     vec_add,
     vec_dot,
     vec_scale,
@@ -100,15 +103,17 @@ def structure_decomposition(
 ) -> list[ElementaryBlock]:
     """Split carrier/modulo into orthogonal elementary symplectic blocks.
 
-    Follows the maximal-order construction: take a maximal-order element m
-    of the quotient, find a partner f with pairing d/order, split off the
-    block and recurse on its orthogonal complement inside the carrier.
-    Blocks are returned in extraction order (divisors non-increasing).
+    One congruence reduction P G P^T = (+) [[0, s_i], [-s_i, 0]] of the
+    alternating Gram matrix G of the carrier generators (Newman, Integral
+    Matrices, Thm IV.1), with smith_normal_form's pivot rule: the smallest
+    nonzero entry, made gcd(s, d) by a unit.  The s_i form a chain, so the
+    blocks come out in extraction order with divisors d / s_i non-increasing,
+    maximal order first.
 
     Raises Degenerate when the induced form on carrier/modulo has a
     nonzero kernel.
     """
-    d, m = space.modulus, space.rank
+    d = space.modulus
     carrier = carrier if carrier is not None else space.full_module()
     modulo = modulo if modulo is not None else space.zero_module()
     if not carrier.contains_module(modulo):
@@ -118,47 +123,84 @@ def structure_decomposition(
             if space.pairing(t, g):
                 raise ValueError("modulo must pair to zero with the carrier")
 
-    blocks: list[ElementaryBlock] = []
-    gens = list(carrier.generators)
-    quotient_size = None
-    while True:
-        qb = quotient_quasi_basis(tuple(gens), modulo)
-        if quotient_size is None:
-            quotient_size = 1
-            for _, o in qb:
-                quotient_size *= o
-        if not qb:
-            break
-        e_rep, a = qb[-1]
-        row = [space.pairing(e_rep, g) for g in gens]
-        coeffs = solve_linear(ZdMatrix.from_rows(d, [row], cols=len(gens)), (d // a,))
-        if coeffs is None:
-            raise Degenerate("induced form has a nonzero kernel")
-        f_rep = (0,) * m
-        for c, g in zip(coeffs, gens):
-            if c:
-                f_rep = vec_add(f_rep, vec_scale(c, g, d), d)
-        blocks.append(ElementaryBlock(e=e_rep, f=f_rep, divisor=a))
-        rows = [
-            [space.pairing(g, e_rep) for g in gens],
-            [space.pairing(g, f_rep) for g in gens],
-        ]
-        new_gens = []
-        for mu in kernel_matrix(ZdMatrix.from_rows(d, rows, cols=len(gens))):
-            x = (0,) * m
-            for c, g in zip(mu, gens):
-                if c:
-                    x = vec_add(x, vec_scale(c, g, d), d)
-            if any(x):
-                new_gens.append(x)
-        # modulo lies in the carrier and pairs to zero with e and f, so
-        # span(new_gens) already contains it
-        gens = new_gens
+    # gens[i] is carrier generator i after the row operations of P, and
+    # gram[i][j] == pairing(gens[i], gens[j]); every step acts on a row and
+    # then on the same column of gram, which keeps it alternating
+    gens = [list(g) for g in carrier.generators]
+    c = len(gens)
+    gram = [[0] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(i + 1, c):
+            x = space.pairing(gens[i], gens[j])
+            gram[i][j], gram[j][i] = x, -x % d
 
+    def swap(i, j):
+        gens[i], gens[j] = gens[j], gens[i]
+        gram[i], gram[j] = gram[j], gram[i]
+        for row in gram:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul(i, j, q):
+        # g_i += q * g_j
+        if not q % d:
+            return
+        gens[i] = [(x + q * y) % d for x, y in zip(gens[i], gens[j])]
+        gram[i] = [(x + q * y) % d for x, y in zip(gram[i], gram[j])]
+        for row in gram:
+            if row[j]:
+                row[i] = (row[i] + q * row[j]) % d
+
+    def scale(i, w):
+        gens[i] = [(w * x) % d for x in gens[i]]
+        gram[i] = [(w * x) % d for x in gram[i]]
+        for row in gram:
+            row[i] = (w * row[i]) % d
+
+    blocks: list[ElementaryBlock] = []
+    k = 0
+    while True:
+        pos = _min_nonzero(gram, k, c, c)
+        if pos is None:
+            break
+        _, i0, j0 = pos
+        if i0 != k:
+            swap(k, i0)
+            if j0 == k:
+                j0 = i0
+        if j0 != k + 1:
+            swap(k + 1, j0)
+        p = gram[k][k + 1]
+        s = math.gcd(p, d)
+        if s != p:
+            scale(k, unit_lifting_gcd(p, d))
+        # clear pairing(e, g_l) with f and pairing(f, g_l) with e
+        dirty = False
+        for l in range(k + 2, c):
+            addmul(l, k + 1, -(gram[k][l] // s))
+            addmul(l, k, gram[k + 1][l] // s)
+            if gram[k][l] or gram[k + 1][l]:
+                dirty = True
+        if dirty:
+            continue
+        bad = None
+        if s != 1:
+            for i in range(k + 2, c):
+                if any(x % s for x in gram[i][k + 2:]):
+                    bad = i
+                    break
+        if bad is not None:
+            addmul(k, bad, 1)
+            continue
+        blocks.append(ElementaryBlock(e=tuple(gens[k]), f=tuple(gens[k + 1]), divisor=d // s))
+        k += 2
+
+    # the rows of gram span a copy of carrier / (carrier & perp(carrier)),
+    # which holds modulo; so the blocks fill carrier/modulo iff the form is
+    # nondegenerate there
     produced = 1
     for b in blocks:
         produced *= b.divisor * b.divisor
-    if produced != quotient_size:
+    if produced * modulo.cardinality != carrier.cardinality:
         raise Degenerate("induced form has a nonzero kernel")
     return blocks
 
@@ -203,11 +245,9 @@ def extend_isotropic_basis(
 
     fs: list[Vector] = []
     if k:
-        a_rows = [space.functional(e) for e in es]
-        a_mat = ZdMatrix.from_rows(d, a_rows, cols=m)
+        duals = smith_normal_form(ZdMatrix.from_rows(d, [space.functional(e) for e in es], cols=m))
         for j in range(k):
-            target = tuple(1 if i == j else 0 for i in range(k))
-            f = solve_linear(a_mat, target)
+            f = duals.solve(tuple(1 if i == j else 0 for i in range(k)))
             if f is None:
                 raise NotFree("dual vector does not exist; ambient is not free symplectic")
             fs.append(f)
@@ -251,20 +291,6 @@ class LagrangianForm:
         return Submodule(d, rank, gens)
 
 
-def _free_order_d_preimage(v: Vector, b: int, d: int) -> Vector:
-    """e of order d with b * e == v, given that v has order d // b."""
-    e0 = [x // b for x in v]
-    a = d // b
-    t = 0
-    while True:
-        e = tuple(x % d for x in ([e0[0] + a * t] + e0[1:])) if e0 else ()
-        if vector_order(e, d) == d:
-            return e
-        t += 1
-        if t > d:
-            raise InternalInvariant("symplectic.free_preimage", "no free preimage found")
-
-
 def _lagrangian_recursive(
     space: SymplecticSpace, basis: ZdMatrix, l_coords: list[Vector]
 ) -> tuple[list[Vector], list[Vector], list[int]]:
@@ -283,12 +309,12 @@ def _lagrangian_recursive(
         return basis.mul_vector(space.functional(basis_t.mul_vector(x)))
 
     lsub = Submodule(d, m, l_coords)
-    qb = lsub.quasi_basis()
-    if not qb:
+    if lsub.is_zero:
         raise NotLagrangian("zero module cannot be Lagrangian in a nonzero space")
-    mvec, a = qb[-1]
-    b = d // a
-    e = _free_order_d_preimage(mvec, b, d)
+    # the maximal-order quasi-basis element is diag[0] * e, and e, a row of
+    # the invertible v_inv, has order d
+    a = d // lsub.smith.diag[0]
+    e = lsub.smith.v_inv.row(0)
     rows = [functional(e)]
     f = solve_linear(ZdMatrix.from_rows(d, rows, cols=m), (1,))
     if f is None:
@@ -368,10 +394,9 @@ def classify_isotropic_block(
                 raise NotIsotropic("submodule is not isotropic")
     if sub.is_zero:
         return d, d, ((1 % d, 0), (0, 1 % d))
-    qb = sub.quasi_basis()
-    mvec, c = qb[-1]
-    a = d // c
-    e = _free_order_d_preimage(mvec, a, d)
+    # the maximal-order quasi-basis element is a * e, with e of order d
+    a = sub.smith.diag[0]
+    e = sub.smith.v_inv.row(0)
     f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)], cols=2), (1,))
     if f is None:
         raise NotIsotropic("no symplectic partner for the maximal-order element")

@@ -54,19 +54,6 @@ def vector_order(v: Sequence[int], d: int) -> int:
     return d // g
 
 
-def divisors(d: int) -> list[int]:
-    """Positive divisors of d in increasing order."""
-    small, large = [], []
-    k = 1
-    while k * k <= d:
-        if d % k == 0:
-            small.append(k)
-            if k * k != d:
-                large.append(d // k)
-        k += 1
-    return small + large[::-1]
-
-
 def unit_lifting_gcd(a: int, d: int) -> int:
     """A unit u mod d with u*a == gcd(a, d) mod d.
 
@@ -311,6 +298,23 @@ class SmithForm:
         return tuple(y)
 
 
+def _min_nonzero(m: Sequence[Sequence[int]], k: int, r: int, c: int):
+    """(x, i, j) for the smallest nonzero entry of m[k:r][k:c], ties to lowest (i, j).
+
+    The pivot rule of every reduction here; None when the submatrix is zero.
+    """
+    best = None
+    for i in range(k, r):
+        mi = m[i]
+        for j in range(k, c):
+            x = mi[j]
+            if x and (best is None or x < best[0]):
+                best = (x, i, j)
+                if x == 1:
+                    return best
+    return best
+
+
 def smith_normal_form(mat: ZdMatrix) -> SmithForm:
     """Smith form over Z/dZ with invertible row/column transforms.
 
@@ -352,21 +356,9 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
             row[j] = (row[j] + q * row[k]) % d
         col_ops.append((_ADD, j, k, q))
 
-    def min_nonzero(k):
-        best = None
-        for i in range(k, r):
-            mi = m[i]
-            for j in range(k, c):
-                x = mi[j]
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-                    if x == 1:
-                        return best
-        return best
-
     for k in range(min(r, c)):
         while True:
-            pos = min_nonzero(k)
+            pos = _min_nonzero(m, k, r, c)
             if pos is None:
                 break
             _, i0, j0 = pos
@@ -392,6 +384,8 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
             if g != p:
                 row_scale(k, unit_lifting_gcd(p, d))
                 p = g
+            if p == 1:  # a unit divides every entry
+                break
             bad = None
             for i in range(k + 1, r):
                 mi = m[i]
@@ -629,38 +623,3 @@ def complete_free_basis(module: Submodule, basis: Sequence[Sequence[int]]) -> tu
         raise NotFree("the given vectors are not a basis of a free submodule")
     completion = [s.v_inv.row(i) for i in range(len(rows), m)]
     return tuple(rows) + tuple(completion)
-
-
-def quotient_quasi_basis(
-    gens: Sequence[Vector], modulo: Submodule
-) -> list[tuple[Vector, int]]:
-    """Quasi-basis of span(gens)/modulo as (representative, coset order) pairs.
-
-    Representatives are ambient vectors; orders are ascending and trivial
-    components are dropped.  Requires modulo to be contained in span(gens).
-    """
-    d = modulo.modulus
-    m = modulo.ambient_rank
-    c = len(gens)
-    if c == 0:
-        return []
-    tg = modulo.generators
-    cols = [list(col) for col in zip(*gens)]
-    for i in range(m):
-        cols[i].extend(g[i] for g in tg)
-    stacked = ZdMatrix.from_rows(d, cols)
-    lam_rows = [w[:c] for w in kernel_matrix(stacked)]
-    lam = ZdMatrix.from_rows(d, lam_rows) if lam_rows else ZdMatrix.zeros(d, 0, c)
-    s = smith_normal_form(lam)
-    out = []
-    for i in range(c):
-        order = s.diag[i] if i < len(s.diag) else d
-        if order == 1:
-            continue
-        beta = s.v_inv.row(i)
-        rep = (0,) * m
-        for coef, g in zip(beta, gens):
-            if coef:
-                rep = vec_add(rep, vec_scale(coef, g, d), d)
-        out.append((rep, order))
-    return out

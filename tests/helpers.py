@@ -71,6 +71,26 @@ def brute_span(gens, d, m) -> set:
     return seen
 
 
+def divisors(d: int) -> list[int]:
+    """Positive divisors of d in increasing order, by trial division."""
+    small, large = [], []
+    k = 1
+    while k * k <= d:
+        if d % k == 0:
+            small.append(k)
+            if k * k != d:
+                large.append(d // k)
+        k += 1
+    return small + large[::-1]
+
+
+def radical_reference(space: SymplecticSpace, gens) -> tuple[set, set]:
+    """(carrier, carrier & perp(carrier)) of the span of gens, as element sets by enumeration."""
+    carrier = brute_span(gens, space.modulus, space.rank)
+    radical = {x for x in carrier if not any(space.pairing(x, g) for g in gens)}
+    return carrier, radical
+
+
 def random_pauli(rng: random.Random, d: int, n: int) -> PauliElement:
     return PauliElement(
         d,

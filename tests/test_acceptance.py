@@ -48,8 +48,9 @@ from quditstab.symplectic import (
     structure_decomposition,
     symplectic_basis,
 )
-from quditstab.zmod import Submodule, ZdMatrix, divisors, smith_normal_form, vec_scale
+from quditstab.zmod import Submodule, ZdMatrix, smith_normal_form, vec_scale
 from tests.helpers import (
+    divisors,
     random_stabilizer_group,
     random_symplectic_matrix,
 )

@@ -35,6 +35,20 @@ from quditstab.zmod import Submodule, ZdMatrix, vec_scale
 from tests.helpers import block_group, random_stabilizer_group
 
 
+def count_reductions(monkeypatch) -> list:
+    """The matrices every later smith_normal_form call reduces, in call order."""
+    calls = []
+    real = zmod.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for module in (zmod, symplectic):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls
+
+
 def x4z4_group():
     return validate(8, 1, [PauliElement.x_op(8, 1, 0, 4), PauliElement.z_op(8, 1, 0, 4)])
 
@@ -165,6 +179,15 @@ class TestAnalyze:
         assert report.dim_protected == d ** (n - k)
         assert report.quotient_divisors == (d,) * (n - k)
         assert report.cardinality == d**k
+
+    def test_torus_5x5_reduces_four_matrices(self, monkeypatch):
+        # perp, the carrier's membership and cardinality, and the group's
+        # membership for the lifts; one reduction per block would add more
+        group = build_model(torus_grid_graph(5, 5), 6).stabilizer
+        calls = count_reductions(monkeypatch)
+        report = analyze(group)
+        assert report.quotient_divisors == (6, 6)
+        assert len(calls) <= 4
 
     def test_golden_d8(self):
         report = analyze(x4z4_group())
@@ -317,27 +340,32 @@ class TestCanonicalConjugation:
 
         assert analyze(make()).classification == "FREE(4)"
         group = make()  # fresh caches, so every reduction below is counted
-        calls, bases = [], []
-        real_snf, real_extend = zmod.smith_normal_form, stabilizer.extend_isotropic_basis
-
-        def counting(mat):
-            calls.append(mat.shape)
-            return real_snf(mat)
+        bases = []
+        real_extend = stabilizer.extend_isotropic_basis
 
         def recording(space, basis):
             bases.append(real_extend(space, basis))
             return bases[-1]
 
-        monkeypatch.setattr(zmod, "smith_normal_form", counting)
+        calls = count_reductions(monkeypatch)
         monkeypatch.setattr(stabilizer, "extend_isotropic_basis", recording)
         conj = canonical_conjugation(group)
         assert len(calls) <= self.SOLVED_INVERSE_REDUCTIONS - 2 * n
-        assert (2 * n, 2 * n) not in calls
+        assert (2 * n, 2 * n) not in [mat.shape for mat in calls]
         es, fs = bases[0]
         cmat = ZdMatrix.from_rows(d, list(zip(*(es + fs))), cols=2 * n)
         assert conj.symplectic_map @ cmat == ZdMatrix.identity(d, 2 * n)
         target = validate(d, n, [PauliElement.z_op(d, n, i) for i in range(4)])
         assert all(membership(target, conj.apply(g)) for g in group.generators)
+
+    def test_reduces_no_matrix_twice(self, monkeypatch):
+        # one reduction serves all k duals, and one conjugated group all k
+        # images; solving each on its own reduced the same matrix k times
+        d, n, k = 12, 12, 8
+        group = block_group(random.Random(7), d, n, [(1, d)] * k)
+        calls = count_reductions(monkeypatch)
+        canonical_conjugation(group)
+        assert len({mat.entries for mat in calls}) == len(calls)
 
     def test_bad_basis_names_its_stage(self, monkeypatch):
         real_extend = stabilizer.extend_isotropic_basis
@@ -350,46 +378,6 @@ class TestCanonicalConjugation:
         with pytest.raises(InternalInvariant) as info:
             canonical_conjugation(validate(5, 2, [PauliElement.z_op(5, 2, 0)]))
         assert info.value.stage == "canonicalize.basis"
-
-
-class TestStructureDecompositionWidth:
-    """Each block splitting reduces no more vectors than the carrier has generators."""
-
-    @staticmethod
-    def widths(monkeypatch, group):
-        carriers, widths = [], []
-        real_decompose = stabilizer.structure_decomposition
-        real_quotient = symplectic.quotient_quasi_basis
-
-        def decompose(space, carrier=None, modulo=None):
-            carriers.append(len(carrier.generators))
-            return real_decompose(space, carrier, modulo)
-
-        def quotient(gens, modulo):
-            widths.append(len(gens))
-            return real_quotient(gens, modulo)
-
-        monkeypatch.setattr(stabilizer, "structure_decomposition", decompose)
-        monkeypatch.setattr(symplectic, "quotient_quasi_basis", quotient)
-        report = analyze(group)
-        assert len(carriers) == 1 and len(widths) == len(report.quotient_divisors) + 1
-        return carriers[0], widths, report
-
-    def test_torus_5x5(self, monkeypatch):
-        group = build_model(torus_grid_graph(5, 5), 6).stabilizer
-        carrier, widths, report = self.widths(monkeypatch, group)
-        assert report.quotient_divisors == (6, 6)
-        assert max(widths) <= carrier
-        assert widths == sorted(widths, reverse=True)
-
-    def test_general_d720720(self, monkeypatch):
-        d, g = 720720, 60060  # g*g is a multiple of d, so <g e, g f> is isotropic
-        blocks = [(g, g)] * 3 + [(1, d)] * 3 + [(d, 2)] * 2 + [(d, d)] * 4
-        group = block_group(random.Random(11), d, 12, blocks)
-        carrier, widths, report = self.widths(monkeypatch, group)
-        assert report.kind == "GENERAL"
-        assert max(widths) <= carrier
-        assert widths == sorted(widths, reverse=True)
 
 
 class TestCharacters:

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditstab.errors import Degenerate, NotFreeSymplectic, NotIsotropic, NotLagrangian
@@ -18,8 +18,15 @@ from quditstab.symplectic import (
     structure_decomposition,
     symplectic_basis,
 )
-from quditstab.zmod import Submodule, ZdMatrix, divisors, vec_add, vec_scale
-from tests.helpers import assert_symplectic_basis, random_isotropic_vectors, standard_gram
+from quditstab.zmod import Submodule, ZdMatrix, vec_add, vec_scale
+from tests.helpers import (
+    assert_symplectic_basis,
+    brute_span,
+    divisors,
+    radical_reference,
+    random_isotropic_vectors,
+    standard_gram,
+)
 
 
 @st.composite
@@ -29,6 +36,36 @@ def standard_vector_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     vector = st.lists(st.integers(min_value=0, max_value=d - 1), min_size=2 * n, max_size=2 * n)
     return d, n, draw(vector), draw(vector)
+
+
+def carrier_modulo_case(d: int, n: int, gens):
+    """(space, gens, modulo gens, carrier set, radical set), the modulo generated by the radical."""
+    space = SymplecticSpace.standard(n, d)
+    carrier, radical = radical_reference(space, gens)
+    return space, gens, sorted(radical), carrier, radical
+
+
+@st.composite
+def carrier_modulo_pairs(draw):
+    """A carrier of rank <= 4 and a modulo inside its radical, with brute-force sets.
+
+    Generators are random vectors times a random divisor of d, so Gram
+    entries share factors often.  Half the time the modulo is the whole
+    radical, so the induced form is nondegenerate; otherwise it is
+    generated by a few radical elements.
+    """
+    d = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    n = draw(st.integers(min_value=1, max_value=2))
+    scaled = st.tuples(
+        st.sampled_from(divisors(d)),
+        st.tuples(*[st.integers(min_value=0, max_value=d - 1)] * (2 * n)),
+    ).map(lambda sv: vec_scale(sv[0], sv[1], d))
+    gens = draw(st.lists(scaled, max_size=4))
+    case = carrier_modulo_case(d, n, gens)
+    if draw(st.booleans()):
+        return case
+    radical = case[2]
+    return case[:2] + (draw(st.lists(st.sampled_from(radical), max_size=3)),) + case[3:]
 
 
 class TestSymplecticSpace:
@@ -153,6 +190,38 @@ class TestStructureDecomposition:
             rng.shuffle(gens)
             blocks2 = structure_decomposition(space, Submodule(d, 2 * n, gens), modulo)
             assert sorted(b.divisor for b in blocks) == sorted(b.divisor for b in blocks2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(carrier_modulo_pairs())
+    # S_6 + S_4 at d=12: the pivot 2 comes first, and the chain form is S_12 + S_2
+    @example(carrier_modulo_case(12, 2, [(2, 0, 0, 0), (0, 0, 1, 0), (0, 3, 0, 0), (0, 0, 0, 1)]))
+    # the pivot 3 at d=8 is a unit, scaled to 1
+    @example(carrier_modulo_case(8, 1, [(1, 0), (0, 3)]))
+    def test_matches_brute_force(self, case):
+        space, gens, modulo_gens, carrier, radical = case
+        d, m = space.modulus, space.rank
+        modulo = brute_span(modulo_gens, d, m)
+        try:
+            blocks = structure_decomposition(space, Submodule(d, m, gens), Submodule(d, m, modulo_gens))
+        except Degenerate:
+            assert not radical <= modulo
+            return
+        assert radical <= modulo
+        divs = [b.divisor for b in blocks]
+        assert all(x % y == 0 for x, y in zip(divs, divs[1:]))
+        size = 1
+        for b in blocks:
+            size *= b.divisor * b.divisor
+        assert size == len(carrier) // len(modulo)
+        for i, b1 in enumerate(blocks):
+            assert space.pairing(b1.e, b1.f) == d // b1.divisor
+            for v in (b1.e, b1.f):
+                assert v in carrier
+                assert min(k for k in range(1, d + 1) if vec_scale(k, v, d) in modulo) == b1.divisor
+            for b2 in blocks[i + 1:]:
+                for u in (b1.e, b1.f):
+                    for v in (b2.e, b2.f):
+                        assert space.pairing(u, v) == 0
 
 
 class TestSymplecticBasis:

@@ -14,10 +14,8 @@ from quditstab.zmod import (
     complete_free_basis,
     extend_linear_form,
     kernel_matrix,
-    quotient_quasi_basis,
     smith_normal_form,
     solve_linear,
-    vec_scale,
 )
 from tests.helpers import brute_span, solve_reference
 
@@ -256,30 +254,7 @@ class TestCompleteFreeBasis:
             complete_free_basis(Submodule(4, 2, [(2, 0)]), [(2, 0)])
 
 
-class TestQuotient:
-    def test_quasi_basis_orders_are_coset_orders(self):
-        rng = random.Random(4)
-        for _ in range(80):
-            d = rng.choice([2, 3, 4, 6, 8])
-            m = rng.randint(1, 3)
-            tg = [tuple(rng.randrange(d) for _ in range(m)) for _ in range(rng.randint(0, 2))]
-            modulo = Submodule(d, m, tg)
-            gens = list(modulo.generators) + [
-                tuple(rng.randrange(d) for _ in range(m)) for _ in range(rng.randint(0, 2))
-            ]
-            carrier = Submodule(d, m, gens)
-            qb = quotient_quasi_basis(tuple(gens), modulo)
-            size = 1
-            for _, o in qb:
-                size *= o
-            assert size == carrier.cardinality // modulo.cardinality
-            for rep, o in qb:
-                assert carrier.contains(rep)
-                first = next(
-                    k for k in range(1, d + 1) if modulo.contains(vec_scale(k, rep, d))
-                )
-                assert first == o > 1
-
+class TestKernelMatrix:
     def test_kernel(self):
         rng = random.Random(5)
         for _ in range(60):
