@@ -74,8 +74,16 @@ class StabilizerGroup:
         return out
 
     def relation_kernel(self) -> list[Vector]:
-        """Generators of {lam : lam . tau(generators) == 0 mod d}."""
-        return kernel_matrix(self.tau_matrix.transpose())
+        """Generators of {lam : lam . tau(generators) == 0 mod d}.
+
+        A unit vector per generator with a zero module image, then the left
+        kernel of tau_image, read from its Smith form, in generator coordinates.
+        """
+        rows = self.tau_matrix.entries
+        g = len(rows)
+        units = [tuple(int(k == j) for k in range(g)) for j, row in enumerate(rows) if not any(row)]
+        left = self.tau_image.smith.transpose().kernel()
+        return units + [self._in_generator_coordinates(lam) for lam in left]
 
     def elements(self, limit: int = 4096) -> Iterator[PauliElement]:
         """Explicit enumeration, for small-instance cross checks only."""
@@ -91,16 +99,20 @@ class StabilizerGroup:
                     out = multiply(out, power(elem, c))
             yield out
 
-    def _solve_word(self, v: Sequence[int]) -> Optional[Vector]:
-        """Exponents of a word over v, from tau_image's cached membership solve.
+    def _in_generator_coordinates(self, lam: Sequence[int]) -> Vector:
+        """Coefficients over tau_image's generators as exponents of all generators.
 
         tau_image drops generators with a zero module image; they get exponent 0.
         """
+        coefs = iter(lam)
+        return tuple(next(coefs) if any(row) else 0 for row in self.tau_matrix.entries)
+
+    def _solve_word(self, v: Sequence[int]) -> Optional[Vector]:
+        """Exponents of a word over v, from tau_image's cached membership solve."""
         lam = self.tau_image.coefficients_for(v)
         if lam is None:
             return None
-        coefs = iter(lam)
-        return tuple(next(coefs) if any(row) else 0 for row in self.tau_matrix.entries)
+        return self._in_generator_coordinates(lam)
 
     def element_over(self, v: Sequence[int]) -> Optional[PauliElement]:
         """The canonical element of H with module image v, or None.

@@ -28,7 +28,6 @@ from .zmod import (
     Submodule,
     Vector,
     ZdMatrix,
-    kernel_matrix,
     smith_normal_form,
     solve_linear,
     unit_lifting_gcd,
@@ -91,9 +90,8 @@ def perp(space: SymplecticSpace, sub: Submodule) -> Submodule:
         raise ValueError("submodule does not live in this space")
     if not sub.generators:
         return space.full_module()
-    # the functional of -g: its row r has r . x == pairing(x, g)
-    rows = [space.functional(vec_scale(-1, g, d)) for g in sub.generators]
-    return Submodule(d, m, kernel_matrix(ZdMatrix.from_rows(d, rows, cols=m)))
+    # pairing(x, g) == g . functional(x), and functional's inverse is -functional
+    return Submodule(d, m, [space.functional(k) for k in sub.smith.kernel()])
 
 
 def structure_decomposition(
@@ -244,19 +242,18 @@ def extend_isotropic_basis(
         raise NotFree("the given vectors are not a basis of a free submodule")
 
     fs: list[Vector] = []
-    if k:
-        duals = smith_normal_form(ZdMatrix.from_rows(d, [space.functional(e) for e in es], cols=m))
-        for j in range(k):
-            f = duals.solve(tuple(1 if i == j else 0 for i in range(k)))
-            if f is None:
-                raise NotFree("dual vector does not exist; ambient is not free symplectic")
-            fs.append(f)
-        # make the duals mutually orthogonal, in index order
-        for j in range(k):
-            for i in range(j):
-                c = space.pairing(fs[i], fs[j])
-                if c:
-                    fs[j] = vec_add(fs[j], vec_scale(c, es[i], d), d)
+    for j in range(k):
+        # e . y == pairing(e, functional(y)), so sub's own Smith form solves for the duals
+        y = sub.smith.solve(tuple(int(i == j) for i in range(k)))
+        if y is None:
+            raise NotFree("dual vector does not exist; ambient is not free symplectic")
+        fs.append(space.functional(y))
+    # make the duals mutually orthogonal, in index order
+    for j in range(k):
+        for i in range(j):
+            c = space.pairing(fs[i], fs[j])
+            if c:
+                fs[j] = vec_add(fs[j], vec_scale(c, es[i], d), d)
 
     spanned = Submodule(d, m, es + fs)
     rest = perp(space, spanned)
@@ -292,13 +289,13 @@ class LagrangianForm:
 
 
 def _lagrangian_recursive(
-    space: SymplecticSpace, basis: ZdMatrix, l_coords: list[Vector]
+    space: SymplecticSpace, basis: ZdMatrix, lsub: Submodule
 ) -> tuple[list[Vector], list[Vector], list[int]]:
     """Canonical form inside the free symplectic module spanned by basis's rows.
 
     A vector x in basis coordinates stands for x . basis in the ambient space,
-    whose form it inherits.  Returns (es, fs, divisors) in basis coordinates,
-    divisors ascending.
+    whose form it inherits; lsub is the Lagrangian in basis coordinates.
+    Returns (es, fs, divisors) in basis coordinates, divisors ascending.
     """
     d, m = space.modulus, basis.rows
     if m == 0:
@@ -308,7 +305,6 @@ def _lagrangian_recursive(
     def functional(x: Vector) -> Vector:
         return basis.mul_vector(space.functional(basis_t.mul_vector(x)))
 
-    lsub = Submodule(d, m, l_coords)
     if lsub.is_zero:
         raise NotLagrangian("zero module cannot be Lagrangian in a nonzero space")
     # the maximal-order quasi-basis element is diag[0] * e, and e, a row of
@@ -323,25 +319,25 @@ def _lagrangian_recursive(
         raise NotLagrangian("a*f escapes the module; input is not Lagrangian")
 
     rows.append(functional(f))
-    w_basis = [
-        q[0] for q in Submodule(d, m, kernel_matrix(ZdMatrix.from_rows(d, rows, cols=m))).quasi_basis()
-    ]
+    # pairing(e, f) == 1 makes rows' diagonal (1, 1): its kernel is a basis, columns of v
+    w_basis = smith_normal_form(ZdMatrix.from_rows(d, rows, cols=m)).kernel()
     if len(w_basis) != m - 2 or any(vector_order(w, d) != d for w in w_basis):
         raise NotLagrangian("orthogonal complement is not free")
     if m > 2:
         w_mat = ZdMatrix.from_rows(d, w_basis, cols=m)
         w_mat_t = w_mat.transpose()
+        w_smith = smith_normal_form(w_mat_t)
         l_rest = []
-        for g in l_coords:
+        for g in lsub.generators:
             # project away the block component, then express in the W basis;
             # the form is alternating, so pairing(g, e) == -(rows[0] . g)
             ge, gf = -vec_dot(rows[0], g, d), -vec_dot(rows[1], g, d)
             g2 = vec_sub(g, vec_add(vec_scale(gf, e, d), vec_scale(-ge, f, d), d), d)
-            coords = solve_linear(w_mat_t, g2)
+            coords = w_smith.solve(g2)
             if coords is None:
                 raise NotLagrangian("module does not split along the block")
             l_rest.append(coords)
-        es_l, fs_l, divs = _lagrangian_recursive(space, w_mat @ basis, l_rest)
+        es_l, fs_l, divs = _lagrangian_recursive(space, w_mat @ basis, Submodule(d, m - 2, l_rest))
         es = [tuple(w_mat_t.mul_vector(x)) for x in es_l]
         fs = [tuple(w_mat_t.mul_vector(x)) for x in fs_l]
     else:
@@ -362,9 +358,7 @@ def lagrangian_canonical_form(space: SymplecticSpace, lagr: Submodule) -> Lagran
         raise NotLagrangian("module is not equal to its perp")
     if space.rank == 0:
         return LagrangianForm(d, (), (), ())
-    es, fs, divs = _lagrangian_recursive(
-        space, ZdMatrix.identity(d, space.rank), list(lagr.generators)
-    )
+    es, fs, divs = _lagrangian_recursive(space, ZdMatrix.identity(d, space.rank), lagr)
     form = LagrangianForm(d, tuple(es), tuple(fs), tuple(divs))
     for x, y in zip(divs, divs[1:]):
         if y % x:

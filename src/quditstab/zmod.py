@@ -271,7 +271,7 @@ class SmithForm:
         out = [[0] * cols for _ in range(rows)]
         for i, s in enumerate(self.diag):
             out[i][i] = s % d
-        return ZdMatrix.from_rows(d, out)
+        return ZdMatrix.from_rows(d, out, cols)
 
     def solve(self, b: Sequence[int]) -> Optional[Vector]:
         """Some x with a @ x == b mod d, or None if there is no solution.
@@ -296,6 +296,16 @@ class SmithForm:
                 return None
         _apply_row_ops_to_vector(d, y, _transposes(reversed(self.col_ops)))
         return tuple(y)
+
+    def transpose(self) -> "SmithForm":
+        """The Smith form of a's transpose, unreduced: col_ops already build v^T as row operations."""
+        return SmithForm(self.modulus, self.shape[::-1], self.diag, self.col_ops, self.row_ops)
+
+    def kernel(self) -> list[Vector]:
+        """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag)."""
+        d, v = self.modulus, self.v
+        diag = self.diag + (d,) * (self.shape[1] - len(self.diag))
+        return [vec_scale(d // s, v.col(i), d) for i, s in enumerate(diag) if s != 1]
 
 
 def _min_nonzero(m: Sequence[Sequence[int]], k: int, r: int, c: int):
@@ -414,31 +424,17 @@ def solve_linear(mat: ZdMatrix, b: Sequence[int]) -> Optional[Vector]:
 
 def kernel_matrix(mat: ZdMatrix) -> list[Vector]:
     """Generators of {x : mat @ x == 0 mod d}."""
-    d = mat.modulus
-    c = mat.cols
-    if c == 0:
-        return []
-    s = smith_normal_form(mat)
-    gens = []
-    for i in range(c):
-        if i < len(s.diag):
-            mult = d // s.diag[i]
-            if mult % d == 0:
-                continue
-            gens.append(vec_scale(mult, s.v.col(i), d))
-        else:
-            gens.append(s.v.col(i))
-    return gens
+    return smith_normal_form(mat).kernel()
 
 
 class Submodule:
     """Finitely generated submodule of (Z/dZ)^m, with cached Smith data.
 
     Instances are immutable by convention; all derived data is computed
-    once from the generator tuple.  Each instance caches two Smith forms on
-    first use: that of the generator matrix (invariant factors, quasi-basis)
-    and that of its transpose, which every membership solve reuses, so a run
-    of contains/coefficients_for queries reduces a matrix only once.
+    once from the generator tuple.  Each instance caches one Smith form, of
+    its generator matrix, on first use.  Invariant factors and the
+    quasi-basis read it; membership solves with its transpose, so a run of
+    contains/coefficients_for queries reduces no further matrix.
     """
 
     def __init__(self, modulus: int, ambient_rank: int, generators: Iterable[Sequence[int]]):
@@ -469,11 +465,6 @@ class Submodule:
     @cached_property
     def smith(self) -> SmithForm:
         return smith_normal_form(self.generator_matrix)
-
-    @cached_property
-    def _span_smith(self) -> SmithForm:
-        """Smith form of the transposed generator matrix: coefficients solve against it."""
-        return smith_normal_form(self.generator_matrix.transpose())
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -522,7 +513,7 @@ class Submodule:
         v = vec_reduce(v, self.modulus)
         if not self.generators:
             return () if not any(v) else None
-        return self._span_smith.solve(v)
+        return self.smith.transpose().solve(v)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coefficients_for(v) is not None
@@ -605,7 +596,7 @@ def extend_linear_form(module: Submodule, values: Sequence[int]) -> LinearForm:
     """
     if len(values) != len(module.generators):
         raise ValueError("one value per generator required")
-    coeffs = solve_linear(module.generator_matrix, values)
+    coeffs = module.smith.solve(values)
     if coeffs is None:
         raise InconsistentValues("values do not respect the generator relations")
     return LinearForm(module.modulus, coeffs)

@@ -12,6 +12,7 @@ from itertools import product
 
 import numpy as np
 
+from quditstab import symplectic, zmod
 from quditstab.pauli import PauliElement, multiply, order_matched_lift, phase_modulus, power
 from quditstab.stabilizer import StabilizerGroup, validate
 from quditstab.symplectic import SymplecticSpace
@@ -222,3 +223,17 @@ def assert_symplectic_basis(space: SymplecticSpace, es, fs) -> None:
             assert space.pairing(es[i], fs[j]) == expected
             assert space.pairing(es[i], es[j]) == 0
             assert space.pairing(fs[i], fs[j]) == 0
+
+
+def count_reductions(monkeypatch) -> list:
+    """The matrices every later smith_normal_form call reduces, in call order."""
+    calls = []
+    real = zmod.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for module in (zmod, symplectic):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls

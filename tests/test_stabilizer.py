@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ import textwrap
 
 import pytest
 
-from quditstab import stabilizer, symplectic, zmod
+from quditstab import stabilizer, zmod
 from quditstab.errors import ContainsScalar, InternalInvariant, NotAbelian, NotFree
 from quditstab.kitaev import build_model, torus_grid_graph
 from quditstab.pauli import (
@@ -32,21 +33,7 @@ from quditstab.stabilizer import (
 )
 from quditstab.symplectic import SymplecticSpace, perp
 from quditstab.zmod import Submodule, ZdMatrix, vec_scale
-from tests.helpers import block_group, random_stabilizer_group
-
-
-def count_reductions(monkeypatch) -> list:
-    """The matrices every later smith_normal_form call reduces, in call order."""
-    calls = []
-    real = zmod.smith_normal_form
-
-    def counting(mat):
-        calls.append(mat)
-        return real(mat)
-
-    for module in (zmod, symplectic):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
-    return calls
+from tests.helpers import block_group, brute_span, count_reductions, random_stabilizer_group
 
 
 def x4z4_group():
@@ -75,6 +62,40 @@ class TestValidate:
     def test_empty_group(self):
         group = validate(4, 2, [])
         assert group.cardinality == 1
+
+
+def relation_kernel_cases():
+    """Groups with at most 4 generators at d <= 8, some with identity generators."""
+    rng = random.Random(43)
+    yield validate(6, 1, [PauliElement.z_op(6, 1, 0), PauliElement.identity(6, 1)])
+    yield validate(6, 1, [PauliElement.identity(6, 1), PauliElement.z_op(6, 1, 0, 2),
+                          PauliElement.z_op(6, 1, 0, 3), PauliElement.identity(6, 1)])
+    yield validate(4, 2, [PauliElement.identity(4, 2)])
+    yield x4z4_group()
+    for _ in range(30):
+        group = random_stabilizer_group(rng, rng.choice([2, 3, 4, 6]), rng.randint(1, 2))
+        gens = list(group.generators)
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), PauliElement.identity(group.d, group.n))
+        if len(gens) <= 4:
+            yield validate(group.d, group.n, gens)
+
+
+class TestRelationKernel:
+    @pytest.mark.parametrize("group", list(relation_kernel_cases()))
+    def test_spans_enumerated_left_kernel(self, group):
+        d, g = group.d, len(group.generators)
+        rows = group.tau_matrix.entries
+
+        def image(lam):
+            return tuple(sum(l * row[i] for l, row in zip(lam, rows)) % d
+                         for i in range(2 * group.n))
+
+        zero = (0,) * (2 * group.n)
+        left_kernel = {lam for lam in itertools.product(range(d), repeat=g) if image(lam) == zero}
+        relations = group.relation_kernel()
+        assert all(len(lam) == g and image(lam) == zero for lam in relations)
+        assert brute_span(relations, d, g) == left_kernel
 
 
 class TestMembership:
@@ -119,14 +140,14 @@ class TestMembership:
         monkeypatch.setattr(zmod, "smith_normal_form", counting)
         assert [membership(group, p) for p in members] == [True] * 25
         assert [membership(group, p) for p in others] == [False] * 25
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_queries_build_no_transform(self):
         group = x4z4_group()
         members = [group.word((i, j)) for i in range(3) for j in range(3)]
         assert all(membership(group, p) for p in members)
         assert not membership(group, PauliElement.x_op(8, 1, 0, 2))
-        assert not {"u", "u_inv", "v", "v_inv"} & set(vars(group.tau_image._span_smith))
+        assert not {"u", "u_inv", "v", "v_inv"} & set(vars(group.tau_image.smith))
 
 
 class TestCosetOrderMatchedLift:
@@ -180,14 +201,16 @@ class TestAnalyze:
         assert report.quotient_divisors == (d,) * (n - k)
         assert report.cardinality == d**k
 
-    def test_torus_5x5_reduces_four_matrices(self, monkeypatch):
-        # perp, the carrier's membership and cardinality, and the group's
-        # membership for the lifts; one reduction per block would add more
-        group = build_model(torus_grid_graph(5, 5), 6).stabilizer
+    def test_torus_5x5_build_and_analyze_reduce_two_matrices(self, monkeypatch):
+        # tau's Smith form serves the relation kernel, perp, membership and
+        # the lifts; the carrier's serves its membership and cardinality
         calls = count_reductions(monkeypatch)
+        group = build_model(torus_grid_graph(5, 5), 6).stabilizer
         report = analyze(group)
         assert report.quotient_divisors == (6, 6)
-        assert len(calls) <= 4
+        assert [mat.shape for mat in calls] == [(50, 100), (52, 100)]
+        seen = [mat.entries for mat in calls] + [mat.transpose().entries for mat in calls]
+        assert len(set(seen)) == len(seen)
 
     def test_golden_d8(self):
         report = analyze(x4z4_group())

@@ -22,6 +22,7 @@ from quditstab.zmod import Submodule, ZdMatrix, vec_add, vec_scale
 from tests.helpers import (
     assert_symplectic_basis,
     brute_span,
+    count_reductions,
     divisors,
     radical_reference,
     random_isotropic_vectors,
@@ -301,6 +302,17 @@ class TestLagrangianCanonicalForm:
         form = lagrangian_canonical_form(space, lagr)
         assert form.divisors == (6,)
         assert form.reconstruct() == lagr
+
+    def test_reduces_no_matrix_twice(self, monkeypatch):
+        # one reduction of W^T per level serves every generator, and the top
+        # level reuses the Lagrangian's own Smith form
+        d, n = 6, 6
+        space = SymplecticSpace.standard(n, d)
+        lagr = Submodule(d, 2 * n, [tuple(int(j == i) for j in range(2 * n)) for i in range(n)])
+        calls = count_reductions(monkeypatch)
+        form = lagrangian_canonical_form(space, lagr)
+        assert form.divisors == (d,) * n
+        assert len({mat.entries for mat in calls}) == len(calls)
 
     def test_rejects_non_lagrangian(self):
         space = SymplecticSpace.standard(1, 6)

@@ -82,13 +82,13 @@ class TestSmithNormalForm:
 
 
 @st.composite
-def smith_systems(draw):
+def smith_systems(draw, moduli=(2, 4, 6, 12, 360, 2**64)):
     """A matrix with r, c <= 8 at d up to 2^64, and a right-hand side.
 
     Entries mix uniform residues with zero divisors; half the right-hand
     sides are images a @ x, the others uniform (often unsolvable).
     """
-    d = draw(st.sampled_from([2, 4, 6, 12, 360, 2**64]))
+    d = draw(st.sampled_from(moduli))
     r = draw(st.integers(min_value=0, max_value=8))
     c = draw(st.integers(min_value=0, max_value=8))
     special = sorted({0, 1} | {d // p for p in (2, 3) if d % p == 0})
@@ -113,6 +113,20 @@ class TestSmithSolve:
             assert x is not None
         if x is not None:
             assert a.mul_vector(x) == b
+
+    @given(smith_systems(moduli=(2, 6, 12, 360, 2**64)))
+    @settings(max_examples=200, deadline=None)
+    def test_transpose_is_the_form_of_the_transpose(self, system):
+        at, b, solvable = system
+        t = smith_normal_form(at.transpose()).transpose()
+        assert t.shape == at.shape
+        assert t.u @ at @ t.v == t.reconstruct(*at.shape)
+        x = t.solve(b)
+        assert x == solve_reference(t, b)
+        if solvable:
+            assert x is not None
+        if x is not None:
+            assert at.mul_vector(x) == b
 
     def test_solve_builds_no_transform(self, monkeypatch):
         forms = []
