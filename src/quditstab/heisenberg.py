@@ -25,7 +25,7 @@ from .pauli import (
     power,
 )
 from .symplectic import SymplecticSpace, structure_decomposition
-from .zmod import Submodule, Vector, ZdMatrix
+from .zmod import Submodule, ZdMatrix
 
 
 def crt_canonical_chain(divisors: Sequence[int]) -> tuple[int, ...]:
@@ -41,11 +41,6 @@ def crt_canonical_chain(divisors: Sequence[int]) -> tuple[int, ...]:
             g = math.gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] * chain[j] // g
     return tuple(x for x in chain if x > 1)
-
-
-def _pairing_table(space: SymplecticSpace, vectors: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """pairing(u, v) for every u (rows) and v (columns) of vectors."""
-    return tuple(tuple(space.pairing(u, v) for v in vectors) for u in vectors)
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ def heisenberg_structure(
         group_order=group_order,
         lifts=tuple(order_matched_lift(d, v) for v in vectors),
         quasi_orders=tuple(orders),
-        form_values=_pairing_table(space, vectors),
+        form_values=tuple(map(tuple, space.pairing_table(vectors, vectors))),
     )
 
 
@@ -195,11 +190,13 @@ def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
     if psi.rows != 2 * n or psi.cols != 2 * n or psi.modulus != d:
         raise ValueError("matrix does not act on this module")
     # psi is symplectic iff its columns pair as the unit vectors do
-    form_values = _pairing_table(space, ZdMatrix.identity(d, 2 * n).entries)
-    if _pairing_table(space, [psi.col(k) for k in range(2 * n)]) != form_values:
+    units = ZdMatrix.identity(d, 2 * n).entries
+    form_values = space.pairing_table(units, units)
+    cols = [psi.col(k) for k in range(2 * n)]
+    if space.pairing_table(cols, cols) != form_values:
         raise NotSymplectic("matrix does not preserve the form")
-    z_images = tuple(order_matched_lift(d, psi.col(k)) for k in range(n))
-    x_images = tuple(order_matched_lift(d, psi.col(n + k)) for k in range(n))
+    z_images = tuple(order_matched_lift(d, c) for c in cols[:n])
+    x_images = tuple(order_matched_lift(d, c) for c in cols[n:])
     images = z_images + x_images
     orders = (d,) * (2 * n)
     if not verify_presentation(images, orders, form_values):

@@ -60,6 +60,7 @@ class StabilizerGroup:
         )
         self.tau_image = Submodule(d, 2 * n, self.tau_matrix.entries)
         self.space = SymplecticSpace.standard(n, d)
+        self._relations: Optional[tuple[Vector, ...]] = None
 
     @property
     def cardinality(self) -> int:
@@ -73,17 +74,25 @@ class StabilizerGroup:
                 out = multiply(out, power(g, e))
         return out
 
-    def relation_kernel(self) -> list[Vector]:
-        """Generators of {lam : lam . tau(generators) == 0 mod d}.
+    def relation_kernel(self) -> tuple[Vector, ...]:
+        """Generators of {lam : lam . tau(generators) == 0 mod d}, computed once.
 
         A unit vector per generator with a zero module image, then the left
         kernel of tau_image, read from its Smith form, in generator coordinates.
         """
-        rows = self.tau_matrix.entries
-        g = len(rows)
-        units = [tuple(int(k == j) for k in range(g)) for j, row in enumerate(rows) if not any(row)]
-        left = self.tau_image.smith.transpose().kernel()
-        return units + [self._in_generator_coordinates(lam) for lam in left]
+        if self._relations is None:
+            rows = self.tau_matrix.entries
+            g = len(rows)
+            units = [tuple(int(k == j) for k in range(g)) for j, row in enumerate(rows) if not any(row)]
+            left = self.tau_image.smith.transpose().kernel()
+            self._relations = tuple(units + [self._in_generator_coordinates(lam) for lam in left])
+        return self._relations
+
+    def _pairings_with(self, p: PauliElement) -> list[int]:
+        """commutation_phase(p, g) for every generator g, as one pairing_table row."""
+        if (p.d, p.n) != (self.d, self.n):
+            raise DimensionMismatch(f"({p.d},{p.n}) vs ({self.d},{self.n})")
+        return self.space.pairing_table([module_vector(p)], self.tau_matrix.entries)[0]
 
     def elements(self, limit: int = 4096) -> Iterator[PauliElement]:
         """Explicit enumeration, for small-instance cross checks only."""
@@ -152,16 +161,16 @@ def validate(d: int, n: int, generators: Sequence[PauliElement]) -> StabilizerGr
     (including a generator power landing on a scalar).
     """
     group = StabilizerGroup(d, n, generators)
-    gens = group.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = commutation_phase(gens[i], gens[j])
-            if c % d:
-                raise NotAbelian((i, j), c)
-    for j, g in enumerate(gens):
+    rows = group.tau_matrix.entries
+    # commutation_phase(p, q) == pairing(tau(p), tau(q)); report the first pair in row-major order
+    for i, row in enumerate(group.space.pairing_table(rows, rows)):
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                raise NotAbelian((i, j), row[j])
+    for j, g in enumerate(group.generators):
         pw = power(g, d)
         if not is_identity(pw):
-            witness = tuple(d if k == j else 0 for k in range(len(gens)))
+            witness = tuple(d if k == j else 0 for k in range(len(rows)))
             raise ContainsScalar(witness, pw.phase)
     for lam in group.relation_kernel():
         w = group.word(lam)
@@ -178,7 +187,7 @@ def membership(group: StabilizerGroup, p: PauliElement) -> bool:
 
 def normalizer_membership(group: StabilizerGroup, p: PauliElement) -> bool:
     """p commutes with the group iff its image pairs to zero with tau(H)."""
-    return all(commutation_phase(p, g) == 0 for g in group.generators)
+    return not any(group._pairings_with(p))
 
 
 @dataclass(frozen=True)
@@ -348,11 +357,12 @@ def analyze(group: StabilizerGroup) -> StabilizerReport:
     for b in blocks:
         e_op = coset_order_matched_lift(group, b.e, b.divisor)
         f_op = coset_order_matched_lift(group, b.f, b.divisor)
-        if not (normalizer_membership(group, e_op) and normalizer_membership(group, f_op)):
-            raise InternalInvariant("analyze.lifts", "logical operator escapes the normaliser")
         if commutation_phase(e_op, f_op) != (d // b.divisor) % d:
             raise InternalInvariant("analyze.lifts", "logical pair has the wrong commutation phase")
         pairs.append(LogicalPair(b.divisor, e_op, f_op))
+    lifts = [module_vector(op) for pair in pairs for op in (pair.z_like, pair.x_like)]
+    if any(map(any, space.pairing_table(lifts, group.tau_matrix.entries))):
+        raise InternalInvariant("analyze.lifts", "logical operator escapes the normaliser")
     return StabilizerReport(
         d=d,
         n=n,
@@ -472,9 +482,7 @@ def character_action(group: StabilizerGroup, chi: CharacterMap, p: PauliElement)
     """The character shift (h.chi)(m) = chi(m) - phi(tau(h), m)."""
     validate_character(group, chi)
     d = group.d
-    new_vals = tuple(
-        (v - commutation_phase(p, g)) % d for v, g in zip(chi.values, group.generators)
-    )
+    new_vals = tuple((v - c) % d for v, c in zip(chi.values, group._pairings_with(p)))
     return CharacterMap(new_vals)
 
 

@@ -41,7 +41,7 @@ from .zmod import (
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """The standard module (Z/dZ)^(2n) with the commutation form, paired in O(n)."""
+    """The standard module (Z/dZ)^(2n) with the commutation form."""
 
     n: int
     modulus: int
@@ -57,6 +57,20 @@ class SymplecticSpace:
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
         n = self.n
         return (sum(map(mul, u[:n], v[n:])) - sum(map(mul, u[n:], v[:n]))) % self.modulus
+
+    def pairing_table(self, us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> list[list[int]]:
+        """[[pairing(u, v) for v in vs] for u in us], from nonzero coordinates only: sum_k
+        |U_k| * |V_k| products, U_k the us with functional(u)[k] != 0, V_k the vs with v[k] != 0."""
+        cols = [[(j, v[k]) for j, v in enumerate(vs) if v[k]] for k in range(self.rank)]
+        table = []
+        for u in us:
+            row = [0] * len(vs)
+            for k, x in enumerate(self.functional(u)):
+                if x:
+                    for j, y in cols[k]:
+                        row[j] += x * y
+            table.append([t % self.modulus for t in row])
+        return table
 
     def functional(self, u: Sequence[int]) -> Vector:
         """Coefficient row r with r . x == pairing(u, x) for all x: (-u_x | u_z)."""
@@ -116,21 +130,15 @@ def structure_decomposition(
     modulo = modulo if modulo is not None else space.zero_module()
     if not carrier.contains_module(modulo):
         raise ValueError("modulo must be contained in the carrier")
-    for t in modulo.generators:
-        for g in carrier.generators:
-            if space.pairing(t, g):
-                raise ValueError("modulo must pair to zero with the carrier")
+    if any(map(any, space.pairing_table(modulo.generators, carrier.generators))):
+        raise ValueError("modulo must pair to zero with the carrier")
 
     # gens[i] is carrier generator i after the row operations of P, and
     # gram[i][j] == pairing(gens[i], gens[j]); every step acts on a row and
     # then on the same column of gram, which keeps it alternating
     gens = [list(g) for g in carrier.generators]
     c = len(gens)
-    gram = [[0] * c for _ in range(c)]
-    for i in range(c):
-        for j in range(i + 1, c):
-            x = space.pairing(gens[i], gens[j])
-            gram[i][j], gram[j][i] = x, -x % d
+    gram = space.pairing_table(gens, gens)
 
     def swap(i, j):
         gens[i], gens[j] = gens[j], gens[i]
@@ -233,10 +241,8 @@ def extend_isotropic_basis(
     d, m = space.modulus, space.rank
     es = [tuple(x % d for x in b) for b in basis]
     k = len(es)
-    for i in range(k):
-        for j in range(k):
-            if space.pairing(es[i], es[j]):
-                raise NotIsotropic("basis vectors do not pair to zero")
+    if any(map(any, space.pairing_table(es, es))):
+        raise NotIsotropic("basis vectors do not pair to zero")
     sub = Submodule(d, m, es)
     if sub.invariant_factors != (d,) * k:
         raise NotFree("the given vectors are not a basis of a free submodule")
@@ -248,12 +254,13 @@ def extend_isotropic_basis(
         if y is None:
             raise NotFree("dual vector does not exist; ambient is not free symplectic")
         fs.append(space.functional(y))
-    # make the duals mutually orthogonal, in index order
+    # make the duals mutually orthogonal, in index order; adding c * e_i to f_j
+    # (i < j) moves no other pairing(f_l, f_j), so one table of the duals holds every c
+    table = space.pairing_table(fs, fs)
     for j in range(k):
         for i in range(j):
-            c = space.pairing(fs[i], fs[j])
-            if c:
-                fs[j] = vec_add(fs[j], vec_scale(c, es[i], d), d)
+            if table[i][j]:
+                fs[j] = vec_add(fs[j], vec_scale(table[i][j], es[i], d), d)
 
     spanned = Submodule(d, m, es + fs)
     rest = perp(space, spanned)
@@ -382,10 +389,8 @@ def classify_isotropic_block(
     d = space.modulus
     if space.rank != 2:
         raise ValueError("classify_isotropic_block needs a rank-2 space")
-    for u in sub.generators:
-        for v in sub.generators:
-            if space.pairing(u, v):
-                raise NotIsotropic("submodule is not isotropic")
+    if any(map(any, space.pairing_table(sub.generators, sub.generators))):
+        raise NotIsotropic("submodule is not isotropic")
     if sub.is_zero:
         return d, d, ((1 % d, 0), (0, 1 % d))
     # the maximal-order quasi-basis element is a * e, with e of order d

@@ -8,11 +8,13 @@ symbolic normal-form code paths it is used to check.
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from itertools import product
 
 import numpy as np
 
-from quditstab import symplectic, zmod
+from quditstab import pauli, symplectic, zmod
 from quditstab.pauli import PauliElement, multiply, order_matched_lift, phase_modulus, power
 from quditstab.stabilizer import StabilizerGroup, validate
 from quditstab.symplectic import SymplecticSpace
@@ -237,3 +239,26 @@ def count_reductions(monkeypatch) -> list:
     for module in (zmod, symplectic):
         monkeypatch.setattr(module, "smith_normal_form", counting)
     return calls
+
+
+def count_pairings(monkeypatch) -> Counter:
+    """Later calls of SymplecticSpace.pairing and of commutation_phase, by name.
+
+    commutation_phase is counted in every quditstab module that imports it.
+    """
+    counts = Counter()
+    real_pairing, real_phase = SymplecticSpace.pairing, pauli.commutation_phase
+
+    def pairing(self, u, v):
+        counts["pairing"] += 1
+        return real_pairing(self, u, v)
+
+    def commutation_phase(p, q):
+        counts["commutation_phase"] += 1
+        return real_phase(p, q)
+
+    monkeypatch.setattr(SymplecticSpace, "pairing", pairing)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quditstab" and getattr(module, "commutation_phase", None) is real_phase:
+            monkeypatch.setattr(module, "commutation_phase", commutation_phase)
+    return counts

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from quditstab import stabilizer, zmod
-from quditstab.errors import ContainsScalar, InternalInvariant, NotAbelian, NotFree
+from quditstab.errors import ContainsScalar, DimensionMismatch, InternalInvariant, NotAbelian, NotFree
 from quditstab.kitaev import build_model, torus_grid_graph
 from quditstab.pauli import (
     PauliElement,
@@ -30,10 +30,17 @@ from quditstab.stabilizer import (
     membership,
     normalizer_membership,
     validate,
+    validate_character,
 )
 from quditstab.symplectic import SymplecticSpace, perp
 from quditstab.zmod import Submodule, ZdMatrix, vec_scale
-from tests.helpers import block_group, brute_span, count_reductions, random_stabilizer_group
+from tests.helpers import (
+    block_group,
+    brute_span,
+    count_pairings,
+    count_reductions,
+    random_stabilizer_group,
+)
 
 
 def x4z4_group():
@@ -63,6 +70,35 @@ class TestValidate:
         group = validate(4, 2, [])
         assert group.cardinality == 1
 
+    def test_not_abelian_names_first_pair_in_row_major_order(self):
+        # Z_2 and X_2 fail too, but (0, 3) comes first
+        z1, z2 = PauliElement.z_op(6, 2, 0), PauliElement.z_op(6, 2, 1)
+        x1, x2 = PauliElement.x_op(6, 2, 0), PauliElement.x_op(6, 2, 1)
+        with pytest.raises(NotAbelian) as info:
+            validate(6, 2, [z1, z2, x2, x1])
+        assert (info.value.pair, info.value.value) == ((0, 3), 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_not_abelian_witness_matches_pairwise_scan(self, seed):
+        rng = random.Random(seed)
+        d, n = rng.choice([2, 6, 12, 360, 2**64]), rng.randint(1, 3)
+
+        def sparse():
+            return tuple(rng.choice([0, 0, 1, rng.randrange(d)]) for _ in range(n))
+
+        gens = [PauliElement(d, n, 0, sparse(), sparse()) for _ in range(rng.randint(2, 5))]
+        phases = ((pair, commutation_phase(gens[pair[0]], gens[pair[1]]))
+                  for pair in itertools.combinations(range(len(gens)), 2))
+        expected = next(((pair, c) for pair, c in phases if c), None)
+        try:
+            validate(d, n, gens)
+            got = None
+        except NotAbelian as exc:
+            got = (exc.pair, exc.value)
+        except ContainsScalar:
+            got = None
+        assert got == expected
+
 
 def relation_kernel_cases():
     """Groups with at most 4 generators at d <= 8, some with identity generators."""
@@ -82,6 +118,25 @@ def relation_kernel_cases():
 
 
 class TestRelationKernel:
+    def test_computed_once_per_group(self, monkeypatch):
+        # a fresh, unvalidated group: the first validate_character computes it
+        model = build_model(torus_grid_graph(8, 8), 6)
+        group = stabilizer.StabilizerGroup(6, model.n, model.stabilizer.generators)
+        calls = []
+        real = zmod.SmithForm.kernel
+
+        def counting(smith):
+            calls.append(smith.shape)
+            return real(smith)
+
+        monkeypatch.setattr(zmod.SmithForm, "kernel", counting)
+        chi = CharacterMap((0,) * len(group.generators))
+        for _ in range(20):
+            validate_character(group, chi)
+        assert len(calls) <= 1
+        assert isinstance(group.relation_kernel(), tuple)
+        assert group.relation_kernel() is group.relation_kernel()
+
     @pytest.mark.parametrize("group", list(relation_kernel_cases()))
     def test_spans_enumerated_left_kernel(self, group):
         d, g = group.d, len(group.generators)
@@ -172,6 +227,23 @@ class TestCosetOrderMatchedLift:
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised:"), out.stdout
 
+    def test_every_lift_is_checked_against_the_normaliser(self, monkeypatch):
+        # the pair is (X_2, Z_2^5); X_1 on the second lift keeps the pair's
+        # phase but no longer commutes with Z_1
+        group = validate(6, 2, [PauliElement.z_op(6, 2, 0)])
+        real = stabilizer.coset_order_matched_lift
+        lifts = []
+
+        def tampered(group, v, coset_order):
+            lifts.append(real(group, v, coset_order))
+            return multiply(lifts[-1], PauliElement.x_op(6, 2, 0)) if len(lifts) == 2 else lifts[-1]
+
+        monkeypatch.setattr(stabilizer, "coset_order_matched_lift", tampered)
+        with pytest.raises(InternalInvariant) as info:
+            analyze(group)
+        assert (info.value.stage, info.value.detail) == (
+            "analyze.lifts", "logical operator escapes the normaliser")
+
     def test_failed_check_names_its_stage(self, monkeypatch):
         import quditstab.stabilizer as S
 
@@ -189,6 +261,13 @@ class TestNormalizerMembership:
         assert normalizer_membership(group, PauliElement.z_op(4, 2, 0))
         assert not normalizer_membership(group, PauliElement.x_op(4, 2, 0))
         assert normalizer_membership(group, PauliElement.x_op(4, 2, 1))
+
+    def test_dimension_mismatch(self):
+        group = validate(4, 2, [PauliElement.z_op(4, 2, 0)])
+        with pytest.raises(DimensionMismatch):
+            normalizer_membership(group, PauliElement.x_op(4, 3, 0))
+        with pytest.raises(DimensionMismatch):
+            character_action(group, CharacterMap((0,)), PauliElement.x_op(6, 2, 0))
 
 
 class TestAnalyze:
@@ -211,6 +290,15 @@ class TestAnalyze:
         assert [mat.shape for mat in calls] == [(50, 100), (52, 100)]
         seen = [mat.entries for mat in calls] + [mat.transpose().entries for mat in calls]
         assert len(set(seen)) == len(seen)
+
+    def test_torus_8x8_pairs_through_tables(self, monkeypatch):
+        # validate, the decomposition's entry check and Gram matrix, and the
+        # lifts' normaliser check each read one pairing_table; the parent made
+        # 25,025 pairing and 8,642 commutation_phase calls here
+        counts = count_pairings(monkeypatch)
+        report = analyze(build_model(torus_grid_graph(8, 8), 6).stabilizer)
+        assert counts["pairing"] == 0
+        assert counts["commutation_phase"] <= len(report.logical_operators)
 
     def test_golden_d8(self):
         report = analyze(x4z4_group())

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditstab.errors import Degenerate, NotFreeSymplectic, NotIsotropic, NotLagrangian
+from quditstab.heisenberg import lift_symplectic
 from quditstab.pauli import commutation_phase, from_module_vector
 from quditstab.symplectic import (
     SymplecticSpace,
@@ -22,10 +23,12 @@ from quditstab.zmod import Submodule, ZdMatrix, vec_add, vec_scale
 from tests.helpers import (
     assert_symplectic_basis,
     brute_span,
+    count_pairings,
     count_reductions,
     divisors,
     radical_reference,
     random_isotropic_vectors,
+    random_symplectic_matrix,
     standard_gram,
 )
 
@@ -37,6 +40,19 @@ def standard_vector_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     vector = st.lists(st.integers(min_value=0, max_value=d - 1), min_size=2 * n, max_size=2 * n)
     return d, n, draw(vector), draw(vector)
+
+
+@st.composite
+def pairing_table_cases(draw):
+    """(d, n, us, vs): lists of up to 6 vectors, each sparse (at most two nonzero
+    coordinates) or dense with entries in [-d, 2d], at d up to 2^64."""
+    d = draw(st.sampled_from([2, 6, 12, 360, 2**64]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-d, max_value=2 * d)
+    sparse = st.dictionaries(st.integers(min_value=0, max_value=2 * n - 1), entry, max_size=2).map(
+        lambda nonzero: tuple(nonzero.get(k, 0) for k in range(2 * n)))
+    vector = st.one_of(sparse, st.tuples(*[entry] * (2 * n)))
+    return d, n, draw(st.lists(vector, max_size=6)), draw(st.lists(vector, max_size=6))
 
 
 def carrier_modulo_case(d: int, n: int, gens):
@@ -82,6 +98,28 @@ class TestSymplecticSpace:
         assert space.pairing(u, v) == sum(x * y for x, y in zip(dense, v)) % d
         lift_u, lift_v = from_module_vector(d, u), from_module_vector(d, v)
         assert space.pairing(u, v) == commutation_phase(lift_u, lift_v)
+
+    @given(pairing_table_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((6, 2, [], [(1, 0, 0, 1)]))
+    @example((2**64, 1, [(0, 1)], []))
+    def test_pairing_table_matches_pairing(self, case):
+        d, n, us, vs = case
+        space = SymplecticSpace.standard(n, d)
+        assert space.pairing_table(us, vs) == [[space.pairing(u, v) for v in vs] for u in us]
+
+    def test_all_pairs_checks_call_no_pairing(self, monkeypatch):
+        # the isotropy checks, the dual orthogonalisation and the lift's form
+        # check each read one pairing_table instead of pairing every pair
+        space = SymplecticSpace.standard(3, 12)
+        psi = random_symplectic_matrix(random.Random(3), 3, 12)
+        counts = count_pairings(monkeypatch)
+        es, fs = extend_isotropic_basis(space, [psi.col(0), psi.col(1)])
+        classify_isotropic_block(SymplecticSpace.standard(1, 12), Submodule(12, 2, [(2, 0), (0, 6)]))
+        lift_symplectic(space, psi)
+        structure_decomposition(space)
+        assert counts["pairing"] == 0
+        assert_symplectic_basis(space, es, fs)
 
     def test_holds_only_n_and_modulus(self):
         space = SymplecticSpace.standard(3, 6)
