@@ -91,13 +91,9 @@ def _guard(fn):
     return wrapper
 
 
-def _group_from_request(req: dict) -> StabilizerGroup:
-    return StabilizerGroup.from_json_dict(req)
-
-
 @_guard
 def cmd_analyze(args) -> int:
-    group = _group_from_request(_load_json(args.input))
+    group = StabilizerGroup.from_json_dict(_load_json(args.input))
     report = analyze(group)
     _emit(_wrap_report(report.to_json_dict()), args.format)
     return 0
@@ -105,7 +101,7 @@ def cmd_analyze(args) -> int:
 
 @_guard
 def cmd_canonicalize(args) -> int:
-    group = _group_from_request(_load_json(args.input))
+    group = StabilizerGroup.from_json_dict(_load_json(args.input))
     conj = canonical_conjugation(group)
     payload = {
         "symplectic_map": [list(r) for r in conj.symplectic_map.entries],
@@ -123,7 +119,7 @@ def cmd_canonicalize(args) -> int:
 @_guard
 def cmd_oracle_verify(args) -> int:
     req = _load_json(args.input)
-    group = _group_from_request(req)
+    group = StabilizerGroup.from_json_dict(req)
     report = StabilizerReport.from_json_dict({**req["report"], "d": group.d, "n": group.n})
     verdict = verify_report(group, report, bound=args.bound)
     _emit(_wrap_report(verdict.to_json_dict()), args.format)

@@ -39,8 +39,8 @@ from .pauli import (
 from .symplectic import (
     SymplecticSpace,
     extend_isotropic_basis,
+    gram_blocks,
     perp,
-    structure_decomposition,
 )
 from .zmod import Submodule, Vector, ZdMatrix, kernel_matrix, vec_scale
 
@@ -343,13 +343,14 @@ def analyze(group: StabilizerGroup) -> StabilizerReport:
     """Full structural report; see StabilizerReport."""
     d, n = group.d, group.n
     space = group.space
-    t_mod = group.tau_image
-    p_mod = perp(space, t_mod)
-    blocks = list(reversed(structure_decomposition(space, p_mod, t_mod)))
+    blocks = list(reversed(gram_blocks(space, perp(space, group.tau_image).generators)))
     divisors = tuple(b.divisor for b in blocks)
     dim = 1
     for dv in divisors:
         dim *= dv
+    # dim^2 == |perp(tau)| / |radical|, radical == perp(tau) & tau as perp(perp(tau)) == tau,
+    # and |perp(tau)| == d^(2n) / |tau|: this holds iff radical == tau iff tau is
+    # isotropic, which makes the blocks those of the quotient perp(tau)/tau
     if dim * group.cardinality != d**n:
         raise InternalInvariant("analyze.dimension", "dimension bookkeeping failed")
     kind, rank = _classify(group, divisors)
@@ -436,14 +437,13 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
         )
     aut = lift_symplectic(space, beta)
 
-    img_group = StabilizerGroup(d, n, [aut.apply(g) for g in group.generators])
     a_exp = [0] * n
     for i in range(k):
-        target = tuple(1 if j == i else 0 for j in range(2 * n))  # z_i
-        elem = img_group.element_over(target)
-        if elem is None:
+        # beta sends basis[i] to z_i, so this is the element of the conjugated group over z_i
+        elem = aut.apply(group.element_over(basis[i]))
+        if module_vector(elem) != tuple(int(j == i) for j in range(2 * n)):
             raise InternalInvariant(
-                "canonicalize.image", "target vector not in the conjugated image"
+                "canonicalize.image", "a basis element does not map to its unit vector"
             )
         # elem == zeta^w Z_i with w even or d odd; solve xi^c == zeta^w
         w = elem.phase

@@ -108,35 +108,21 @@ def perp(space: SymplecticSpace, sub: Submodule) -> Submodule:
     return Submodule(d, m, [space.functional(k) for k in sub.smith.kernel()])
 
 
-def structure_decomposition(
-    space: SymplecticSpace,
-    carrier: Optional[Submodule] = None,
-    modulo: Optional[Submodule] = None,
-) -> list[ElementaryBlock]:
-    """Split carrier/modulo into orthogonal elementary symplectic blocks.
+def gram_blocks(space: SymplecticSpace, generators: Sequence[Sequence[int]]) -> list[ElementaryBlock]:
+    """Split span(generators)/radical into orthogonal elementary symplectic blocks.
 
     One congruence reduction P G P^T = (+) [[0, s_i], [-s_i, 0]] of the
-    alternating Gram matrix G of the carrier generators (Newman, Integral
-    Matrices, Thm IV.1), with smith_normal_form's pivot rule: the smallest
-    nonzero entry, made gcd(s, d) by a unit.  The s_i form a chain, so the
-    blocks come out in extraction order with divisors d / s_i non-increasing,
-    maximal order first.
-
-    Raises Degenerate when the induced form on carrier/modulo has a
-    nonzero kernel.
+    alternating Gram matrix G of the generators (Newman, Integral Matrices,
+    Thm IV.1), with smith_normal_form's pivot rule: the smallest nonzero
+    entry, made gcd(s, d) by a unit.  The radical is span & perp(span), and
+    the product of the squared divisors is |span| / |radical|.  The s_i form
+    a chain, so the blocks come out with divisors d / s_i non-increasing.
     """
     d = space.modulus
-    carrier = carrier if carrier is not None else space.full_module()
-    modulo = modulo if modulo is not None else space.zero_module()
-    if not carrier.contains_module(modulo):
-        raise ValueError("modulo must be contained in the carrier")
-    if any(map(any, space.pairing_table(modulo.generators, carrier.generators))):
-        raise ValueError("modulo must pair to zero with the carrier")
-
-    # gens[i] is carrier generator i after the row operations of P, and
+    # gens[i] is generator i after the row operations of P, and
     # gram[i][j] == pairing(gens[i], gens[j]); every step acts on a row and
     # then on the same column of gram, which keeps it alternating
-    gens = [list(g) for g in carrier.generators]
+    gens = [list(g) for g in generators]
     c = len(gens)
     gram = space.pairing_table(gens, gens)
 
@@ -199,10 +185,29 @@ def structure_decomposition(
             continue
         blocks.append(ElementaryBlock(e=tuple(gens[k]), f=tuple(gens[k + 1]), divisor=d // s))
         k += 2
+    return blocks
 
-    # the rows of gram span a copy of carrier / (carrier & perp(carrier)),
-    # which holds modulo; so the blocks fill carrier/modulo iff the form is
-    # nondegenerate there
+
+def structure_decomposition(
+    space: SymplecticSpace,
+    carrier: Optional[Submodule] = None,
+    modulo: Optional[Submodule] = None,
+) -> list[ElementaryBlock]:
+    """Split carrier/modulo into orthogonal elementary symplectic blocks.
+
+    gram_blocks of the carrier generators, once modulo is checked to lie in the
+    carrier and pair to zero with it.  Raises Degenerate when the induced form
+    on carrier/modulo has a nonzero kernel.
+    """
+    carrier = carrier if carrier is not None else space.full_module()
+    modulo = modulo if modulo is not None else space.zero_module()
+    if not carrier.contains_module(modulo):
+        raise ValueError("modulo must be contained in the carrier")
+    if any(map(any, space.pairing_table(modulo.generators, carrier.generators))):
+        raise ValueError("modulo must pair to zero with the carrier")
+    blocks = gram_blocks(space, carrier.generators)
+    # the radical holds modulo, so the blocks fill carrier/modulo iff the
+    # form is nondegenerate there
     produced = 1
     for b in blocks:
         produced *= b.divisor * b.divisor
@@ -262,13 +267,13 @@ def extend_isotropic_basis(
             if table[i][j]:
                 fs[j] = vec_add(fs[j], vec_scale(table[i][j], es[i], d), d)
 
-    spanned = Submodule(d, m, es + fs)
-    rest = perp(space, spanned)
-    try:
-        more_e, more_f = symplectic_basis(space, rest)
-    except NotFreeSymplectic as exc:  # cannot happen for valid input
-        raise NotFree(str(exc)) from exc
-    return tuple(es) + more_e, tuple(fs) + more_f
+    # (es, fs) has the standard Gram matrix, so |rest| == d^(2(n - k)) and rest
+    # is free symplectic iff it splits into n - k blocks of divisor d
+    rest = perp(space, Submodule(d, m, es + fs))
+    blocks = gram_blocks(space, rest.generators)
+    if len(blocks) != space.n - k or any(b.divisor != d for b in blocks):
+        raise NotFree("the complement of the basis is not free symplectic")
+    return tuple(es) + tuple(b.e for b in blocks), tuple(fs) + tuple(b.f for b in blocks)
 
 
 @dataclass(frozen=True)

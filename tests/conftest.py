@@ -2,6 +2,9 @@
 
 import pytest
 
+# helpers check with plain assert; rewriting keeps those checks under python -O
+pytest.register_assert_rewrite("tests.helpers")
+
 _LABELS: dict[str, str] = {}
 _RESULTS: dict[str, str] = {}
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditstab.errors import NotSymplectic
+from quditstab.errors import Degenerate, NotSymplectic
 from quditstab.heisenberg import (
     crt_canonical_chain,
     heisenberg_structure,
@@ -159,6 +159,11 @@ class TestHeisenbergStructure:
                 sq *= dv * dv
             assert sq == carrier.cardinality // modulo.cardinality
             assert structure.group_order == phase_modulus(d) * sq
+
+    def test_degenerate_carrier(self):
+        # the form vanishes on <2z, 2x> at d=4, so the quotient by zero is degenerate
+        with pytest.raises(Degenerate):
+            heisenberg_structure(SymplecticSpace.standard(1, 4), Submodule(4, 2, [(2, 0), (0, 2)]))
 
 
 class TestVerifyPresentation:

@@ -20,6 +20,7 @@ from quditstab.pauli import (
 )
 from quditstab.stabilizer import (
     CharacterMap,
+    StabilizerGroup,
     StabilizerReport,
     analyze,
     canonical_conjugation,
@@ -280,20 +281,26 @@ class TestAnalyze:
         assert report.quotient_divisors == (d,) * (n - k)
         assert report.cardinality == d**k
 
-    def test_torus_5x5_build_and_analyze_reduce_two_matrices(self, monkeypatch):
+    def test_torus_5x5_build_and_analyze_reduce_one_matrix(self, monkeypatch):
         # tau's Smith form serves the relation kernel, perp, membership and
-        # the lifts; the carrier's serves its membership and cardinality
+        # the lifts; the carrier perp(tau) is never reduced
         calls = count_reductions(monkeypatch)
         group = build_model(torus_grid_graph(5, 5), 6).stabilizer
         report = analyze(group)
         assert report.quotient_divisors == (6, 6)
-        assert [mat.shape for mat in calls] == [(50, 100), (52, 100)]
-        seen = [mat.entries for mat in calls] + [mat.transpose().entries for mat in calls]
-        assert len(set(seen)) == len(seen)
+        assert [mat.shape for mat in calls] == [(50, 100)]
+
+    def test_unvalidated_group_fails_the_dimension_check(self):
+        # Z_1 and X_1^2 pair to 2 at d=6, so tau is not isotropic; analyze
+        # makes no entry check of its own and its dimension check catches it
+        group = StabilizerGroup(6, 2, [PauliElement.z_op(6, 2, 0), PauliElement.x_op(6, 2, 0, 2)])
+        with pytest.raises(InternalInvariant) as info:
+            analyze(group)
+        assert info.value.stage == "analyze.dimension"
 
     def test_torus_8x8_pairs_through_tables(self, monkeypatch):
-        # validate, the decomposition's entry check and Gram matrix, and the
-        # lifts' normaliser check each read one pairing_table; the parent made
+        # validate, the Gram matrix of perp(tau) and the lifts' normaliser
+        # check each read one pairing_table; pairing each pair on its own made
         # 25,025 pairing and 8,642 commutation_phase calls here
         counts = count_pairings(monkeypatch)
         report = analyze(build_model(torus_grid_graph(8, 8), 6).stabilizer)
@@ -470,13 +477,22 @@ class TestCanonicalConjugation:
         assert all(membership(target, conj.apply(g)) for g in group.generators)
 
     def test_reduces_no_matrix_twice(self, monkeypatch):
-        # one reduction serves all k duals, and one conjugated group all k
+        # one reduction serves all k duals, and H's own cached solve all k
         # images; solving each on its own reduced the same matrix k times
         d, n, k = 12, 12, 8
         group = block_group(random.Random(7), d, n, [(1, d)] * k)
         calls = count_reductions(monkeypatch)
         canonical_conjugation(group)
         assert len({mat.entries for mat in calls}) == len(calls)
+
+    def test_free8_reduces_two_matrices(self, monkeypatch):
+        # the basis of tau for the duals and (es, fs) for its perp; the images
+        # come from H's own solve and the perp's blocks need no Smith form
+        d, n, k = 12, 12, 8
+        group = block_group(random.Random(7), d, n, [(1, d)] * k)
+        calls = count_reductions(monkeypatch)
+        canonical_conjugation(group)
+        assert len(calls) <= 2
 
     def test_bad_basis_names_its_stage(self, monkeypatch):
         real_extend = stabilizer.extend_isotropic_basis

@@ -14,6 +14,7 @@ from quditstab.symplectic import (
     SymplecticSpace,
     classify_isotropic_block,
     extend_isotropic_basis,
+    gram_blocks,
     lagrangian_canonical_form,
     perp,
     structure_decomposition,
@@ -230,6 +231,18 @@ class TestStructureDecomposition:
             blocks2 = structure_decomposition(space, Submodule(d, 2 * n, gens), modulo)
             assert sorted(b.divisor for b in blocks) == sorted(b.divisor for b in blocks2)
 
+    def test_gram_blocks_of_a_perp_are_the_checked_quotient(self):
+        # for isotropic M, perp(M)/radical is perp(M)/M: the unchecked
+        # elimination gives the blocks of the checked decomposition
+        rng = random.Random(97)
+        for _ in range(80):
+            d = rng.choice([2, 4, 6, 8, 12])
+            n = rng.randint(1, 3)
+            space = SymplecticSpace.standard(n, d)
+            modulo = Submodule(d, 2 * n, random_isotropic_vectors(rng, d, n, attempts=n + 1))
+            carrier = perp(space, modulo)
+            assert gram_blocks(space, carrier.generators) == structure_decomposition(space, carrier, modulo)
+
     @settings(max_examples=80, deadline=None)
     @given(carrier_modulo_pairs())
     # S_6 + S_4 at d=12: the pivot 2 comes first, and the chain form is S_12 + S_2
@@ -277,6 +290,12 @@ class TestSymplecticBasis:
         space = SymplecticSpace.standard(1, 4)
         with pytest.raises(NotFreeSymplectic):
             symplectic_basis(space, Submodule(4, 2, [(2, 0), (0, 2)]))
+
+    def test_helper_rejects_a_wrong_basis(self):
+        # the helper's plain asserts must fire under python -O as well
+        space = SymplecticSpace.standard(1, 5)
+        with pytest.raises(AssertionError):
+            assert_symplectic_basis(space, [(1, 0)], [(2, 0)])
 
 
 class TestExtendIsotropicBasis:
