@@ -8,9 +8,13 @@ complex numbers.
 Orbits of the group action on basis indices are explored once; each orbit
 carries the spanning-tree phases and the cycle-closure discrepancies, from
 which the consistent characters (and hence all eigenspace dimensions) are
-read off.  A verification represents each generator once and shares one
-scan without words among its checks; the scan that tracks generator words
-is built only when the character sweep fits its work limit.
+read off.  X parts act on indices as translations, so one BFS of the orbit
+of index 0 gives a template that is replayed from every other orbit's start;
+the replay checks each of its steps, so it equals the plain BFS or raises
+InternalInvariant.  A verification represents each generator once and shares
+one scan without words among its checks; the scan that tracks generator
+words is built only when the character sweep fits its work limit.  Logical
+operators are applied to the protected basis vectors alone, digit by digit.
 """
 
 from __future__ import annotations
@@ -122,11 +126,25 @@ class OrbitCertificate:
 
 
 class _Scan:
-    """Orbit exploration over the generator actions.
+    """Orbit exploration over the generator actions, by replaying one orbit template.
+
+    X parts act on basis indices as digit-wise translations, so the orbit of
+    s is s + orbit(0), and the BFS tree of orbit(0) spans every orbit.  One
+    BFS of orbit(0) records its tree edges (parent position, generator) and
+    its closure edges (position, generator, target position), with the word
+    difference of each closure edge.  Each unvisited start replays the tree
+    edges to mark its members and potentials; then each closure edge is
+    checked for all orbits at once, and yields one phase discrepancy per
+    orbit.  A tree edge that lands on a visited index, or a closure edge that
+    misses its predicted member, raises InternalInvariant("oracle.scan").
+    When neither fires, the replayed members are closed under every
+    generator, so each replay visits, orders and closes its orbit exactly as
+    a BFS from its start would: the translation property is checked on the
+    generator tables, not assumed.
 
     Without words an orbit's closure rows are its distinct nonzero phase
     discrepancies (delta_e,); with words they are a quasi-basis of the rows
-    (delta_e, 2*delta_word), reduced once per distinct set of raw rows.
+    (delta_e, 2*delta_word), built once per distinct tuple of discrepancies.
     Orbits, members and potentials do not depend on words.  reps are the
     generator actions when the caller has built them already.
     """
@@ -147,65 +165,87 @@ class _Scan:
         self.orbits: list[OrbitCertificate] = []
         self._explore()
 
-    def _explore(self):
+    def _template(self):
+        """BFS of the orbit of index 0: tree edges, closure edges and their word differences.
+
+        The word differences (2*delta_word, one per closure edge) are tracked
+        only with words.
+        """
         db = self.db
         g = len(self.reps)
+        perms = [r.perm for r in self.reps]
+        order = [0]
+        position = {0: 0}
+        words = [(0,) * g]
+        tree: list[tuple[int, int]] = []
+        closure: list[tuple[int, int, int]] = []
+        du: list[tuple[int, ...]] = []
+        for p, node in enumerate(order):  # order grows as the BFS discovers members
+            for j in range(g):
+                t = perms[j][node]
+                tp = position.get(t)
+                if self.with_words:
+                    wt = list(words[p])
+                    wt[j] += 1
+                if tp is None:
+                    position[t] = len(order)
+                    order.append(t)
+                    tree.append((p, j))
+                    if self.with_words:
+                        words.append(tuple(wt))
+                else:
+                    closure.append((p, j, tp))
+                    if self.with_words:
+                        du.append(tuple((2 * (x - y)) % db for x, y in zip(wt, words[tp])))
+        return tree, closure, du
+
+    def _explore(self):
+        db = self.db
         perms = [r.perm for r in self.reps]
         phases = [r.phase for r in self.reps]
         pot = self.pot
         orbit_id = self.orbit_id
-        words: list[Optional[tuple[int, ...]]] = [None] * self.size if self.with_words else []
-        zero_word = (0,) * g
-        reduced: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
+        tree, closure, du = self._template()
+        orbits: list[list[int]] = []
         for start in range(self.size):
             if orbit_id[start] != -1:
                 continue
-            oid = len(self.orbits)
-            cert = OrbitCertificate(representative=start, members=[start])
-            raw_rows = set()
+            oid = len(orbits)
             orbit_id[start] = oid
-            pot[start] = 0
-            if self.with_words:
-                words[start] = zero_word
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                pnode = pot[node]
-                wnode = words[node] if self.with_words else None
-                for j in range(g):
-                    t = perms[j][node]
-                    ph = (pnode + phases[j][node]) % db
-                    if orbit_id[t] == -1:
-                        orbit_id[t] = oid
-                        pot[t] = ph
-                        if self.with_words:
-                            wt = list(wnode)
-                            wt[j] += 1
-                            words[t] = tuple(wt)
-                        cert.members.append(t)
-                        queue.append(t)
-                    else:
-                        de = (ph - pot[t]) % db
-                        if self.with_words:
-                            wt = list(wnode)
-                            wt[j] += 1
-                            du = tuple(
-                                (2 * (x - y)) % db for x, y in zip(wt, words[t])
-                            )
-                            if de or any(du):
-                                raw_rows.add((de,) + du)
-                        elif de:
-                            raw_rows.add((de,))
-            if raw_rows:
-                key = tuple(sorted(raw_rows))
-                if not self.with_words:
-                    cert.closure_rows = list(key)
-                else:
-                    if key not in reduced:
-                        basis = Submodule(db, 1 + g, key).quasi_basis()
-                        reduced[key] = [v for v, _ in basis]
-                    cert.closure_rows = list(reduced[key])
-            self.orbits.append(cert)
+            members = [start]
+            for p, j in tree:
+                x = members[p]
+                t = perms[j][x]
+                if orbit_id[t] != -1:
+                    raise InternalInvariant("oracle.scan", f"tree edge from {x} lands on visited {t}")
+                orbit_id[t] = oid
+                pot[t] = (pot[x] + phases[j][x]) % db
+                members.append(t)
+            orbits.append(members)
+        columns = [list(col) for col in zip(*orbits)]  # columns[pos][oid]
+        discrepancies = []
+        for p, j, tp in closure:
+            perm, phase = perms[j], phases[j]
+            sources, targets = columns[p], columns[tp]
+            if [perm[x] for x in sources] != targets:
+                raise InternalInvariant("oracle.scan", "closure edge misses its template member")
+            discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
+        keys = zip(*discrepancies) if discrepancies else [()] * len(orbits)
+        rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for members, key in zip(orbits, keys):
+            if key not in rows:
+                rows[key] = self._closure_rows(key, du)
+            self.orbits.append(OrbitCertificate(members[0], members, list(rows[key])))
+
+    def _closure_rows(self, key: tuple[int, ...], du: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """An orbit's closure rows from its phase discrepancies, one per closure edge."""
+        if not self.with_words:
+            return [(de,) for de in sorted(set(key)) if de]
+        raw = {(de,) + dw for de, dw in zip(key, du) if de or any(dw)}
+        if not raw:
+            return []
+        basis = Submodule(self.db, 1 + len(self.reps), tuple(sorted(raw))).quasi_basis()
+        return [v for v, _ in basis]
 
 
 def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optional[str]:
@@ -225,13 +265,20 @@ def _protected_dimension(scan: _Scan) -> int:
 
 
 def _eigenspace_dimensions(group: StabilizerGroup, words: _Scan) -> dict[tuple[int, ...], int]:
-    """Sweep the characters over orbit classes: orbits with equal closure rows."""
+    """Sweep the characters over orbit classes: orbits with equal closure rows.
+
+    Each distinct closure row is tested once per character; a class is
+    consistent iff its rows are among the rows that passed.
+    """
     db = words.db
     classes = Counter(tuple(cert.closure_rows) for cert in words.orbits)
+    distinct = {row for rows in classes for row in rows}
+    classes = [(frozenset(rows), size) for rows, size in classes.items()]
     out: dict[tuple[int, ...], int] = {}
     for chi in characters(group):
         w = chi.values
-        out[w] = sum(size for rows, size in classes.items() if _consistent(rows, w, db))
+        passed = {row for row in distinct if _consistent((row,), w, db)}
+        out[w] = sum(size for rows, size in classes if rows <= passed)
     if sum(out.values()) != words.size:
         raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
     return out
@@ -364,7 +411,8 @@ def verify_report(
     fits the work limit; otherwise skipped names the check and why.
 
     Each generator is represented once, and one scan without words serves
-    the dimension, the protected basis and the sizing of the sweep.
+    the dimension, the protected basis and the sizing of the sweep.  Logical
+    operators are applied to the protected basis vectors only.
     """
     d, n = group.d, group.n
     db = phase_modulus(d)
@@ -382,10 +430,8 @@ def verify_report(
     ok = True
     for pair in report.logical_operators:
         for op in (pair.z_like, pair.x_like):
-            rep_op = represent(op, bound)
             for vec in basis:
-                image = {rep_op.perm[i]: (e + rep_op.phase[i]) % db for i, e in vec.items()}
-                if not _in_span(image, basis, db):
+                if not _in_span(_image(op, vec), basis, db):
                     ok = False
                     details.setdefault("logical_action", f"operator {op.to_text()} leaves V^H")
     checks["logical_action"] = ok
@@ -444,6 +490,26 @@ def verify_report(
         histogram=histogram,
         skipped=skipped,
     )
+
+
+def _image(p: PauliElement, vec: dict[int, int]) -> dict[int, int]:
+    """p applied to a vector {basis index: zeta exponent}, with represent's arithmetic.
+
+    Only the vector's indices are mapped, digit by digit, so no d^n table is
+    built.
+    """
+    d, n = p.d, p.n
+    db = phase_modulus(d)
+    out = {}
+    for i, e in vec.items():
+        t, ph, stride, rest = 0, e + p.phase, 1, i
+        for r in range(n - 1, -1, -1):
+            rest, digit = divmod(rest, d)
+            t += ((digit + p.a[r]) % d) * stride
+            ph += 2 * p.b[r] * digit
+            stride *= d
+        out[t] = ph % db
+    return out
 
 
 def _in_span(image: dict[int, int], basis: list[dict[int, int]], db: int) -> bool:

@@ -186,6 +186,14 @@ _SWAP, _ADD, _SCALE = 0, 1, 2
 def _apply_row_ops(d: int, n: int, ops: Iterable[tuple[int, int, int, int]]) -> ZdMatrix:
     """The n x n identity with the row operations applied in order."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _apply_row_ops_to_rows(d, rows, ops)
+    return ZdMatrix.from_rows(d, rows, n)
+
+
+def _apply_row_ops_to_rows(
+    d: int, rows: list[list[int]], ops: Iterable[tuple[int, int, int, int]]
+) -> None:
+    """The row operations applied in order to the rows of a matrix, in place."""
     for kind, i, j, q in ops:
         if kind == _SWAP:
             rows[i], rows[j] = rows[j], rows[i]
@@ -193,7 +201,6 @@ def _apply_row_ops(d: int, n: int, ops: Iterable[tuple[int, int, int, int]]) -> 
             rows[i] = [(x + q * y) % d for x, y in zip(rows[i], rows[j])]
         else:
             rows[i] = [(q * x) % d for x in rows[i]]
-    return ZdMatrix.from_rows(d, rows, n)
 
 
 def _apply_row_ops_to_vector(
@@ -302,10 +309,19 @@ class SmithForm:
         return SmithForm(self.modulus, self.shape[::-1], self.diag, self.col_ops, self.row_ops)
 
     def kernel(self) -> list[Vector]:
-        """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag)."""
-        d, v = self.modulus, self.v
-        diag = self.diag + (d,) * (self.shape[1] - len(self.diag))
-        return [vec_scale(d // s, v.col(i), d) for i, s in enumerate(diag) if s != 1]
+        """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag).
+
+        Builds only those columns: v @ y replays the transposed col_ops in
+        reverse, as solve does, here on all picked columns at once.
+        """
+        d, c = self.modulus, self.shape[1]
+        diag = self.diag + (d,) * (c - len(self.diag))
+        picked = [(i, d // s) for i, s in enumerate(diag) if s != 1]
+        rows = [[0] * len(picked) for _ in range(c)]
+        for t, (i, scale) in enumerate(picked):
+            rows[i][t] = scale
+        _apply_row_ops_to_rows(d, rows, _transposes(reversed(self.col_ops)))
+        return list(zip(*rows))
 
 
 def _min_nonzero(m: Sequence[Sequence[int]], k: int, r: int, c: int):

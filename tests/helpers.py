@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 
 import numpy as np
 
 from quditstab import pauli, symplectic, zmod
+from quditstab.oracle import PhasePermutation
 from quditstab.pauli import PauliElement, multiply, order_matched_lift, phase_modulus, power
 from quditstab.stabilizer import StabilizerGroup, validate
 from quditstab.symplectic import SymplecticSpace
@@ -62,6 +63,72 @@ def represent_reference(p: PauliElement) -> tuple[tuple[int, ...], tuple[int, ..
         perm.append(t)
         phase.append(ph % db)
     return tuple(perm), tuple(phase)
+
+
+def scan_reference(reps, size: int, db: int, with_words: bool):
+    """(orbits, pot) of the generator actions by a plain BFS from each unvisited index.
+
+    orbits lists (members, closure_rows) in the order found, members in BFS
+    order.  Without words the closure rows are the sorted distinct nonzero
+    (delta_e,); with words they are a quasi-basis of the sorted distinct
+    nonzero rows (delta_e, 2*delta_word), as the oracle's scan defines them.
+    """
+    g = len(reps)
+    perms = [r.perm for r in reps]
+    phases = [r.phase for r in reps]
+    pot = [0] * size
+    seen = [False] * size
+    words = [None] * size
+    orbits = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        members, raw = [start], set()
+        seen[start] = True
+        words[start] = (0,) * g
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for j in range(g):
+                t = perms[j][node]
+                ph = (pot[node] + phases[j][node]) % db
+                wt = list(words[node])
+                wt[j] += 1
+                if not seen[t]:
+                    seen[t] = True
+                    pot[t] = ph
+                    words[t] = tuple(wt)
+                    members.append(t)
+                    queue.append(t)
+                    continue
+                de = (ph - pot[t]) % db
+                du = tuple((2 * (x - y)) % db for x, y in zip(wt, words[t]))
+                if with_words and (de or any(du)):
+                    raw.add((de,) + du)
+                elif not with_words and de:
+                    raw.add((de,))
+        rows = sorted(raw)
+        if with_words and rows:
+            rows = [v for v, _ in Submodule(db, 1 + g, rows).quasi_basis()]
+        orbits.append((members, rows))
+    return orbits, pot
+
+
+def tampered_represent(real, fixed: int = 0):
+    """represent, except that every action moving index fixed is made to fix it.
+
+    The images of fixed and of its preimage are swapped: still a bijection,
+    no longer a translation of the basis indices.
+    """
+
+    def represent(p, bound=None):
+        rep = real(p, bound)
+        perm = list(rep.perm)
+        k = perm.index(fixed)
+        perm[fixed], perm[k] = perm[k], perm[fixed]
+        return PhasePermutation(rep.d, rep.n, tuple(perm), rep.phase)
+
+    return represent
 
 
 def brute_span(gens, d, m) -> set:

@@ -5,6 +5,7 @@ import pytest
 import quditstab.oracle as oracle_module
 from quditstab.cli import main
 from quditstab.kitaev import torus_grid_graph
+from tests.helpers import tampered_represent
 
 
 def run_cli(capsys, argv, stdin_obj=None, monkeypatch=None):
@@ -171,6 +172,14 @@ class TestOracleVerifyCommand:
                 "detail": "protected vector is not fixed",
             }
         }
+
+    def test_tampered_action_exit_4(self, capsys, monkeypatch):
+        request = self.build_request(capsys, monkeypatch)
+        monkeypatch.setattr(oracle_module, "represent", tampered_represent(oracle_module.represent))
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 4
+        error = json.loads(out)["error"]
+        assert (error["type"], error["stage"]) == ("InternalInvariant", "oracle.scan")
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_malformed_bound_env_exit_2(self, capsys, monkeypatch, value):

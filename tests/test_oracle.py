@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -20,7 +21,14 @@ from quditstab.oracle import (
 )
 from quditstab.pauli import PauliElement, multiply, phase_modulus
 from quditstab.stabilizer import analyze, characters, validate
-from tests.helpers import random_pauli, random_stabilizer_group, represent_reference
+from tests.helpers import (
+    block_group,
+    random_pauli,
+    random_stabilizer_group,
+    represent_reference,
+    scan_reference,
+    tampered_represent,
+)
 
 
 def x4z4_group():
@@ -83,6 +91,18 @@ class TestRepresent:
         assert (rep.perm, rep.phase) == represent_reference(p)
         assert isinstance(rep.perm, tuple) and isinstance(rep.phase, tuple)
 
+    def test_image_matches_the_table(self):
+        rng = random.Random(54)
+        for _ in range(200):
+            d = rng.choice([2, 3, 4, 6, 12])
+            n = rng.randint(0, 3)
+            p, db = random_pauli(rng, d, n), phase_modulus(d)
+            rep = represent(p)
+            support = rng.sample(range(d**n), rng.randint(0, min(5, d**n)))
+            vec = {i: rng.randrange(db) for i in support}
+            expected = {rep.perm[i]: (e + rep.phase[i]) % db for i, e in vec.items()}
+            assert oracle_module._image(p, vec) == expected
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             represent(PauliElement.identity(2, 20))
@@ -102,6 +122,57 @@ class TestRepresent:
         with pytest.raises(BadBound):
             oracle_bound()
         assert oracle_bound(64) == 64
+
+
+def scan_groups(rng, count):
+    """Seeded random groups at d in {2, 3, 4, 6, 8, 12}, n <= 3.
+
+    Lifts carry random scalar phases; at composite d every third group is
+    built from blocks (a, d/a), whose X parts are not free.
+    """
+    for k in range(count):
+        d = rng.choice([2, 3, 4, 6, 8, 12])
+        n = rng.randint(1, 3)
+        if k % 3 == 0 and d in (4, 6, 8, 12):
+            a = rng.choice([x for x in range(2, d) if d % x == 0])
+            yield block_group(rng, d, n, [(a, d // a)] + [(d, d)] * (n - 1))
+        else:
+            yield random_stabilizer_group(rng, d, n)
+
+
+class TestScan:
+    @pytest.mark.parametrize("with_words", [False, True])
+    def test_template_scan_matches_bfs_reference(self, with_words):
+        rng = random.Random(53)
+        shifted = not_free = 0
+        for group in scan_groups(rng, 150):
+            d = group.d
+            scan = oracle_module._Scan(group, None, with_words)
+            orbits, pot = scan_reference(scan.reps, scan.size, scan.db, with_words)
+            assert [(c.members, c.closure_rows) for c in scan.orbits] == orbits
+            assert [c.representative for c in scan.orbits] == [m[0] for m, _ in orbits]
+            assert scan.pot == pot
+            shifted += any(g.phase for g in group.generators)
+            not_free += any(0 < math.gcd(d, *g.a) < d for g in group.generators if any(g.a))
+        assert shifted and not_free
+
+    @pytest.mark.parametrize(
+        "fixed, detail",
+        [
+            # orbit(0) shrinks to {0}, so the closure edge of start 1 misses its member
+            (0, "closure edge misses its template member"),
+            # X^4 now fixes 1, so start 1 replays the tree edge 0 -> 4 onto 1 itself
+            (1, "tree edge from 1 lands on visited 1"),
+        ],
+    )
+    def test_tampered_action_is_an_internal_invariant(self, monkeypatch, fixed, detail):
+        monkeypatch.setattr(oracle_module, "represent", tampered_represent(represent, fixed))
+        group = x4z4_group()
+        with pytest.raises(InternalInvariant) as info:
+            verify_report(group, analyze(group))
+        assert (info.value.stage, info.value.detail) == ("oracle.scan", detail)
+        with pytest.raises(InternalInvariant, match="oracle.scan"):
+            protected_dimension(group)
 
 
 class TestEigenspaces:
@@ -226,11 +297,12 @@ class TestVerifyReport:
             report = analyze(group)
             verdict = verify_report(group, report)
             assert verdict.passed and "transitivity" in verdict.checks
-            ops = list(group.generators)
+            assert report.logical_operators
+            # each generator exactly once; logical operators map only the protected basis
+            assert sum(calls.values()) == len(group.generators)
+            assert calls == Counter(group.generators)
             for pair in report.logical_operators:
-                ops += [pair.z_like, pair.x_like]
-            assert sum(calls.values()) == len(ops)
-            assert calls == Counter(ops)
+                assert calls[pair.z_like] == calls[pair.x_like] == 0
 
     def test_skipped_sweep_builds_no_word_scan(self, monkeypatch):
         scans = []

@@ -144,6 +144,12 @@ class TestSymplecticSpace:
 
 
 class TestPerp:
+    def test_builds_no_column_transform(self):
+        space = SymplecticSpace.standard(3, 6)
+        sub = Submodule(6, 6, [(1, 0, 2, 0, 3, 0), (0, 2, 0, 0, 0, 3)])
+        perp(space, sub)
+        assert "v" not in sub.smith.__dict__
+
     def test_extremes(self):
         space = SymplecticSpace.standard(2, 4)
         assert perp(space, Submodule.zero(4, 4)).cardinality == 4**4

@@ -16,6 +16,7 @@ from quditstab.zmod import (
     kernel_matrix,
     smith_normal_form,
     solve_linear,
+    vec_scale,
 )
 from tests.helpers import brute_span, solve_reference
 
@@ -269,6 +270,17 @@ class TestCompleteFreeBasis:
 
 
 class TestKernelMatrix:
+    @given(smith_systems(moduli=(2, 6, 12, 360, 2**64)))
+    @settings(max_examples=200, deadline=None)
+    def test_smith_kernel_matches_transform_reference(self, system):
+        a, _, _ = system
+        s = smith_normal_form(a)
+        kernel = s.kernel()
+        assert "v" not in vars(s)
+        d = a.modulus
+        diag = s.diag + (d,) * (a.cols - len(s.diag))
+        assert kernel == [vec_scale(d // x, s.v.col(i), d) for i, x in enumerate(diag) if x != 1]
+
     def test_kernel(self):
         rng = random.Random(5)
         for _ in range(60):
