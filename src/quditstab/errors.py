@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of the JSON readers."""
+"""Exception types shared across the package, and the type checks of the JSON readers."""
 
 
 class QuditStabError(Exception):
@@ -28,6 +28,20 @@ def json_int(value, what: str) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """value itself when it is a JSON object; TypeError otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """value itself when it is a JSON string; TypeError otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -90,7 +104,7 @@ class TooLarge(QuditStabError):
 
 
 class BadBound(QuditStabError):
-    """The oracle bound from the environment is not a positive integer."""
+    """The oracle bound, given or from the environment, is not a positive integer."""
 
 
 class BadSurface(QuditStabError):

@@ -36,6 +36,8 @@ _BOUND_ENV = "QUDITSTAB_ORACLE_BOUND"
 def oracle_bound(explicit: Optional[int] = None) -> int:
     """The state-space bound: explicit, else $QUDITSTAB_ORACLE_BOUND, else DEFAULT_BOUND."""
     if explicit is not None:
+        if explicit <= 0:
+            raise BadBound(f"bound {explicit} is not positive")
         return explicit
     env = os.environ.get(_BOUND_ENV)
     if not env:

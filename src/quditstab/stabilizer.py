@@ -23,6 +23,8 @@ from .errors import (
     NotAbelian,
     NotFree,
     json_int,
+    json_object,
+    json_str,
 )
 from .heisenberg import PauliAutomorphism, crt_canonical_chain, lift_symplectic
 from .pauli import (
@@ -148,7 +150,7 @@ class StabilizerGroup:
             PauliElement(d, n, json_int(g.get("phase", 0), "phase"),
                          tuple(json_int(x, "a") for x in g["a"]),
                          tuple(json_int(x, "b") for x in g["b"]))
-            for g in obj.get("generators", [])
+            for g in (json_object(x, "generator") for x in obj.get("generators", []))
         ]
         return validate(d, n, gens)
 
@@ -270,7 +272,7 @@ class StabilizerReport:
                 tuple(element(g) for g in css["z_generators"]),
                 tuple(element(g) for g in css["x_generators"]),
             )
-        cls_text = obj["classification"]
+        cls_text = json_str(obj["classification"], "classification")
         kind = cls_text.split("(")[0]
         rank = int(cls_text.split("(")[1].rstrip(")")) if "(" in cls_text else None
         return cls(

@@ -28,14 +28,10 @@ from .zmod import (
     Submodule,
     Vector,
     ZdMatrix,
-    smith_normal_form,
     solve_linear,
     unit_lifting_gcd,
     vec_add,
-    vec_dot,
     vec_scale,
-    vec_sub,
-    vector_order,
 )
 
 
@@ -300,64 +296,45 @@ class LagrangianForm:
         return Submodule(d, rank, gens)
 
 
-def _lagrangian_recursive(
-    space: SymplecticSpace, basis: ZdMatrix, lsub: Submodule
-) -> tuple[list[Vector], list[Vector], list[int]]:
-    """Canonical form inside the free symplectic module spanned by basis's rows.
+def _lagrangian_blocks(space: SymplecticSpace, lsub: Submodule) -> tuple[list, list, list[int]]:
+    """Adapted basis (es, fs, divisors ascending) of the Lagrangian lsub of the standard space.
 
-    A vector x in basis coordinates stands for x . basis in the ambient space,
-    whose form it inherits; lsub is the Lagrangian in basis coordinates.
-    Returns (es, fs, divisors) in basis coordinates, divisors ascending.
+    Splits off the block of a maximal-order element, then recurses on the
+    standard space of rank 2(n - 1) whose coordinates are a symplectic basis
+    of that block's perp.
     """
-    d, m = space.modulus, basis.rows
-    if m == 0:
+    d, n = space.modulus, space.n
+    if n == 0:
         return [], [], []
-    basis_t = basis.transpose()
-
-    def functional(x: Vector) -> Vector:
-        return basis.mul_vector(space.functional(basis_t.mul_vector(x)))
-
     if lsub.is_zero:
         raise NotLagrangian("zero module cannot be Lagrangian in a nonzero space")
     # the maximal-order quasi-basis element is diag[0] * e, and e, a row of
-    # the invertible v_inv, has order d
+    # the invertible v^-1, has order d
     a = d // lsub.smith.diag[0]
-    e = lsub.smith.v_inv.row(0)
-    rows = [functional(e)]
-    f = solve_linear(ZdMatrix.from_rows(d, rows, cols=m), (1,))
+    (e,) = lsub.smith.v_inv_rows([0])
+    f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)]), (1,))
     if f is None:
         raise NotLagrangian("no symplectic partner; input is not Lagrangian")
     if not lsub.contains(vec_scale(a, f, d)):
         raise NotLagrangian("a*f escapes the module; input is not Lagrangian")
-
-    rows.append(functional(f))
-    # pairing(e, f) == 1 makes rows' diagonal (1, 1): its kernel is a basis, columns of v
-    w_basis = smith_normal_form(ZdMatrix.from_rows(d, rows, cols=m)).kernel()
-    if len(w_basis) != m - 2 or any(vector_order(w, d) != d for w in w_basis):
+    blocks = gram_blocks(space, perp(space, Submodule(d, 2 * n, [e, f])).generators)
+    if len(blocks) != n - 1 or any(b.divisor != d for b in blocks):
         raise NotLagrangian("orthogonal complement is not free")
-    if m > 2:
-        w_mat = ZdMatrix.from_rows(d, w_basis, cols=m)
-        w_mat_t = w_mat.transpose()
-        w_smith = smith_normal_form(w_mat_t)
-        l_rest = []
-        for g in lsub.generators:
-            # project away the block component, then express in the W basis;
-            # the form is alternating, so pairing(g, e) == -(rows[0] . g)
-            ge, gf = -vec_dot(rows[0], g, d), -vec_dot(rows[1], g, d)
-            g2 = vec_sub(g, vec_add(vec_scale(gf, e, d), vec_scale(-ge, f, d), d), d)
-            coords = w_smith.solve(g2)
-            if coords is None:
-                raise NotLagrangian("module does not split along the block")
-            l_rest.append(coords)
-        es_l, fs_l, divs = _lagrangian_recursive(space, w_mat @ basis, Submodule(d, m - 2, l_rest))
-        es = [tuple(w_mat_t.mul_vector(x)) for x in es_l]
-        fs = [tuple(w_mat_t.mul_vector(x)) for x in fs_l]
-    else:
-        es, fs, divs = [], [], []
-    es.append(f)
-    fs.append(vec_scale(-1, e, d))
-    divs.append(a)
-    return es, fs, divs
+    # in the basis (block e's, block f's), x has coordinates pairing(x, f_i) and
+    # -pairing(x, e_i); span(e, f) pairs to zero with every block, so these are
+    # the coordinates of the generators' projections away from it
+    basis = [b.e for b in blocks] + [b.f for b in blocks]
+    table = space.pairing_table(lsub.generators, basis)
+    coords = [row[n - 1:] + [-x % d for x in row[:n - 1]] for row in table]
+    child = SymplecticSpace.standard(n - 1, d)
+    es_l, fs_l, divs = _lagrangian_blocks(child, Submodule(d, child.rank, coords))
+
+    def ambient(y: Vector) -> Vector:
+        return tuple(sum(c * b[k] for c, b in zip(y, basis)) % d for k in range(2 * n))
+
+    es = [ambient(x) for x in es_l] + [f]
+    fs = [ambient(x) for x in fs_l] + [vec_scale(-1, e, d)]
+    return es, fs, divs + [a]
 
 
 def lagrangian_canonical_form(space: SymplecticSpace, lagr: Submodule) -> LagrangianForm:
@@ -368,9 +345,7 @@ def lagrangian_canonical_form(space: SymplecticSpace, lagr: Submodule) -> Lagran
     d = space.modulus
     if perp(space, lagr) != lagr:
         raise NotLagrangian("module is not equal to its perp")
-    if space.rank == 0:
-        return LagrangianForm(d, (), (), ())
-    es, fs, divs = _lagrangian_recursive(space, ZdMatrix.identity(d, space.rank), lagr)
+    es, fs, divs = _lagrangian_blocks(space, lagr)
     form = LagrangianForm(d, tuple(es), tuple(fs), tuple(divs))
     for x, y in zip(divs, divs[1:]):
         if y % x:
@@ -400,7 +375,7 @@ def classify_isotropic_block(
         return d, d, ((1 % d, 0), (0, 1 % d))
     # the maximal-order quasi-basis element is a * e, with e of order d
     a = sub.smith.diag[0]
-    e = sub.smith.v_inv.row(0)
+    (e,) = sub.smith.v_inv_rows([0])
     f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)], cols=2), (1,))
     if f is None:
         raise NotIsotropic("no symplectic partner for the maximal-order element")

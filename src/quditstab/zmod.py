@@ -183,13 +183,6 @@ class ZdMatrix:
 _SWAP, _ADD, _SCALE = 0, 1, 2
 
 
-def _apply_row_ops(d: int, n: int, ops: Iterable[tuple[int, int, int, int]]) -> ZdMatrix:
-    """The n x n identity with the row operations applied in order."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _apply_row_ops_to_rows(d, rows, ops)
-    return ZdMatrix.from_rows(d, rows, n)
-
-
 def _apply_row_ops_to_rows(
     d: int, rows: list[list[int]], ops: Iterable[tuple[int, int, int, int]]
 ) -> None:
@@ -222,15 +215,26 @@ def _transposes(ops: Iterable[tuple[int, int, int, int]]):
         yield (kind, j, i, q) if kind == _ADD else (kind, i, j, q)
 
 
-def _inverse_transposes(d: int, ops: Sequence[tuple[int, int, int, int]]):
-    """For each operation, the operation whose matrix is its inverse transpose."""
+def _inverses(d: int, ops: Iterable[tuple[int, int, int, int]]):
+    """For each operation, the operation whose matrix is its inverse."""
     for kind, i, j, q in ops:
         if kind == _SWAP:
             yield kind, i, j, q
         elif kind == _ADD:
-            yield kind, j, i, -q
+            yield kind, i, j, -q
         else:
             yield kind, i, i, pow(q, -1, d)
+
+
+def _replay_columns(d: int, size: int, picked: Sequence[tuple[int, int]], ops) -> list[Vector]:
+    """The columns scale * e_i, (i, scale) in picked, with the row operations applied in order.
+
+    The block has len(picked) columns: a caller pays only for the columns it picks."""
+    rows = [[0] * len(picked) for _ in range(size)]
+    for t, (i, scale) in enumerate(picked):
+        rows[i][t] = scale % d
+    _apply_row_ops_to_rows(d, rows, ops)
+    return list(zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -239,13 +243,13 @@ class SmithForm:
 
     diag holds one entry per diagonal position of the reduced matrix, each a
     positive divisor of d; the value d itself encodes a zero entry.  The
-    divisor chain diag[0] | diag[1] | ... | d holds, and u, v (with their
-    inverses u_inv, v_inv) are invertible over Z/dZ.
+    divisor chain diag[0] | diag[1] | ... | d holds, and u, v are invertible
+    over Z/dZ.
 
-    The reduction records its elementary row and column operations; each
-    transform is built from them on first access and then cached, so a caller
-    pays only for the transforms it reads.  A solve builds no transform: it
-    replays the operations on its vectors, in O(#operations).
+    The form is its recorded operations: u is row_ops applied in order to the
+    identity, v^T is col_ops applied in order, and neither is ever built.
+    solve replays the operations on its vectors; kernel (columns of v) and
+    v_inv_rows (rows of v^-1) replay them on a block as wide as they pick.
     """
 
     modulus: int
@@ -253,32 +257,6 @@ class SmithForm:
     diag: tuple[int, ...]
     row_ops: tuple[tuple[int, int, int, int], ...]
     col_ops: tuple[tuple[int, int, int, int], ...]
-
-    @cached_property
-    def u(self) -> ZdMatrix:
-        return _apply_row_ops(self.modulus, self.shape[0], self.row_ops)
-
-    @cached_property
-    def u_inv(self) -> ZdMatrix:
-        d = self.modulus
-        return _apply_row_ops(d, self.shape[0], _inverse_transposes(d, self.row_ops)).transpose()
-
-    @cached_property
-    def v(self) -> ZdMatrix:
-        return _apply_row_ops(self.modulus, self.shape[1], self.col_ops).transpose()
-
-    @cached_property
-    def v_inv(self) -> ZdMatrix:
-        d = self.modulus
-        return _apply_row_ops(d, self.shape[1], _inverse_transposes(d, self.col_ops))
-
-    def reconstruct(self, rows: int, cols: int) -> ZdMatrix:
-        """The diagonal matrix u @ a @ v, for checking."""
-        d = self.modulus
-        out = [[0] * cols for _ in range(rows)]
-        for i, s in enumerate(self.diag):
-            out[i][i] = s % d
-        return ZdMatrix.from_rows(d, out, cols)
 
     def solve(self, b: Sequence[int]) -> Optional[Vector]:
         """Some x with a @ x == b mod d, or None if there is no solution.
@@ -311,17 +289,18 @@ class SmithForm:
     def kernel(self) -> list[Vector]:
         """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag).
 
-        Builds only those columns: v @ y replays the transposed col_ops in
-        reverse, as solve does, here on all picked columns at once.
+        v @ y replays the transposed col_ops in reverse, as solve does.
         """
         d, c = self.modulus, self.shape[1]
         diag = self.diag + (d,) * (c - len(self.diag))
         picked = [(i, d // s) for i, s in enumerate(diag) if s != 1]
-        rows = [[0] * len(picked) for _ in range(c)]
-        for t, (i, scale) in enumerate(picked):
-            rows[i][t] = scale
-        _apply_row_ops_to_rows(d, rows, _transposes(reversed(self.col_ops)))
-        return list(zip(*rows))
+        return _replay_columns(d, c, picked, _transposes(reversed(self.col_ops)))
+
+    def v_inv_rows(self, indices: Iterable[int]) -> list[Vector]:
+        """Rows i of v^-1, for i in indices: v^-T @ e_i replays the inverse col_ops in reverse."""
+        d = self.modulus
+        picked = [(i, 1) for i in indices]
+        return _replay_columns(d, self.shape[1], picked, _inverses(d, reversed(self.col_ops)))
 
 
 def _min_nonzero(m: Sequence[Sequence[int]], k: int, r: int, c: int):
@@ -515,14 +494,9 @@ class Submodule:
         """
         d = self.modulus
         s = self.smith
-        out = []
-        for i, si in enumerate(s.diag):
-            if si == d:
-                continue
-            vec = vec_scale(si, s.v_inv.row(i), d)
-            out.append((vec, d // si))
-        out.reverse()
-        return out
+        picked = [i for i, si in enumerate(s.diag) if si != d]
+        rows = s.v_inv_rows(picked)
+        return [(vec_scale(s.diag[i], row, d), d // s.diag[i]) for i, row in zip(picked, rows)][::-1]
 
     def coefficients_for(self, v: Sequence[int]) -> Optional[Vector]:
         """lam with lam . generators == v, or None if v is not in the module."""
@@ -628,5 +602,4 @@ def complete_free_basis(module: Submodule, basis: Sequence[Sequence[int]]) -> tu
     s = smith_normal_form(ZdMatrix.from_rows(d, rows) if rows else ZdMatrix.zeros(d, 0, m))
     if any(x != 1 for x in s.diag):
         raise NotFree("the given vectors are not a basis of a free submodule")
-    completion = [s.v_inv.row(i) for i in range(len(rows), m)]
-    return tuple(rows) + tuple(completion)
+    return tuple(rows) + tuple(s.v_inv_rows(range(len(rows), m)))

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from quditstab import pauli, symplectic, zmod
+from quditstab import pauli, zmod
 from quditstab.oracle import PhasePermutation
 from quditstab.pauli import PauliElement, multiply, order_matched_lift, phase_modulus, power
 from quditstab.stabilizer import StabilizerGroup, validate
@@ -217,11 +217,72 @@ def random_symplectic_matrix(rng: random.Random, n: int, d: int, steps: int = 6)
     return mat
 
 
+def _identity_after(d: int, n: int, ops) -> ZdMatrix:
+    """The n x n identity with recorded Smith operations applied in order as row operations.
+
+    (0, i, j, 0) swaps rows i and j, (1, i, j, q) adds q * row_j to row_i and
+    (2, i, i, w) multiplies row_i by w.
+    """
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j, q in ops:
+        if kind == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 1:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [q * x for x in rows[i]]
+    return ZdMatrix.from_rows(d, rows, n)
+
+
+def _inverse_ops(d: int, ops):
+    """The inverses of recorded Smith operations, in reverse order."""
+    inverse = {0: lambda q: q, 1: lambda q: -q, 2: lambda q: pow(q, -1, d)}
+    return [(k, i, j, inverse[k](q)) for k, i, j, q in reversed(ops)]
+
+
+def smith_u(s: SmithForm) -> ZdMatrix:
+    """Dense reference for the row transform u of u @ a @ v == diagonal."""
+    return _identity_after(s.modulus, s.shape[0], s.row_ops)
+
+
+def smith_u_inv(s: SmithForm) -> ZdMatrix:
+    return _identity_after(s.modulus, s.shape[0], _inverse_ops(s.modulus, s.row_ops))
+
+
+def smith_v(s: SmithForm) -> ZdMatrix:
+    """Dense reference for the column transform v: col_ops build v^T."""
+    return _identity_after(s.modulus, s.shape[1], s.col_ops).transpose()
+
+
+def smith_v_inv(s: SmithForm) -> ZdMatrix:
+    return _identity_after(s.modulus, s.shape[1], _inverse_ops(s.modulus, s.col_ops)).transpose()
+
+
+def smith_diagonal(s: SmithForm) -> ZdMatrix:
+    """The r x c diagonal matrix u @ a @ v."""
+    d, (r, c) = s.modulus, s.shape
+    return ZdMatrix.from_rows(d, [[x if i == j else 0 for j in range(c)] for i, x in enumerate(s.diag)]
+                              + [[0] * c] * (r - len(s.diag)), c)
+
+
+def record_replays(monkeypatch) -> list:
+    """The width of every later block replay of a Smith form's operations, in call order."""
+    widths = []
+    real = zmod._apply_row_ops_to_rows
+
+    def recording(d, rows, ops):
+        widths.append(len(rows[0]) if rows else 0)
+        return real(d, rows, ops)
+
+    monkeypatch.setattr(zmod, "_apply_row_ops_to_rows", recording)
+    return widths
+
+
 def solve_reference(s: SmithForm, b) -> tuple | None:
     """x with a @ x == b read through the transform matrices: v @ (u @ b / diag), or None."""
     d = s.modulus
     r, c = s.shape
-    cvec = s.u.mul_vector(tuple(x % d for x in b))
+    cvec = smith_u(s).mul_vector(tuple(x % d for x in b))
     y = [0] * c
     for i in range(r):
         if i < len(s.diag):
@@ -230,7 +291,7 @@ def solve_reference(s: SmithForm, b) -> tuple | None:
             y[i] = cvec[i] // s.diag[i]
         elif cvec[i]:
             return None
-    return s.v.mul_vector(y)
+    return smith_v(s).mul_vector(y)
 
 
 def block_group(rng: random.Random, d: int, n: int, blocks) -> StabilizerGroup:
@@ -303,8 +364,7 @@ def count_reductions(monkeypatch) -> list:
         calls.append(mat)
         return real(mat)
 
-    for module in (zmod, symplectic):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
+    monkeypatch.setattr(zmod, "smith_normal_form", counting)
     return calls
 
 

@@ -1,10 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditstab.oracle as oracle_module
 from quditstab.cli import main
 from quditstab.kitaev import torus_grid_graph
+from quditstab.stabilizer import StabilizerGroup, analyze
 from tests.helpers import tampered_represent
 
 
@@ -191,6 +200,26 @@ class TestOracleVerifyCommand:
         assert error["type"] == "BadBound"
         assert "QUDITSTAB_ORACLE_BOUND" in error["detail"]
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_bound_exit_2(self, capsys, monkeypatch, value):
+        request = self.build_request(capsys, monkeypatch)
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-", "--bound", value],
+                            request, monkeypatch)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "BadBound"
+        assert error["detail"] == f"bound {value} is not positive"
+
+    @pytest.mark.parametrize("value", [5, None, ["FREE(1)"]])
+    def test_classification_not_a_string_exit_2(self, capsys, monkeypatch, value):
+        request = self.build_request(capsys, monkeypatch)
+        request["report"]["classification"] = value
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidRequest"
+        assert "classification must be a string" in error["detail"]
+
     @pytest.mark.parametrize(
         "field, value",
         [("dim_protected", 2.0), ("cardinality", True), ("quotient_divisors", [2.5])],
@@ -351,3 +380,132 @@ class TestCanonicalizeCommand:
         code, out = run_cli(capsys, ["canonicalize", "--input", "-"], request, monkeypatch)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NotFree"
+
+
+# -- malformed requests, by property --------------------------------------
+
+# replacement values are small, so n stays at most 3; d reaches 2^200 through moduli
+HUGE = 2**200
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+moduli = st.one_of(st.integers(-2, 13), st.integers(2, HUGE))
+entries = st.one_of(st.integers(-3, 12), st.sampled_from([2**64, HUGE]))
+
+
+@st.composite
+def pauli_objects(draw, n: int) -> dict:
+    return {"phase": draw(entries), "a": draw(st.lists(entries, min_size=n, max_size=n)),
+            "b": draw(st.lists(entries, min_size=n, max_size=n))}
+
+
+@st.composite
+def group_requests(draw) -> dict:
+    n = draw(st.integers(-1, 3))
+    gens = draw(st.lists(pauli_objects(max(n, 0)), max_size=3))
+    return {"d": draw(moduli), "n": n, "generators": gens}
+
+
+@st.composite
+def reports(draw) -> dict:
+    n = draw(st.integers(0, 3))
+    ints = st.lists(entries, max_size=3)
+    report = {
+        "classification": draw(st.sampled_from(["FREE(1)", "SHIFTED_FREE(2)", "GENERAL", "FREE(", "X(y)"])),
+        "cardinality": draw(entries), "dim_protected": draw(entries),
+        "quotient_divisors": draw(ints), "canonical_chain": draw(ints),
+        "logical_operators": [{"divisor": draw(entries), "z": draw(pauli_objects(n)), "x": draw(pauli_objects(n))}],
+    }
+    if draw(st.booleans()):
+        report["css"] = {"z_generators": [draw(pauli_objects(n))], "x_generators": []}
+    return report
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def malformed(draw, base: dict):
+    """base with up to three values, at any depth, dropped or replaced by any JSON value."""
+    obj = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            obj = draw(json_values)
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return obj
+
+
+TWIST = {"source": [0, 0], "pairs": [{"vertex": [0, 1], "a": 4, "b": 2,
+                                      "path": [{"edge": ["h", 0, 0], "reverse": False}]}]}
+
+
+@st.composite
+def cli_requests(draw):
+    """(argv, stdin object, files): one request of any subcommand, malformed anywhere."""
+    command = draw(st.sampled_from(["analyze", "canonicalize", "oracle verify", "kitaev build"]))
+    bound = ["--bound", str(draw(st.sampled_from([-5, 0, 1, 4096])))]
+    if command == "kitaev build":
+        graph = draw(malformed(torus_grid_graph(2, 2).to_json_dict()))
+        argv = ["kitaev", "build", "--graph", "-", "--d", str(draw(moduli))]
+        if draw(st.booleans()):
+            argv += ["--verify"] + bound
+        if draw(st.booleans()):
+            return argv + ["--twist", "spec.json"], graph, {"spec.json": draw(malformed(TWIST))}
+        return argv, graph, {}
+    base = draw(group_requests())
+    if command == "oracle verify":
+        report = analyze(StabilizerGroup.from_json_dict(GOLDEN_REQUEST)).to_json_dict()
+        golden = {**GOLDEN_REQUEST, "report": report}
+        base = draw(st.sampled_from([golden, {**base, "report": draw(reports())}]))
+        return ["oracle", "verify", "--input", "-"] + bound, draw(malformed(base)), {}
+    return [command, "--input", "-"], draw(malformed(base)), {}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "request_obj",
+        [
+            {**GOLDEN_REQUEST, "generators": [5]},
+            {**GOLDEN_REQUEST, "generators": {"a": 1}},
+        ],
+    )
+    @pytest.mark.parametrize("command", [["analyze"], ["canonicalize"], ["oracle", "verify"]])
+    def test_generator_not_an_object_exit_2(self, capsys, monkeypatch, request_obj, command):
+        request = {**request_obj, "report": {}}
+        code, out = run_cli(capsys, command + ["--input", "-"], request, monkeypatch)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidRequest"
+        assert "generator must be an object" in error["detail"]
+
+    @given(cli_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_every_request_exits_typed(self, request_):
+        argv, stdin_obj, files = request_
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for name, obj in files.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    json.dump(obj, fh)
+            argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+            mp.setattr(sys, "stdin", io.StringIO(json.dumps(stdin_obj)))
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)

@@ -116,6 +116,13 @@ class TestRepresent:
         monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "16")
         represent(PauliElement.identity(2, 4))
 
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_non_positive_bound(self, monkeypatch, bound):
+        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "64")
+        group = validate(2, 1, [PauliElement.z_op(2, 1, 0)])
+        with pytest.raises(BadBound, match=f"bound {bound} is not positive"):
+            verify_report(group, analyze(group), bound=bound)
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     def test_bad_bound_env(self, monkeypatch, value):
         monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", value)

@@ -41,6 +41,7 @@ from tests.helpers import (
     count_pairings,
     count_reductions,
     random_stabilizer_group,
+    record_replays,
 )
 
 
@@ -198,12 +199,16 @@ class TestMembership:
         assert [membership(group, p) for p in others] == [False] * 25
         assert len(calls) == 0
 
-    def test_queries_build_no_transform(self):
+    def test_queries_build_no_transform(self, monkeypatch):
         group = x4z4_group()
+        widths = record_replays(monkeypatch)
         members = [group.word((i, j)) for i in range(3) for j in range(3)]
         assert all(membership(group, p) for p in members)
         assert not membership(group, PauliElement.x_op(8, 1, 0, 2))
-        assert not {"u", "u_inv", "v", "v_inv"} & set(vars(group.tau_image.smith))
+        # queries replay their vectors; only the quasi-basis picks rows of v^-1, one per factor
+        assert widths == []
+        assert len(group.tau_image.quasi_basis()) == group.tau_image.rank
+        assert widths == [group.tau_image.rank]
 
 
 class TestCosetOrderMatchedLift:

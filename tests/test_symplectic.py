@@ -30,6 +30,7 @@ from tests.helpers import (
     radical_reference,
     random_isotropic_vectors,
     random_symplectic_matrix,
+    record_replays,
     standard_gram,
 )
 
@@ -144,11 +145,13 @@ class TestSymplecticSpace:
 
 
 class TestPerp:
-    def test_builds_no_column_transform(self):
+    def test_builds_no_column_transform(self, monkeypatch):
         space = SymplecticSpace.standard(3, 6)
         sub = Submodule(6, 6, [(1, 0, 2, 0, 3, 0), (0, 2, 0, 0, 0, 3)])
-        perp(space, sub)
-        assert "v" not in sub.smith.__dict__
+        widths = record_replays(monkeypatch)
+        comp = perp(space, sub)
+        # one replay, as wide as the kernel columns it picks, not the 6 of v
+        assert widths == [len(comp.generators)] == [4]
 
     def test_extremes(self):
         space = SymplecticSpace.standard(2, 4)
@@ -367,8 +370,9 @@ class TestLagrangianCanonicalForm:
         assert form.reconstruct() == lagr
 
     def test_reduces_no_matrix_twice(self, monkeypatch):
-        # one reduction of W^T per level serves every generator, and the top
-        # level reuses the Lagrangian's own Smith form
+        # each level reduces its module, the functional of e (to solve for f)
+        # and span(e, f) for its perp; the top level reuses the Lagrangian's
+        # own Smith form
         d, n = 6, 6
         space = SymplecticSpace.standard(n, d)
         lagr = Submodule(d, 2 * n, [tuple(int(j == i) for j in range(2 * n)) for i in range(n)])
@@ -404,6 +408,30 @@ class TestLagrangianCanonicalForm:
                 assert y % x == 0
             assert d % chain[-1] == 0
             assert (chain[0] * chain[0]) % d == 0
+
+    def test_random_frames(self):
+        # Lagrangians <a_i e_i, (d / a_i) f_i> in the frame of a random symplectic
+        # matrix, with the generators shuffled and one redundant combination
+        rng = random.Random(29)
+        for _ in range(80):
+            d = rng.choice([4, 8, 9, 12, 36, 72])
+            n = rng.randint(1, 4)
+            space = SymplecticSpace.standard(n, d)
+            psi = random_symplectic_matrix(rng, n, d, steps=2 * n)
+            gens = []
+            for i in range(n):
+                a = rng.choice([x for x in divisors(d) if (x * x) % d == 0])
+                gens.append(vec_scale(a, psi.col(i), d))
+                gens.append(vec_scale(d // a, psi.col(n + i), d))
+            rng.shuffle(gens)
+            coeffs = [rng.randrange(d) for _ in gens]
+            gens.append(tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) % d for k in range(2 * n)))
+            lagr = Submodule(d, 2 * n, gens)
+            form = lagrangian_canonical_form(space, lagr)
+            assert form.reconstruct() == lagr
+            assert_symplectic_basis(space, form.basis_e, form.basis_f)
+            pairs = sorted(x for a in form.divisors for x in (a, d // a) if x > 1)
+            assert tuple(pairs) == lagr.invariant_factors
 
 
 class TestClassifyIsotropicBlock:

@@ -18,7 +18,16 @@ from quditstab.zmod import (
     solve_linear,
     vec_scale,
 )
-from tests.helpers import brute_span, solve_reference
+from tests.helpers import (
+    brute_span,
+    record_replays,
+    smith_diagonal,
+    smith_u,
+    smith_u_inv,
+    smith_v,
+    smith_v_inv,
+    solve_reference,
+)
 
 
 def random_matrix(rng, d, r, c):
@@ -39,31 +48,28 @@ class TestSmithNormalForm:
         a = ZdMatrix.from_rows(6, [(2, 0), (0, 3)])
         s = smith_normal_form(a)
         assert s.diag == (1, 6)
-        assert (s.u @ a @ s.v).entries == s.reconstruct(2, 2).entries
+        assert (smith_u(s) @ a @ smith_v(s)).entries == smith_diagonal(s).entries
         # the first basis vector generates the whole span
-        e1 = s.v_inv.row(0)
+        e1 = smith_v_inv(s).row(0)
         span = brute_span([(2, 0), (0, 3)], 6, 2)
         assert brute_span([e1], 6, 2) == span
         assert len(span) == 6
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 9, 12])
     def test_random_contract(self, d):
-        # tall shapes are those of transposed generator matrices; the lazily
-        # built transforms are read in a random order
+        # tall shapes are those of transposed generator matrices; the
+        # transforms are the dense references built from the recorded operations
         rng = random.Random(d)
         for _ in range(60):
             r, c = rng.randint(0, 8), rng.randint(0, 4)
             a = random_matrix(rng, d, r, c)
             s = smith_normal_form(a)
-            names = ["u", "u_inv", "v", "v_inv"]
-            rng.shuffle(names)
-            for name in names:
-                getattr(s, name)
-            assert (s.u @ a @ s.v).entries == s.reconstruct(r, c).entries
-            assert (s.u @ s.u_inv).entries == ZdMatrix.identity(d, r).entries
-            assert (s.v @ s.v_inv).entries == ZdMatrix.identity(d, c).entries
-            assert math.gcd(s.u.det(), d) == 1
-            assert math.gcd(s.v.det(), d) == 1
+            u, v = smith_u(s), smith_v(s)
+            assert (u @ a @ v).entries == smith_diagonal(s).entries
+            assert (u @ smith_u_inv(s)).entries == ZdMatrix.identity(d, r).entries
+            assert (v @ smith_v_inv(s)).entries == ZdMatrix.identity(d, c).entries
+            assert math.gcd(u.det(), d) == 1
+            assert math.gcd(v.det(), d) == 1
             for x, y in zip(s.diag, s.diag[1:]):
                 assert y % x == 0
             for x in s.diag:
@@ -77,7 +83,7 @@ class TestSmithNormalForm:
     def test_hypothesis_divisor_chain(self, d, rows):
         a = ZdMatrix.from_rows(d, rows, cols=3)
         s = smith_normal_form(a)
-        assert (s.u @ a @ s.v).entries == s.reconstruct(a.rows, 3).entries
+        assert (smith_u(s) @ a @ smith_v(s)).entries == smith_diagonal(s).entries
         for x, y in zip(s.diag, s.diag[1:]):
             assert y % x == 0
 
@@ -121,7 +127,7 @@ class TestSmithSolve:
         at, b, solvable = system
         t = smith_normal_form(at.transpose()).transpose()
         assert t.shape == at.shape
-        assert t.u @ at @ t.v == t.reconstruct(*at.shape)
+        assert smith_u(t) @ at @ smith_v(t) == smith_diagonal(t)
         x = t.solve(b)
         assert x == solve_reference(t, b)
         if solvable:
@@ -138,6 +144,7 @@ class TestSmithSolve:
             return forms[-1]
 
         monkeypatch.setattr(zmod, "smith_normal_form", recording)
+        widths = record_replays(monkeypatch)
         rng = random.Random(5)
         for d in (6, 360, 2**64):
             a = random_matrix(rng, d, 5, 4)
@@ -146,8 +153,10 @@ class TestSmithSolve:
             module = Submodule(d, 4, a.entries)
             assert module.contains(a.row(0))
         assert len(forms) == 9
-        for s in forms:
-            assert not {"u", "u_inv", "v", "v_inv"} & set(vars(s))
+        # a solve replays its one vector; a block replay would pick columns of a transform
+        assert widths == []
+        assert len(module.quasi_basis()) == module.rank
+        assert widths == [module.rank]
 
 
 class TestSolveLinear:
@@ -269,17 +278,39 @@ class TestCompleteFreeBasis:
             complete_free_basis(Submodule(4, 2, [(2, 0)]), [(2, 0)])
 
 
+class TestVInvRows:
+    @given(smith_systems(moduli=(2, 6, 12, 360, 2**64)))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_invert_the_transform_reference(self, system):
+        a, _, _ = system
+        s = smith_normal_form(a)
+        d, c = a.modulus, a.cols
+        last = [c - 1] if c else []
+        with pytest.MonkeyPatch.context() as mp:
+            widths = record_replays(mp)
+            rows = s.v_inv_rows(range(c))
+            picked = s.v_inv_rows(last)
+        assert widths == [c, len(last)]
+        v_inv = ZdMatrix.from_rows(d, rows, c)
+        assert v_inv @ smith_v(s) == ZdMatrix.identity(d, c)
+        assert v_inv == smith_v_inv(s)
+        assert picked == [rows[i] for i in last]
+
+
 class TestKernelMatrix:
     @given(smith_systems(moduli=(2, 6, 12, 360, 2**64)))
     @settings(max_examples=200, deadline=None)
     def test_smith_kernel_matches_transform_reference(self, system):
         a, _, _ = system
         s = smith_normal_form(a)
-        kernel = s.kernel()
-        assert "v" not in vars(s)
+        with pytest.MonkeyPatch.context() as mp:
+            widths = record_replays(mp)
+            kernel = s.kernel()
+        assert widths == [len(kernel)]
         d = a.modulus
         diag = s.diag + (d,) * (a.cols - len(s.diag))
-        assert kernel == [vec_scale(d // x, s.v.col(i), d) for i, x in enumerate(diag) if x != 1]
+        v = smith_v(s)
+        assert kernel == [vec_scale(d // x, v.col(i), d) for i, x in enumerate(diag) if x != 1]
 
     def test_kernel(self):
         rng = random.Random(5)
