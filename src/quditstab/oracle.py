@@ -9,18 +9,19 @@ Orbits of the group action on basis indices are explored once; each orbit
 carries the spanning-tree phases and the cycle-closure discrepancies, from
 which the consistent characters (and hence all eigenspace dimensions) are
 read off.  X parts act on indices as translations, so one BFS of the orbit
-of index 0 gives a template that is replayed from every other orbit's start;
-the replay checks each of its steps, so it equals the plain BFS or raises
-InternalInvariant.  A verification represents each generator once and shares
-one scan without words among its checks; the scan that tracks generator
-words is built only when the character sweep fits its work limit.  Logical
-operators are applied to the protected basis vectors alone, digit by digit.
+of index 0, with the generator word of each of its positions, gives a
+template that is replayed from every other orbit's start; the replay checks
+each of its steps, so it equals the plain BFS or raises InternalInvariant.
+Every call represents each generator once and makes one scan, which serves
+the dimension, every protected basis and the character sweep; the sweep's
+closure rows are reduced lazily, once per orbit class.  Logical operators
+are applied to the protected basis vectors alone, digit by digit.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,6 +31,7 @@ from .stabilizer import StabilizerGroup, StabilizerReport, characters, membershi
 from .zmod import Submodule
 
 DEFAULT_BOUND = 200_000
+HISTOGRAM_WORK_LIMIT = 8_000_000  # verify_report's character sweep runs up to this work
 _BOUND_ENV = "QUDITSTAB_ORACLE_BOUND"
 
 
@@ -132,47 +134,39 @@ class _Scan:
 
     X parts act on basis indices as digit-wise translations, so the orbit of
     s is s + orbit(0), and the BFS tree of orbit(0) spans every orbit.  One
-    BFS of orbit(0) records its tree edges (parent position, generator) and
-    its closure edges (position, generator, target position), with the word
-    difference of each closure edge.  Each unvisited start replays the tree
-    edges to mark its members and potentials; then each closure edge is
-    checked for all orbits at once, and yields one phase discrepancy per
-    orbit.  A tree edge that lands on a visited index, or a closure edge that
-    misses its predicted member, raises InternalInvariant("oracle.scan").
-    When neither fires, the replayed members are closed under every
-    generator, so each replay visits, orders and closes its orbit exactly as
-    a BFS from its start would: the translation property is checked on the
-    generator tables, not assumed.
+    BFS of orbit(0) records its tree edges (parent position, generator), the
+    generator word of each position, and its closure edges (position,
+    generator, target position) with their word differences du (2*delta_word).
+    Each unvisited start replays the tree edges to mark its members and
+    potentials; then each closure edge is checked for all orbits at once, and
+    yields one phase discrepancy per orbit.  A tree edge that lands on a
+    visited index, or a closure edge that misses its predicted member, raises
+    InternalInvariant("oracle.scan").  When neither fires, the replayed
+    members are closed under every generator, so each replay visits, orders
+    and closes its orbit exactly as a BFS from its start would: the
+    translation property is checked on the generator tables, not assumed.
 
-    Without words an orbit's closure rows are its distinct nonzero phase
-    discrepancies (delta_e,); with words they are a quasi-basis of the rows
-    (delta_e, 2*delta_word), built once per distinct tuple of discrepancies.
-    Orbits, members and potentials do not depend on words.  reps are the
-    generator actions when the caller has built them already.
+    An orbit's key is its tuple of discrepancies, one per closure edge;
+    orbits index the list of distinct keys, and each key is a class.  Every
+    reader works from this one scan: the fixed space keeps the orbits whose
+    key is zero, a chi-eigenspace the classes whose key is du . w edge by
+    edge, and the character sweep the quasi-basis closure_rows(k), built
+    once per class when first asked for.
     """
 
-    def __init__(
-        self,
-        group: StabilizerGroup,
-        bound: Optional[int],
-        with_words: bool,
-        reps: Optional[list[PhasePermutation]] = None,
-    ):
+    def __init__(self, group: StabilizerGroup, bound: Optional[int]):
         self.size = _check_size(group.d, group.n, bound)
         self.db = phase_modulus(group.d)
-        self.reps = reps if reps is not None else [represent(g, bound) for g in group.generators]
-        self.with_words = with_words
+        self.reps = [represent(g, bound) for g in group.generators]
         self.pot = [0] * self.size
-        self.orbit_id = [-1] * self.size
-        self.orbits: list[OrbitCertificate] = []
+        self.orbits: list[list[int]] = []  # members in BFS order
+        self.keys: list[tuple[int, ...]] = []
+        self.key_of: list[int] = []  # per orbit, its index into keys
+        self._rows: dict[int, list[tuple[int, ...]]] = {}
         self._explore()
 
     def _template(self):
-        """BFS of the orbit of index 0: tree edges, closure edges and their word differences.
-
-        The word differences (2*delta_word, one per closure edge) are tracked
-        only with words.
-        """
+        """BFS of the orbit of index 0: tree edges, words, closure edges and their du."""
         db = self.db
         g = len(self.reps)
         perms = [r.perm for r in self.reps]
@@ -186,29 +180,26 @@ class _Scan:
             for j in range(g):
                 t = perms[j][node]
                 tp = position.get(t)
-                if self.with_words:
-                    wt = list(words[p])
-                    wt[j] += 1
+                wt = list(words[p])
+                wt[j] += 1
                 if tp is None:
                     position[t] = len(order)
                     order.append(t)
                     tree.append((p, j))
-                    if self.with_words:
-                        words.append(tuple(wt))
+                    words.append(tuple(wt))
                 else:
                     closure.append((p, j, tp))
-                    if self.with_words:
-                        du.append(tuple((2 * (x - y)) % db for x, y in zip(wt, words[tp])))
-        return tree, closure, du
+                    du.append(tuple((2 * (x - y)) % db for x, y in zip(wt, words[tp])))
+        return tree, words, closure, du
 
     def _explore(self):
         db = self.db
         perms = [r.perm for r in self.reps]
         phases = [r.phase for r in self.reps]
         pot = self.pot
-        orbit_id = self.orbit_id
-        tree, closure, du = self._template()
-        orbits: list[list[int]] = []
+        orbit_id = [-1] * self.size
+        tree, self.words, closure, self.du = self._template()
+        orbits = self.orbits
         for start in range(self.size):
             if orbit_id[start] != -1:
                 continue
@@ -232,29 +223,24 @@ class _Scan:
             if [perm[x] for x in sources] != targets:
                 raise InternalInvariant("oracle.scan", "closure edge misses its template member")
             discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
-        keys = zip(*discrepancies) if discrepancies else [()] * len(orbits)
-        rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for members, key in zip(orbits, keys):
-            if key not in rows:
-                rows[key] = self._closure_rows(key, du)
-            self.orbits.append(OrbitCertificate(members[0], members, list(rows[key])))
+        index: dict[tuple[int, ...], int] = {}
+        for key in zip(*discrepancies) if discrepancies else [()] * len(orbits):
+            self.key_of.append(index.setdefault(key, len(index)))
+        self.keys = list(index)
 
-    def _closure_rows(self, key: tuple[int, ...], du: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """An orbit's closure rows from its phase discrepancies, one per closure edge."""
-        if not self.with_words:
-            return [(de,) for de in sorted(set(key)) if de]
-        raw = {(de,) + dw for de, dw in zip(key, du) if de or any(dw)}
-        if not raw:
-            return []
-        basis = Submodule(self.db, 1 + len(self.reps), tuple(sorted(raw))).quasi_basis()
-        return [v for v, _ in basis]
+    def closure_rows(self, k: int) -> list[tuple[int, ...]]:
+        """Class k's closure rows: a quasi-basis of its nonzero rows (delta_e, 2*delta_word)."""
+        if k not in self._rows:
+            raw = {(de,) + dw for de, dw in zip(self.keys[k], self.du) if de or any(dw)}
+            basis = Submodule(self.db, 1 + len(self.reps), tuple(sorted(raw))).quasi_basis() if raw else []
+            self._rows[k] = [v for v, _ in basis]
+        return self._rows[k]
 
 
 def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optional[str]:
     """Why the character sweep is too large, or None when it fits.
 
-    Work is roughly #characters * #orbits * (generators + 1); orbits do not
-    depend on words, so any scan of the group can size the sweep.
+    Work is roughly #characters * #orbits * (generators + 1).
     """
     work = group.cardinality * len(scan.orbits) * (len(group.generators) + 1)
     if work > work_limit:
@@ -263,44 +249,39 @@ def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optio
 
 
 def _protected_dimension(scan: _Scan) -> int:
-    return sum(1 for cert in scan.orbits if not cert.closure_rows)
+    return sum(1 for k in scan.key_of if not any(scan.keys[k]))
 
 
-def _eigenspace_dimensions(group: StabilizerGroup, words: _Scan) -> dict[tuple[int, ...], int]:
-    """Sweep the characters over orbit classes: orbits with equal closure rows.
+def _eigenspace_dimensions(group: StabilizerGroup, scan: _Scan) -> dict[tuple[int, ...], int]:
+    """Sweep the characters over orbit classes: orbits with equal discrepancy keys.
 
     Each distinct closure row is tested once per character; a class is
     consistent iff its rows are among the rows that passed.
     """
-    db = words.db
-    classes = Counter(tuple(cert.closure_rows) for cert in words.orbits)
-    distinct = {row for rows in classes for row in rows}
-    classes = [(frozenset(rows), size) for rows, size in classes.items()]
+    db = scan.db
+    classes = [(frozenset(scan.closure_rows(k)), size) for k, size in Counter(scan.key_of).items()]
+    distinct = {row for rows, _ in classes for row in rows}
     out: dict[tuple[int, ...], int] = {}
     for chi in characters(group):
         w = chi.values
         passed = {row for row in distinct if _consistent((row,), w, db)}
         out[w] = sum(size for rows, size in classes if rows <= passed)
-    if sum(out.values()) != words.size:
+    if sum(out.values()) != scan.size:
         raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
     return out
 
 
 def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
-    """The w-eigenspace basis from a scan with words whenever w is nonzero."""
+    """The w-eigenspace basis: amplitude zeta^(pot - (2*word) . w) on each consistent orbit."""
     db = scan.db
-    vectors = []
-    for cert in scan.orbits:
-        if not cert.consistent_with(w, db):
-            continue
-        if scan.with_words:
-            vec = _chi_potentials(scan, cert, w)
-            if vec is None:
-                raise InternalInvariant(
-                    "oracle.basis", "orbit marked consistent but potentials clash")
-        else:
-            vec = {i: scan.pot[i] for i in cert.members}
-        vectors.append(vec)
+    # a class carries a w-eigenvector iff delta_e == du . w on every closure edge
+    consistent = [_consistent([(de,) + dw for de, dw in zip(key, scan.du)], w, db) for key in scan.keys]
+    shift = [sum(2 * c * x for c, x in zip(word, w)) for word in scan.words]
+    vectors = [
+        {x: (scan.pot[x] - s) % db for x, s in zip(members, shift)}
+        for members, k in zip(scan.orbits, scan.key_of)
+        if consistent[k]
+    ]
     for vec in vectors:
         for j, rep in enumerate(scan.reps):
             if not _maps_to_multiple(vec, rep, db, expect=(2 * w[j]) % db):
@@ -309,12 +290,13 @@ def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
 
 
 def orbit_certificates(group: StabilizerGroup, bound: Optional[int] = None) -> list[OrbitCertificate]:
-    return _Scan(group, bound, with_words=True).orbits
+    scan = _Scan(group, bound)
+    return [OrbitCertificate(m[0], m, list(scan.closure_rows(k))) for m, k in zip(scan.orbits, scan.key_of)]
 
 
 def protected_dimension(group: StabilizerGroup, bound: Optional[int] = None) -> int:
     """dim of the fixed space: orbits whose phase cocycle closes trivially."""
-    return _protected_dimension(_Scan(group, bound, with_words=False))
+    return _protected_dimension(_Scan(group, bound))
 
 
 def eigenspace_dimensions(
@@ -325,13 +307,13 @@ def eigenspace_dimensions(
     """Map character exponent vectors to eigenspace dimensions.
 
     Work is roughly #characters * #orbits * generators; raises TooLarge
-    when that exceeds work_limit, before any word is tracked.
+    when that exceeds work_limit, before any closure row is reduced.
     """
-    scan = _Scan(group, bound, with_words=False)
+    scan = _Scan(group, bound)
     excess = _sweep_excess(group, scan, work_limit)
     if excess:
         raise TooLarge(excess)
-    return _eigenspace_dimensions(group, _Scan(group, bound, with_words=True, reps=scan.reps))
+    return _eigenspace_dimensions(group, scan)
 
 
 def protected_basis(
@@ -345,28 +327,7 @@ def protected_basis(
     every returned vector is re-verified against all generators.
     """
     w = tuple(chi) if chi is not None else (0,) * len(group.generators)
-    return _protected_basis(_Scan(group, bound, with_words=any(w)), w)
-
-
-def _chi_potentials(scan: _Scan, cert: OrbitCertificate, w: Sequence[int]):
-    """Amplitudes alpha_i = zeta^pot for a chi-eigenvector on one orbit."""
-    db = scan.db
-    g = len(scan.reps)
-    pots = {cert.representative: 0}
-    queue = deque([cert.representative])
-    perms = [r.perm for r in scan.reps]
-    phases = [r.phase for r in scan.reps]
-    while queue:
-        node = queue.popleft()
-        for j in range(g):
-            t = perms[j][node]
-            ph = (pots[node] + phases[j][node] - 2 * w[j]) % db
-            if t not in pots:
-                pots[t] = ph
-                queue.append(t)
-            elif pots[t] != ph:
-                return None
-    return pots
+    return _protected_basis(_Scan(group, bound), w)
 
 
 def _maps_to_multiple(vec: dict[int, int], rep: PhasePermutation, db: int, expect: int) -> bool:
@@ -401,7 +362,6 @@ def verify_report(
     group: StabilizerGroup,
     report: StabilizerReport,
     bound: Optional[int] = None,
-    histogram_work_limit: int = 8_000_000,
 ) -> OracleVerdict:
     """Cross-check an analysis report against the exact basis action.
 
@@ -410,11 +370,11 @@ def verify_report(
     hold modulo the group, (d) the cardinality identity of the reported
     quotient structure.  An eigenspace histogram (dimension -> number of
     characters) and (e) transitivity are included when the character sweep
-    fits the work limit; otherwise skipped names the check and why.
+    fits HISTOGRAM_WORK_LIMIT; otherwise skipped names the check and why.
 
-    Each generator is represented once, and one scan without words serves
-    the dimension, the protected basis and the sizing of the sweep.  Logical
-    operators are applied to the protected basis vectors only.
+    Each generator is represented once, and one scan serves the dimension,
+    the protected basis, the sizing of the sweep and the sweep itself.
+    Logical operators are applied to the protected basis vectors only.
     """
     d, n = group.d, group.n
     db = phase_modulus(d)
@@ -422,7 +382,7 @@ def verify_report(
     details: dict[str, str] = {}
     skipped: dict[str, str] = {}
 
-    scan = _Scan(group, bound, with_words=False)
+    scan = _Scan(group, bound)
     dim = _protected_dimension(scan)
     checks["dimension"] = dim == report.dim_protected
     if not checks["dimension"]:
@@ -472,12 +432,11 @@ def verify_report(
         details["irreducibility_count"] = "divisors inconsistent with the group order"
 
     histogram: Optional[dict[int, int]] = None
-    excess = _sweep_excess(group, scan, histogram_work_limit)
+    excess = _sweep_excess(group, scan, HISTOGRAM_WORK_LIMIT)
     if excess:
         skipped["transitivity"] = excess
     else:
-        words = _Scan(group, bound, with_words=True, reps=scan.reps)
-        dims = _eigenspace_dimensions(group, words)
+        dims = _eigenspace_dimensions(group, scan)
         histogram = dict(Counter(dims.values()))
         if len(set(dims.values())) > 1:
             checks["transitivity"] = False

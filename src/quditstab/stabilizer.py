@@ -47,10 +47,15 @@ from .symplectic import (
 from .zmod import Submodule, Vector, ZdMatrix, kernel_matrix, vec_scale
 
 
+MAX_REQUEST_N = 1024  # qudits a JSON request may ask for; kitaev build reads n from its graph
+
+
 class StabilizerGroup:
     """Validated abelian scalar-free subgroup of the Pauli group."""
 
     def __init__(self, d: int, n: int, generators: Sequence[PauliElement]):
+        if d < 2:
+            raise ValueError(f"d = {d}: need d >= 2")
         self.d = d
         self.n = n
         self.generators = tuple(generators)
@@ -146,6 +151,8 @@ class StabilizerGroup:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerGroup":
         d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
+        if n > MAX_REQUEST_N:
+            raise ValueError(f"n = {n} exceeds the request limit {MAX_REQUEST_N}")
         gens = [
             PauliElement(d, n, json_int(g.get("phase", 0), "phase"),
                          tuple(json_int(x, "a") for x in g["a"]),
@@ -261,10 +268,13 @@ class StabilizerReport:
         def element(p: dict) -> PauliElement:
             return PauliElement.from_json_dict({"d": d, "n": n, **p})
 
-        pairs = tuple(
-            LogicalPair(json_int(p["divisor"], "divisor"), element(p["z"]), element(p["x"]))
-            for p in obj.get("logical_operators", [])
-        )
+        def pair(p: dict) -> LogicalPair:
+            divisor = json_int(p["divisor"], "divisor")
+            if divisor < 1:
+                raise ValueError(f"divisor {divisor} is not positive")
+            return LogicalPair(divisor, element(p["z"]), element(p["x"]))
+
+        pairs = tuple(pair(p) for p in obj.get("logical_operators", []))
         css = obj.get("css")
         css_obj = None
         if css:

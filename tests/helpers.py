@@ -71,7 +71,8 @@ def scan_reference(reps, size: int, db: int, with_words: bool):
     orbits lists (members, closure_rows) in the order found, members in BFS
     order.  Without words the closure rows are the sorted distinct nonzero
     (delta_e,); with words they are a quasi-basis of the sorted distinct
-    nonzero rows (delta_e, 2*delta_word), as the oracle's scan defines them.
+    nonzero rows (delta_e, 2*delta_word), as the oracle reads them from its
+    scan's keys and closure_rows.
     """
     g = len(reps)
     perms = [r.perm for r in reps]
@@ -112,6 +113,37 @@ def scan_reference(reps, size: int, db: int, with_words: bool):
             rows = [v for v, _ in Submodule(db, 1 + g, rows).quasi_basis()]
         orbits.append((members, rows))
     return orbits, pot
+
+
+def chi_basis_reference(reps, size: int, db: int, w) -> list[dict[int, int]]:
+    """The w-eigenspace basis of the generator actions by a plain BFS from each unvisited index.
+
+    Along every edge x -> t of generator j the amplitude exponent steps by
+    phase_j(x) - 2*w_j; an orbit where two paths disagree carries no vector.
+    """
+    perms = [r.perm for r in reps]
+    phases = [r.phase for r in reps]
+    seen = [False] * size
+    vectors = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        pots, clash = {start: 0}, False
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for j in range(len(reps)):
+                t = perms[j][node]
+                ph = (pots[node] + phases[j][node] - 2 * w[j]) % db
+                if t not in pots:
+                    seen[t] = True
+                    pots[t] = ph
+                    queue.append(t)
+                elif pots[t] != ph:
+                    clash = True
+        if not clash:
+            vectors.append(pots)
+    return vectors
 
 
 def tampered_represent(real, fixed: int = 0):

@@ -238,6 +238,15 @@ class TestOracleVerifyCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InvalidRequest"
 
+    @pytest.mark.parametrize("divisor", [0, -2])
+    def test_non_positive_divisor_in_report_exit_2(self, capsys, monkeypatch, divisor):
+        request = self.build_request(capsys, monkeypatch)
+        request["report"]["logical_operators"][0]["divisor"] = divisor
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InvalidRequest", "detail": f"divisor {divisor} is not positive"}
+
     def test_failure_exit_3(self, capsys, monkeypatch):
         request = self.build_request(capsys, monkeypatch)
         request["report"]["dim_protected"] = 7
@@ -380,6 +389,36 @@ class TestCanonicalizeCommand:
         code, out = run_cli(capsys, ["canonicalize", "--input", "-"], request, monkeypatch)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NotFree"
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize("n", [1025, 10**9])
+    @pytest.mark.parametrize("command", [["analyze"], ["canonicalize"], ["oracle", "verify"]])
+    def test_n_past_the_limit_exit_2(self, capsys, monkeypatch, command, n):
+        request = {"d": 2, "n": n, "generators": [], "report": {}}
+        code, out = run_cli(capsys, command + ["--input", "-"], request, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InvalidRequest", "detail": f"n = {n} exceeds the request limit 1024"}
+
+    def test_n_at_the_limit_is_read(self):
+        z1 = {"phase": 0, "a": [0] * 1024, "b": [1] + [0] * 1023}
+        group = StabilizerGroup.from_json_dict({"d": 2, "n": 1024, "generators": [z1]})
+        assert (group.n, group.cardinality) == (1024, 2)
+
+    @pytest.mark.parametrize("command", [["analyze"], ["canonicalize"], ["oracle", "verify"]])
+    def test_d_1_exit_2(self, capsys, monkeypatch, command):
+        request = {"d": 1, "n": 1, "generators": [], "report": {}}
+        code, out = run_cli(capsys, command + ["--input", "-"], request, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": "d = 1: need d >= 2"}
+
+    def test_kitaev_d_1_exit_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "torus.json"
+        graph_file.write_text(json.dumps(torus_grid_graph(2, 2).to_json_dict()))
+        code, out = run_cli(capsys, ["kitaev", "build", "--graph", str(graph_file), "--d", "1"])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": "d = 1: need d >= 2"}
 
 
 # -- malformed requests, by property --------------------------------------

@@ -23,6 +23,7 @@ from quditstab.pauli import PauliElement, multiply, phase_modulus
 from quditstab.stabilizer import analyze, characters, validate
 from tests.helpers import (
     block_group,
+    chi_basis_reference,
     random_pauli,
     random_stabilizer_group,
     represent_reference,
@@ -43,6 +44,19 @@ def d6_group():
         PauliElement.z_op(6, 3, 2, 3),
     ]
     return validate(6, 3, gens)
+
+
+def record_scans(monkeypatch) -> list:
+    """Every _Scan the oracle builds from now on, in order."""
+    scans = []
+    real = oracle_module._Scan
+
+    def recording(group, bound):
+        scans.append(real(group, bound))
+        return scans[-1]
+
+    monkeypatch.setattr(oracle_module, "_Scan", recording)
+    return scans
 
 
 def z_block_group(d, n, k):
@@ -154,14 +168,46 @@ class TestScan:
         shifted = not_free = 0
         for group in scan_groups(rng, 150):
             d = group.d
-            scan = oracle_module._Scan(group, None, with_words)
+            scan = oracle_module._Scan(group, None)
             orbits, pot = scan_reference(scan.reps, scan.size, scan.db, with_words)
-            assert [(c.members, c.closure_rows) for c in scan.orbits] == orbits
-            assert [c.representative for c in scan.orbits] == [m[0] for m, _ in orbits]
+            if with_words:
+                rows = [scan.closure_rows(k) for k in scan.key_of]
+            else:
+                rows = [[(de,) for de in sorted(set(scan.keys[k])) if de] for k in scan.key_of]
+            assert list(zip(scan.orbits, rows)) == orbits
+            assert [members[0] for members in scan.orbits] == [m[0] for m, _ in orbits]
             assert scan.pot == pot
             shifted += any(g.phase for g in group.generators)
             not_free += any(0 < math.gcd(d, *g.a) < d for g in group.generators if any(g.a))
         assert shifted and not_free
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # the sweep runs here, so verify_report reads its dimensions from the same scan
+            lambda group: verify_report(group, analyze(group)).checks["transitivity"],
+            eigenspace_dimensions,
+            protected_basis,
+            protected_dimension,
+            orbit_certificates,
+        ],
+        ids=["verify_report", "eigenspace_dimensions", "protected_basis",
+             "protected_dimension", "orbit_certificates"],
+    )
+    def test_each_entry_point_scans_once(self, monkeypatch, call):
+        calls = Counter()
+        real = oracle_module.represent
+
+        def counting(p, bound=None):
+            calls[p] += 1
+            return real(p, bound)
+
+        monkeypatch.setattr(oracle_module, "represent", counting)
+        scans = record_scans(monkeypatch)
+        group = d6_group()
+        assert call(group)
+        assert len(scans) == 1
+        assert calls == Counter(group.generators)
 
     @pytest.mark.parametrize(
         "fixed, detail",
@@ -227,9 +273,11 @@ class TestEigenspaces:
             raise AssertionError("word scan reduced closure rows")
 
         monkeypatch.setattr(oracle_module, "Submodule", no_submodule)
+        scans = record_scans(monkeypatch)
         with pytest.raises(TooLarge, match="character sweep work 48 exceeds limit 47"):
             # 4 characters * 4 orbits {0,4}, {1,5}, {2,6}, {3,7} * (2 generators + 1)
             eigenspace_dimensions(x4z4_group(), work_limit=47)
+        assert len(scans) == 1
 
 
 class TestProtectedBasis:
@@ -253,6 +301,21 @@ class TestProtectedBasis:
         # chi(Z) = xi: eigenvector is v_1
         basis = protected_basis(group, chi=(1,))
         assert basis == [{1: 0}]
+
+    def test_every_character_matches_bfs_reference(self):
+        rng = random.Random(53)
+        checked = 0
+        for group in scan_groups(rng, 150):
+            if group.cardinality > 64:
+                continue
+            reps = [represent(g) for g in group.generators]
+            size, db = group.d**group.n, phase_modulus(group.d)
+            for chi in characters(group):
+                basis = protected_basis(group, chi.values)
+                reference = chi_basis_reference(reps, size, db, chi.values)
+                assert [list(v.items()) for v in basis] == [list(v.items()) for v in reference]
+                checked += bool(basis) and any(chi.values)
+        assert checked
 
 
 class TestOrbitCertificates:
@@ -312,17 +375,10 @@ class TestVerifyReport:
                 assert calls[pair.z_like] == calls[pair.x_like] == 0
 
     def test_skipped_sweep_builds_no_word_scan(self, monkeypatch):
-        scans = []
-        original_scan = oracle_module._Scan
-
-        def recording_scan(group, bound, with_words, reps=None):
-            scans.append(with_words)
-            return original_scan(group, bound, with_words, reps)
-
         def no_submodule(*args, **kwargs):
-            raise AssertionError("word scan reduced closure rows")
+            raise AssertionError("skipped sweep reduced closure rows")
 
-        monkeypatch.setattr(oracle_module, "_Scan", recording_scan)
+        scans = record_scans(monkeypatch)
         monkeypatch.setattr(oracle_module, "Submodule", no_submodule)
         group = z_block_group(2, 12, 8)
         verdict = verify_report(group, analyze(group))
@@ -333,7 +389,7 @@ class TestVerifyReport:
         assert "transitivity" not in verdict.checks
         assert verdict.histogram is None
         assert verdict.passed
-        assert scans == [False]
+        assert len(scans) == 1
         assert verdict.to_json_dict()["skipped"] == verdict.skipped
 
     def test_nothing_skipped_when_the_sweep_fits(self):
@@ -341,6 +397,12 @@ class TestVerifyReport:
         verdict = verify_report(group, analyze(group))
         assert verdict.skipped == {}
         assert verdict.to_json_dict()["skipped"] == {}
+
+    def test_sweep_limit_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "HISTOGRAM_WORK_LIMIT", 47)
+        group = x4z4_group()
+        verdict = verify_report(group, analyze(group))
+        assert verdict.skipped == {"transitivity": "character sweep work 48 exceeds limit 47"}
 
     def test_unfixed_basis_is_an_internal_invariant(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_maps_to_multiple", lambda *args, **kw: False)

@@ -72,6 +72,10 @@ class TestValidate:
         group = validate(4, 2, [])
         assert group.cardinality == 1
 
+    def test_d_below_2_is_rejected(self):
+        with pytest.raises(ValueError, match="d = 1: need d >= 2"):
+            validate(1, 1, [])
+
     def test_not_abelian_names_first_pair_in_row_major_order(self):
         # Z_2 and X_2 fail too, but (0, 3) comes first
         z1, z2 = PauliElement.z_op(6, 2, 0), PauliElement.z_op(6, 2, 1)
