@@ -14,16 +14,18 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import InternalInvariant, QuditStabError, json_int
+from .errors import InternalInvariant, QuditStabError
 from .kitaev import (
-    ShiftPair,
     SurfaceGraph,
     apply_shift,
     apply_twist,
     build_model,
+    charge_configuration,
+    shift_spec_from_json_dict,
 )
 from .oracle import DEFAULT_BOUND, verify_report
 from .stabilizer import (
+    CharacterMap,
     StabilizerGroup,
     StabilizerReport,
     analyze,
@@ -132,12 +134,9 @@ def cmd_kitaev_build(args) -> int:
     model = build_model(graph, args.d)
     group = model.stabilizer
     if args.shift or args.twist:
-        from .kitaev import _freeze
-
-        spec = _load_json(args.shift or args.twist)
-        pairs = [ShiftPair.from_json_dict(p) for p in spec["pairs"]]
+        source, pairs = shift_spec_from_json_dict(_load_json(args.shift or args.twist))
         fn = apply_shift if args.shift else apply_twist
-        group = fn(model, _freeze(spec["source"]), pairs)
+        group = fn(model, source, pairs)
     report = analyze(group)
     payload = {
         "genus": graph.genus,
@@ -147,20 +146,8 @@ def cmd_kitaev_build(args) -> int:
         "report": report.to_json_dict(),
     }
     if args.character:
-        from .kitaev import charge_configuration
-        from .stabilizer import CharacterMap
-
-        values = _load_json(args.character)["values"]
-        chi = CharacterMap(tuple(json_int(x, "values") for x in values))
-        charges = charge_configuration(model, chi)
-        payload["charges"] = {
-            "electric": [
-                {"vertex": str(s), "charge": c} for s, c in charges.electric.items()
-            ],
-            "magnetic": [
-                {"face": f, "charge": c} for f, c in charges.magnetic.items()
-            ],
-        }
+        chi = CharacterMap.from_json_dict(_load_json(args.character))
+        payload["charges"] = charge_configuration(model, chi).to_json_dict()
     if args.verify:
         verdict = verify_report(group, report, bound=args.bound)
         payload["oracle"] = verdict.to_json_dict()

@@ -45,10 +45,6 @@ def json_str(value, what: str) -> str:
     return value
 
 
-class InconsistentValues(QuditStabError):
-    """Prescribed generator values do not define a linear form."""
-
-
 class NotFree(QuditStabError):
     """A module expected to be free (or a basis of one) is not."""
 

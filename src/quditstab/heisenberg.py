@@ -166,15 +166,6 @@ class PauliAutomorphism:
             tuple(self.apply(p) for p in other.x_images),
         )
 
-    @classmethod
-    def identity(cls, d: int, n: int) -> "PauliAutomorphism":
-        return cls(
-            d,
-            n,
-            tuple(PauliElement.z_op(d, n, k) for k in range(n)),
-            tuple(PauliElement.x_op(d, n, k) for k in range(n)),
-        )
-
 
 def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
     """Lift a symplectic matrix on the standard module to a Pauli automorphism.

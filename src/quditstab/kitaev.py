@@ -29,7 +29,7 @@ from .errors import (
     PathMismatch,
     json_int,
 )
-from .pauli import PauliElement, multiply, power
+from .pauli import PauliElement, power
 from .stabilizer import CharacterMap, StabilizerGroup, validate, validate_character
 
 
@@ -160,6 +160,12 @@ class ChargeConfiguration:
     electric: dict
     magnetic: dict
 
+    def to_json_dict(self) -> dict:
+        return {
+            "electric": [{"vertex": str(s), "charge": c} for s, c in self.electric.items()],
+            "magnetic": [{"face": f, "charge": c} for f, c in self.magnetic.items()],
+        }
+
 
 class KitaevModel:
     """Vertex/face operators and the stabiliser they generate."""
@@ -188,24 +194,13 @@ class KitaevModel:
         gens = [self.vertex_ops[s] for s in graph.vertices] + [
             self.face_ops[fi] for fi in range(len(graph.faces))
         ]
-        prod_a = PauliElement.identity(d, n)
-        for s in graph.vertices:
-            prod_a = multiply(prod_a, self.vertex_ops[s])
-        prod_b = PauliElement.identity(d, n)
-        for fi in range(len(graph.faces)):
-            prod_b = multiply(prod_b, self.face_ops[fi])
-        if prod_a != PauliElement.identity(d, n) or prod_b != PauliElement.identity(d, n):
-            raise BadSurface("vertex or face operators do not multiply to the identity")
+        # the vertex and face operators each multiply to the identity by SurfaceGraph's
+        # checks: every edge runs between known vertices, and every (edge, side) occurs
+        # once; a face set whose dual graph is disconnected still fails the rank check
         self.stabilizer: StabilizerGroup = validate(d, n, gens)
         expected_rank = len(graph.vertices) + len(graph.faces) - 2
         if self.stabilizer.tau_image.invariant_factors != (d,) * expected_rank:
             raise BadSurface("stabiliser is not free of rank #S + #F - 2")
-
-    @property
-    def generator_labels(self) -> list:
-        return [("A", s) for s in self.graph.vertices] + [
-            ("B", fi) for fi in range(len(self.graph.faces))
-        ]
 
 
 def build_model(graph: SurfaceGraph, d: int) -> KitaevModel:
@@ -223,52 +218,54 @@ def _normalize_steps(steps: Sequence) -> list[PathStep]:
     return out
 
 
-def path_endpoints(graph: SurfaceGraph, steps: Sequence[PathStep]) -> tuple:
-    """(start, end) vertices of an edge path; raises NotAPath on breaks."""
+def _walk(graph: SurfaceGraph, steps: Sequence[PathStep], dual: bool) -> tuple:
+    """(start, end) of a path: vertices along edges, or faces across them (dual)."""
+    error = NotADualPath if dual else NotAPath
     cur = None
     start = None
     for eid, rev in steps:
         if eid not in graph.edge_index:
-            raise NotAPath(f"unknown edge {eid}")
-        e = graph.edges[graph.edge_index[eid]]
-        a, b = (e.head, e.tail) if rev else (e.tail, e.head)
-        if cur is None:
-            start, cur = a, b
-        elif a != cur:
-            raise NotAPath(f"step on edge {eid} does not start at {cur}")
+            raise error(f"unknown edge {eid}")
+        if dual:
+            fr, to = graph.right_face(eid), graph.left_face(eid)
         else:
-            cur = b
+            e = graph.edges[graph.edge_index[eid]]
+            fr, to = e.tail, e.head
+        if rev:
+            fr, to = to, fr
+        if cur is None:
+            start = fr
+        elif fr != cur:
+            raise error(f"crossing {eid} does not start at face {cur}" if dual
+                        else f"step on edge {eid} does not start at {cur}")
+        cur = to
     return (start, cur)
 
 
-def path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
-    """Z-type transport operator: Z on agreeing edges, Z^-1 otherwise."""
-    steps = _normalize_steps(steps)
-    path_endpoints(model.graph, steps)
-    b = [0] * model.n
-    for eid, rev in steps:
-        i = model.graph.edge_index[eid]
-        b[i] += -1 if rev else 1
-    return PauliElement(model.d, model.n, 0, (0,) * model.n, tuple(b))
+def path_endpoints(graph: SurfaceGraph, steps: Sequence[PathStep]) -> tuple:
+    """(start, end) vertices of an edge path; raises NotAPath on breaks."""
+    return _walk(graph, steps, dual=False)
 
 
 def dual_path_endpoints(graph: SurfaceGraph, steps: Sequence[PathStep]) -> tuple:
     """(start, end) faces of a dual path; forward crosses right -> left."""
-    cur = None
-    start = None
+    return _walk(graph, steps, dual=True)
+
+
+def _transport(model: KitaevModel, steps: Sequence, dual: bool) -> PauliElement:
+    """Exponent +1 per forward step and -1 per reversed one, on X (dual) or Z."""
+    steps = _normalize_steps(steps)
+    _walk(model.graph, steps, dual)
+    v = [0] * model.n
     for eid, rev in steps:
-        if eid not in graph.edge_index:
-            raise NotADualPath(f"unknown edge {eid}")
-        fr, to = graph.right_face(eid), graph.left_face(eid)
-        if rev:
-            fr, to = to, fr
-        if cur is None:
-            start, cur = fr, to
-        elif fr != cur:
-            raise NotADualPath(f"crossing {eid} does not start at face {cur}")
-        else:
-            cur = to
-    return (start, cur)
+        v[model.graph.edge_index[eid]] += -1 if rev else 1
+    zero = (0,) * model.n
+    return PauliElement(model.d, model.n, 0, tuple(v) if dual else zero, zero if dual else tuple(v))
+
+
+def path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
+    """Z-type transport operator: Z on agreeing edges, Z^-1 otherwise."""
+    return _transport(model, steps, dual=False)
 
 
 def dual_path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
@@ -277,13 +274,7 @@ def dual_path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
     A forward step crosses its edge from the right face to the left face
     and applies X; a reversed step applies X^-1.
     """
-    steps = _normalize_steps(steps)
-    dual_path_endpoints(model.graph, steps)
-    a = [0] * model.n
-    for eid, rev in steps:
-        i = model.graph.edge_index[eid]
-        a[i] += -1 if rev else 1
-    return PauliElement(model.d, model.n, 0, tuple(a), (0,) * model.n)
+    return _transport(model, steps, dual=True)
 
 
 def charge_configuration(model: KitaevModel, chi: CharacterMap) -> ChargeConfiguration:
@@ -365,6 +356,12 @@ class ShiftPair:
     def from_json_dict(cls, obj: Mapping) -> "ShiftPair":
         return cls(_freeze(obj["vertex"]), json_int(obj["a"], "a"), json_int(obj["b"], "b"),
                    tuple(_normalize_steps(obj["path"])))
+
+
+def shift_spec_from_json_dict(obj: Mapping) -> tuple[object, list[ShiftPair]]:
+    """A shift or twist spec's (source, pairs), the arguments of apply_shift and apply_twist."""
+    pairs = [ShiftPair.from_json_dict(p) for p in obj["pairs"]]
+    return _freeze(obj["source"]), pairs
 
 
 def _modified_group(

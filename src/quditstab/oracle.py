@@ -389,11 +389,12 @@ def verify_report(
         details["dimension"] = f"oracle {dim} != reported {report.dim_protected}"
 
     basis = _protected_basis(scan, (0,) * len(group.generators))
+    vector_of = {i: vec for vec in basis for i in vec}
     ok = True
     for pair in report.logical_operators:
         for op in (pair.z_like, pair.x_like):
             for vec in basis:
-                if not _in_span(_image(op, vec), basis, db):
+                if not _in_span(_image(op, vec), vector_of, db):
                     ok = False
                     details.setdefault("logical_action", f"operator {op.to_text()} leaves V^H")
     checks["logical_action"] = ok
@@ -473,11 +474,13 @@ def _image(p: PauliElement, vec: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _in_span(image: dict[int, int], basis: list[dict[int, int]], db: int) -> bool:
-    """image equals zeta^c times one basis vector (supports are disjoint orbits)."""
-    support = set(image)
-    for vec in basis:
-        if set(vec) == support:
-            offsets = {(image[i] - vec[i]) % db for i in support}
-            return len(offsets) == 1
-    return False
+def _in_span(image: dict[int, int], vector_of: dict[int, dict[int, int]], db: int) -> bool:
+    """image equals zeta^c times one basis vector; vector_of maps each index to its basis vector.
+
+    The supports are disjoint orbits, so the vector holding any one index of
+    the image is the only candidate.
+    """
+    vec = vector_of.get(next(iter(image), None))
+    if vec is None or set(vec) != set(image):
+        return False
+    return len({(image[i] - vec[i]) % db for i in image}) == 1

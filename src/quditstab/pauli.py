@@ -49,10 +49,6 @@ class PauliElement:
         object.__setattr__(self, "a", tuple(x % self.d for x in self.a))
         object.__setattr__(self, "b", tuple(x % self.d for x in self.b))
 
-    @property
-    def phase_order(self) -> int:
-        return phase_modulus(self.d)
-
     @classmethod
     def identity(cls, d: int, n: int) -> "PauliElement":
         return cls(d, n, 0, (0,) * n, (0,) * n)
@@ -143,8 +139,8 @@ def inverse(p: PauliElement) -> PauliElement:
 
 def power(p: PauliElement, m: int) -> PauliElement:
     """p**m in closed form: per qudit (X^a Z^b)^m = xi^(a b m(m-1)/2) X^(ma) Z^(mb)."""
-    db = p.phase_order
-    m = m % db  # p**phase_order is always the identity
+    db = phase_modulus(p.d)
+    m = m % db  # p**db is always the identity
     cross = sum(x * y for x, y in zip(p.a, p.b))
     phase = p.phase * m + m * (m - 1) * cross  # m(m-1) is even: xi^(ab m(m-1)/2) = zeta^(ab m(m-1))
     a = tuple(m * x for x in p.a)
@@ -164,7 +160,7 @@ def order(p: PauliElement) -> int:
     """Least m >= 1 with p**m equal to the identity."""
     m0 = vector_order(module_vector(p), p.d)
     residual = power(p, m0)
-    db = p.phase_order
+    db = phase_modulus(p.d)
     return m0 * (db // math.gcd(db, residual.phase))
 
 

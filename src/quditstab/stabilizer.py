@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -102,18 +101,14 @@ class StabilizerGroup:
         return self.space.pairing_table([module_vector(p)], self.tau_matrix.entries)[0]
 
     def elements(self, limit: int = 4096) -> Iterator[PauliElement]:
-        """Explicit enumeration, for small-instance cross checks only."""
+        """Explicit enumeration, for small-instance cross checks only.
+
+        H is scalar-free, so it has exactly one element over each vector of tau_image.
+        """
         if self.cardinality > limit:
             raise ValueError(f"group too large to enumerate (> {limit})")
-        qb = self.tau_image.quasi_basis()
-        base = [self.element_over(vec) for vec, _ in qb]
-        orders = [q[1] for q in qb]
-        for coeffs in _cartesian(*(range(o) for o in orders)):
-            out = PauliElement.identity(self.d, self.n)
-            for c, elem in zip(coeffs, base):
-                if c:
-                    out = multiply(out, power(elem, c))
-            yield out
+        for v in self.tau_image.enumerate_elements():
+            yield self.element_over(v)
 
     def _in_generator_coordinates(self, lam: Sequence[int]) -> Vector:
         """Coefficients over tau_image's generators as exponents of all generators.
@@ -151,6 +146,8 @@ class StabilizerGroup:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerGroup":
         d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
+        if n < 0:
+            raise ValueError(f"n = {n}: need n >= 0")
         if n > MAX_REQUEST_N:
             raise ValueError(f"n = {n} exceeds the request limit {MAX_REQUEST_N}")
         gens = [
@@ -479,6 +476,10 @@ class CharacterMap:
 
     def to_json_dict(self) -> dict:
         return {"values": list(self.values)}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "CharacterMap":
+        return cls(tuple(json_int(x, "values") for x in obj["values"]))
 
 
 def validate_character(group: StabilizerGroup, chi: CharacterMap) -> None:

@@ -73,12 +73,6 @@ class SymplecticSpace:
         d, n = self.modulus, self.n
         return tuple(-x % d for x in u[n:]) + tuple(z % d for z in u[:n])
 
-    def full_module(self) -> Submodule:
-        return Submodule.full(self.modulus, self.rank)
-
-    def zero_module(self) -> Submodule:
-        return Submodule.zero(self.modulus, self.rank)
-
 
 @dataclass(frozen=True)
 class ElementaryBlock:
@@ -99,7 +93,7 @@ def perp(space: SymplecticSpace, sub: Submodule) -> Submodule:
     if sub.ambient_rank != m or sub.modulus != d:
         raise ValueError("submodule does not live in this space")
     if not sub.generators:
-        return space.full_module()
+        return Submodule.full(d, m)
     # pairing(x, g) == g . functional(x), and functional's inverse is -functional
     return Submodule(d, m, [space.functional(k) for k in sub.smith.kernel()])
 
@@ -195,8 +189,8 @@ def structure_decomposition(
     carrier and pair to zero with it.  Raises Degenerate when the induced form
     on carrier/modulo has a nonzero kernel.
     """
-    carrier = carrier if carrier is not None else space.full_module()
-    modulo = modulo if modulo is not None else space.zero_module()
+    carrier = carrier if carrier is not None else Submodule.full(space.modulus, space.rank)
+    modulo = modulo if modulo is not None else Submodule.zero(space.modulus, space.rank)
     if not carrier.contains_module(modulo):
         raise ValueError("modulo must be contained in the carrier")
     if any(map(any, space.pairing_table(modulo.generators, carrier.generators))):

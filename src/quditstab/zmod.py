@@ -19,8 +19,6 @@ from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InconsistentValues, NotFree
-
 Vector = tuple[int, ...]
 
 
@@ -32,16 +30,8 @@ def vec_add(u: Sequence[int], v: Sequence[int], d: int) -> Vector:
     return tuple((x + y) % d for x, y in zip(u, v))
 
 
-def vec_sub(u: Sequence[int], v: Sequence[int], d: int) -> Vector:
-    return tuple((x - y) % d for x, y in zip(u, v))
-
-
 def vec_scale(c: int, v: Sequence[int], d: int) -> Vector:
     return tuple((c * x) % d for x in v)
-
-
-def vec_dot(u: Sequence[int], v: Sequence[int], d: int) -> int:
-    return sum(x * y for x, y in zip(u, v)) % d
 
 
 def vector_order(v: Sequence[int], d: int) -> int:
@@ -563,43 +553,3 @@ class Submodule:
     def __repr__(self) -> str:
         return f"Submodule(d={self.modulus}, m={self.ambient_rank}, gens={list(self.generators)})"
 
-
-@dataclass(frozen=True)
-class LinearForm:
-    """m |-> sum(coefficients[i] * m[i]) over Z/dZ."""
-
-    modulus: int
-    coefficients: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", vec_reduce(self.coefficients, self.modulus))
-
-    def __call__(self, v: Sequence[int]) -> int:
-        return vec_dot(self.coefficients, v, self.modulus)
-
-
-def extend_linear_form(module: Submodule, values: Sequence[int]) -> LinearForm:
-    """Extend a form given by values on the generators to the whole ambient.
-
-    Raises InconsistentValues when the prescription violates a relation
-    among the generators (i.e. it was not a well-defined form).
-    """
-    if len(values) != len(module.generators):
-        raise ValueError("one value per generator required")
-    coeffs = module.smith.solve(values)
-    if coeffs is None:
-        raise InconsistentValues("values do not respect the generator relations")
-    return LinearForm(module.modulus, coeffs)
-
-
-def complete_free_basis(module: Submodule, basis: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Complete a basis of a free submodule to a basis of the ambient module."""
-    d, m = module.modulus, module.ambient_rank
-    rows = [vec_reduce(b, d) for b in basis]
-    for b in rows:
-        if not module.contains(b):
-            raise ValueError("basis vector does not lie in the module")
-    s = smith_normal_form(ZdMatrix.from_rows(d, rows) if rows else ZdMatrix.zeros(d, 0, m))
-    if any(x != 1 for x in s.diag):
-        raise NotFree("the given vectors are not a basis of a free submodule")
-    return tuple(rows) + tuple(s.v_inv_rows(range(len(rows), m)))

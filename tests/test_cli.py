@@ -401,6 +401,17 @@ class TestRequestLimits:
         assert json.loads(out)["error"] == {
             "type": "InvalidRequest", "detail": f"n = {n} exceeds the request limit 1024"}
 
+    @pytest.mark.parametrize("command", [["analyze"], ["canonicalize"], ["oracle", "verify"]])
+    def test_negative_n_exit_2(self, capsys, monkeypatch, command):
+        request = {"d": 2, "n": -1, "generators": [], "report": {}}
+        code, out = run_cli(capsys, command + ["--input", "-"], request, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": "n = -1: need n >= 0"}
+
+    def test_n_0_is_read(self):
+        group = StabilizerGroup.from_json_dict({"d": 2, "n": 0, "generators": []})
+        assert analyze(group).classification == "FREE(0)"
+
     def test_n_at_the_limit_is_read(self):
         z1 = {"phase": 0, "a": [0] * 1024, "b": [1] + [0] * 1023}
         group = StabilizerGroup.from_json_dict({"d": 2, "n": 1024, "generators": [z1]})

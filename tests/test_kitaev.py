@@ -132,19 +132,23 @@ class TestBuildModel:
                 SurfaceGraph([0], [Edge("a", 0, 0)], [[("a", "L"), ("a", "R")]])
 
     def test_operator_products_and_commutation(self):
-        model = build_model(torus_grid_graph(2, 2), 4)
-        identity = PauliElement.identity(4, model.n)
-        prod_a = identity
-        for s in model.graph.vertices:
-            prod_a = multiply(prod_a, model.vertex_ops[s])
-        prod_b = identity
-        for f in model.face_ops:
-            prod_b = multiply(prod_b, model.face_ops[f])
-        assert prod_a == identity and prod_b == identity
-        ops = list(model.vertex_ops.values()) + list(model.face_ops.values())
-        for i, p in enumerate(ops):
-            for q in ops[i + 1:]:
-                assert commutation_phase(p, q) == 0
+        # SurfaceGraph's checks make both products the identity; KitaevModel relies on it
+        graphs = [tetrahedron_graph(), torus_grid_graph(2, 2), torus_grid_graph(3, 3), genus2_bouquet_graph()]
+        for graph in graphs:
+            for d in (2, 3, 4, 6):
+                model = build_model(graph, d)
+                identity = PauliElement.identity(d, model.n)
+                prod_a = identity
+                for s in model.graph.vertices:
+                    prod_a = multiply(prod_a, model.vertex_ops[s])
+                prod_b = identity
+                for f in model.face_ops:
+                    prod_b = multiply(prod_b, model.face_ops[f])
+                assert prod_a == identity and prod_b == identity
+                ops = list(model.vertex_ops.values()) + list(model.face_ops.values())
+                for i, p in enumerate(ops):
+                    for q in ops[i + 1:]:
+                        assert commutation_phase(p, q) == 0
 
 
 class TestPathOperators:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -411,6 +412,16 @@ class TestVerifyReport:
             verify_report(group, analyze(group))
         assert info.value.stage == "oracle.basis"
         assert isinstance(info.value, AssertionError)
+
+    def test_logical_action_checks_one_vector_per_image(self):
+        # <Z_1> on 14 qubits: 2^13 protected vectors and 13 logical pairs; a scan of the
+        # whole basis per image took about 4x longer per qubit
+        group = validate(2, 14, [PauliElement.z_op(2, 14, 0)])
+        report = analyze(group)
+        start = time.perf_counter()
+        verdict = verify_report(group, report)
+        assert time.perf_counter() - start < 5
+        assert verdict.passed and verdict.checks["logical_action"]
 
     def test_agreement_random(self):
         rng = random.Random(52)

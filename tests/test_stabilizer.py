@@ -1,9 +1,11 @@
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from collections import deque
 
 import pytest
 
@@ -183,6 +185,17 @@ class TestMembership:
             for p in elements:
                 assert membership(group, p)
                 assert order(p) <= group.d
+            # the closure of the generators under multiply, by BFS from the identity
+            closure = {PauliElement.identity(group.d, group.n)}
+            queue = deque(closure)
+            while queue:
+                p = queue.popleft()
+                for g in group.generators:
+                    q = multiply(p, g)
+                    if q not in closure:
+                        closure.add(q)
+                        queue.append(q)
+            assert set(elements) == closure
 
     def test_queries_share_one_smith_form(self, monkeypatch):
         rng = random.Random(41)
@@ -545,6 +558,16 @@ class TestCharacters:
                     frontier.append(nxt)
         assert len(seen) == group.cardinality
         assert seen == {c.values for c in characters(group)}
+
+    def test_json_round_trip(self):
+        group = build_model(torus_grid_graph(2, 2), 4).stabilizer
+        for chi in characters(group)[:16] + [CharacterMap((1, 3, 0, 0, 0, 0, 0, 0))]:
+            obj = json.loads(json.dumps(chi.to_json_dict()))
+            assert CharacterMap.from_json_dict(obj) == chi
+
+    def test_from_json_rejects_non_integers(self):
+        with pytest.raises(TypeError, match="values must be an integer"):
+            CharacterMap.from_json_dict({"values": [1, 2.0]})
 
 
 class TestCssSplit:

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditstab import zmod
-from quditstab.errors import InconsistentValues, NotFree
 from quditstab.zmod import (
     Submodule,
     ZdMatrix,
-    complete_free_basis,
-    extend_linear_form,
     kernel_matrix,
     smith_normal_form,
     solve_linear,
@@ -221,61 +218,6 @@ class TestSubmodule:
             n1, n2 = Submodule(d, 2, g1), Submodule(d, 2, g2)
             meet = set(n1.intersection(n2).enumerate_elements())
             assert meet == brute_span(g1, d, 2) & brute_span(g2, d, 2)
-
-
-class TestLinearForms:
-    def test_whole_space_restriction(self):
-        sub = Submodule(5, 2, [(1, 0), (0, 1)])
-        form = extend_linear_form(sub, (2, 3))
-        assert form((1, 0)) == 2 and form((0, 1)) == 3
-
-    def test_extension_exists(self):
-        sub = Submodule(4, 2, [(2, 0)])
-        form = extend_linear_form(sub, (2,))
-        assert form((2, 0)) == 2
-        # oracle: some of the 16 forms on Z_4^2 restricts this way
-        brute = [
-            (c1, c2)
-            for c1 in range(4)
-            for c2 in range(4)
-            if (2 * c1) % 4 == 2
-        ]
-        assert tuple(form.coefficients) in brute
-
-    def test_inconsistent(self):
-        with pytest.raises(InconsistentValues):
-            extend_linear_form(Submodule(4, 2, [(2, 0)]), (1,))
-
-    def test_restriction_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            d = rng.choice([2, 3, 4, 6, 9])
-            m = rng.randint(1, 3)
-            coeffs = tuple(rng.randrange(d) for _ in range(m))
-            sub = Submodule(
-                d, m, [tuple(rng.randrange(d) for _ in range(m)) for _ in range(rng.randint(1, 3))]
-            )
-            values = [sum(c * g for c, g in zip(coeffs, gen)) % d for gen in sub.generators]
-            form = extend_linear_form(sub, values)
-            for gen, val in zip(sub.generators, values):
-                assert form(gen) == val
-
-
-class TestCompleteFreeBasis:
-    def test_standard(self):
-        sub = Submodule(5, 2, [(1, 0)])
-        basis = complete_free_basis(sub, [(1, 0)])
-        assert basis[0] == (1, 0) and len(basis) == 2
-
-    def test_diagonal_generator(self):
-        sub = Submodule(6, 2, [(1, 1)])
-        basis = complete_free_basis(sub, [(1, 1)])
-        assert basis[0] == (1, 1)
-        assert math.gcd(ZdMatrix.from_rows(6, basis).det(), 6) == 1
-
-    def test_not_free(self):
-        with pytest.raises(NotFree):
-            complete_free_basis(Submodule(4, 2, [(2, 0)]), [(2, 0)])
 
 
 class TestVInvRows:
