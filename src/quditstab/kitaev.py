@@ -221,9 +221,8 @@ def _normalize_steps(steps: Sequence) -> list[PathStep]:
 def _walk(graph: SurfaceGraph, steps: Sequence[PathStep], dual: bool) -> tuple:
     """(start, end) of a path: vertices along edges, or faces across them (dual)."""
     error = NotADualPath if dual else NotAPath
-    cur = None
-    start = None
-    for eid, rev in steps:
+    start = cur = None  # (None, None) for an empty path; ids may be None, so steps are counted
+    for i, (eid, rev) in enumerate(steps):
         if eid not in graph.edge_index:
             raise error(f"unknown edge {eid}")
         if dual:
@@ -233,7 +232,7 @@ def _walk(graph: SurfaceGraph, steps: Sequence[PathStep], dual: bool) -> tuple:
             fr, to = e.tail, e.head
         if rev:
             fr, to = to, fr
-        if cur is None:
+        if i == 0:
             start = fr
         elif fr != cur:
             raise error(f"crossing {eid} does not start at face {cur}" if dual

@@ -13,9 +13,10 @@ of index 0, with the generator word of each of its positions, gives a
 template that is replayed from every other orbit's start; the replay checks
 each of its steps, so it equals the plain BFS or raises InternalInvariant.
 Every call represents each generator once and makes one scan, which serves
-the dimension, every protected basis and the character sweep; the sweep's
-closure rows are reduced lazily, once per orbit class.  Logical operators
-are applied to the protected basis vectors alone, digit by digit.
+the dimension, every protected basis and the character sweep: each of them
+finds the one orbit class that carries a w-eigenvector by one key lookup.
+Logical operators are applied to the protected basis vectors alone, digit
+by digit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Optional, Sequence
 from .errors import BadBound, InternalInvariant, TooLarge
 from .pauli import PauliElement, inverse, multiply, phase_modulus, power
 from .stabilizer import StabilizerGroup, StabilizerReport, characters, membership
-from .zmod import Submodule
 
 DEFAULT_BOUND = 200_000
 HISTOGRAM_WORK_LIMIT = 8_000_000  # verify_report's character sweep runs up to this work
@@ -104,21 +104,14 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
     return PhasePermutation(d, n, tuple(perm), tuple(phase))
 
 
-def _consistent(rows: Sequence[tuple[int, ...]], w: Sequence[int], db: int) -> bool:
-    """delta_e == (2*delta_word) . w for every closure row."""
-    for row in rows:
-        if (sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db:
-            return False
-    return True
-
-
 @dataclass
 class OrbitCertificate:
     """One orbit of the group action on basis indices.
 
-    closure_rows are vectors (delta_e, 2*delta_word) over Z mod
-    phase_modulus(d); a character with exponent vector w is consistent on
-    the orbit iff delta_e == (2*delta_word) . w for every row.
+    closure_rows are the sorted distinct nonzero raw rows (delta_e,
+    2*delta_word) over Z mod phase_modulus(d), one per closure edge of the
+    orbit; a character with exponent vector w is consistent on the orbit iff
+    delta_e == (2*delta_word) . w for every row.
     """
 
     representative: int
@@ -126,7 +119,7 @@ class OrbitCertificate:
     closure_rows: list[tuple[int, ...]] = field(default_factory=list)
 
     def consistent_with(self, w: Sequence[int], db: int) -> bool:
-        return _consistent(self.closure_rows, w, db)
+        return all((sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db == 0 for row in self.closure_rows)
 
 
 class _Scan:
@@ -147,11 +140,12 @@ class _Scan:
     translation property is checked on the generator tables, not assumed.
 
     An orbit's key is its tuple of discrepancies, one per closure edge;
-    orbits index the list of distinct keys, and each key is a class.  Every
-    reader works from this one scan: the fixed space keeps the orbits whose
-    key is zero, a chi-eigenspace the classes whose key is du . w edge by
-    edge, and the character sweep the quasi-basis closure_rows(k), built
-    once per class when first asked for.
+    orbits index the list of distinct keys, and each key is a class.  A
+    class carries a w-eigenvector iff its key is du . w edge by edge, and
+    the keys are distinct, so class_of(w) finds the only candidate by one
+    lookup.  The closure edges share a few distinct du rows (du_rows, with
+    edge_row the index of each edge's row), so the lookup key costs one dot
+    product per distinct row.  Every reader works from this one scan.
     """
 
     def __init__(self, group: StabilizerGroup, bound: Optional[int]):
@@ -162,8 +156,8 @@ class _Scan:
         self.orbits: list[list[int]] = []  # members in BFS order
         self.keys: list[tuple[int, ...]] = []
         self.key_of: list[int] = []  # per orbit, its index into keys
-        self._rows: dict[int, list[tuple[int, ...]]] = {}
         self._explore()
+        self.sizes = Counter(self.key_of)  # class -> number of orbits
 
     def _template(self):
         """BFS of the orbit of index 0: tree edges, words, closure edges and their du."""
@@ -198,7 +192,10 @@ class _Scan:
         phases = [r.phase for r in self.reps]
         pot = self.pot
         orbit_id = [-1] * self.size
-        tree, self.words, closure, self.du = self._template()
+        tree, self.words, closure, du = self._template()
+        row_index: dict[tuple[int, ...], int] = {}
+        self.edge_row = [row_index.setdefault(row, len(row_index)) for row in du]
+        self.du_rows = list(row_index)
         orbits = self.orbits
         for start in range(self.size):
             if orbit_id[start] != -1:
@@ -223,64 +220,51 @@ class _Scan:
             if [perm[x] for x in sources] != targets:
                 raise InternalInvariant("oracle.scan", "closure edge misses its template member")
             discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
-        index: dict[tuple[int, ...], int] = {}
+        self.index: dict[tuple[int, ...], int] = {}
         for key in zip(*discrepancies) if discrepancies else [()] * len(orbits):
-            self.key_of.append(index.setdefault(key, len(index)))
-        self.keys = list(index)
+            self.key_of.append(self.index.setdefault(key, len(self.index)))
+        self.keys = list(self.index)
 
-    def closure_rows(self, k: int) -> list[tuple[int, ...]]:
-        """Class k's closure rows: a quasi-basis of its nonzero rows (delta_e, 2*delta_word)."""
-        if k not in self._rows:
-            raw = {(de,) + dw for de, dw in zip(self.keys[k], self.du) if de or any(dw)}
-            basis = Submodule(self.db, 1 + len(self.reps), tuple(sorted(raw))).quasi_basis() if raw else []
-            self._rows[k] = [v for v, _ in basis]
-        return self._rows[k]
+    def class_of(self, w: Sequence[int]) -> Optional[int]:
+        """The class whose orbits carry a w-eigenvector, or None when no class does."""
+        db = self.db
+        dots = [sum(c * x for c, x in zip(row, w)) % db for row in self.du_rows]
+        return self.index.get(tuple(dots[r] for r in self.edge_row))
 
 
 def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optional[str]:
     """Why the character sweep is too large, or None when it fits.
 
-    Work is roughly #characters * #orbits * (generators + 1).
+    Work is #characters * (#closure edges + #distinct du rows * #generators):
+    the cost of one class_of per character.
     """
-    work = group.cardinality * len(scan.orbits) * (len(group.generators) + 1)
+    work = group.cardinality * (len(scan.edge_row) + len(scan.du_rows) * len(group.generators))
     if work > work_limit:
         return f"character sweep work {work} exceeds limit {work_limit}"
     return None
 
 
 def _protected_dimension(scan: _Scan) -> int:
-    return sum(1 for k in scan.key_of if not any(scan.keys[k]))
+    return scan.sizes[scan.class_of((0,) * len(scan.reps))]
 
 
 def _eigenspace_dimensions(group: StabilizerGroup, scan: _Scan) -> dict[tuple[int, ...], int]:
-    """Sweep the characters over orbit classes: orbits with equal discrepancy keys.
-
-    Each distinct closure row is tested once per character; a class is
-    consistent iff its rows are among the rows that passed.
-    """
-    db = scan.db
-    classes = [(frozenset(scan.closure_rows(k)), size) for k, size in Counter(scan.key_of).items()]
-    distinct = {row for rows, _ in classes for row in rows}
-    out: dict[tuple[int, ...], int] = {}
-    for chi in characters(group):
-        w = chi.values
-        passed = {row for row in distinct if _consistent((row,), w, db)}
-        out[w] = sum(size for rows, size in classes if rows <= passed)
+    """Each character's eigenspace dimension: the number of orbits in its class, or 0."""
+    out = {chi.values: scan.sizes[scan.class_of(chi.values)] for chi in characters(group)}
     if sum(out.values()) != scan.size:
         raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
     return out
 
 
 def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
-    """The w-eigenspace basis: amplitude zeta^(pot - (2*word) . w) on each consistent orbit."""
+    """The w-eigenspace basis: amplitude zeta^(pot - (2*word) . w) on each orbit of class_of(w)."""
     db = scan.db
-    # a class carries a w-eigenvector iff delta_e == du . w on every closure edge
-    consistent = [_consistent([(de,) + dw for de, dw in zip(key, scan.du)], w, db) for key in scan.keys]
+    k = scan.class_of(w)
     shift = [sum(2 * c * x for c, x in zip(word, w)) for word in scan.words]
     vectors = [
         {x: (scan.pot[x] - s) % db for x, s in zip(members, shift)}
-        for members, k in zip(scan.orbits, scan.key_of)
-        if consistent[k]
+        for members, c in zip(scan.orbits, scan.key_of)
+        if c == k
     ]
     for vec in vectors:
         for j, rep in enumerate(scan.reps):
@@ -291,7 +275,9 @@ def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
 
 def orbit_certificates(group: StabilizerGroup, bound: Optional[int] = None) -> list[OrbitCertificate]:
     scan = _Scan(group, bound)
-    return [OrbitCertificate(m[0], m, list(scan.closure_rows(k))) for m, k in zip(scan.orbits, scan.key_of)]
+    raw = [[(de,) + scan.du_rows[r] for de, r in zip(key, scan.edge_row)] for key in scan.keys]
+    rows = [sorted({row for row in k_rows if any(row)}) for k_rows in raw]
+    return [OrbitCertificate(m[0], m, list(rows[k])) for m, k in zip(scan.orbits, scan.key_of)]
 
 
 def protected_dimension(group: StabilizerGroup, bound: Optional[int] = None) -> int:
@@ -306,8 +292,9 @@ def eigenspace_dimensions(
 ) -> dict[tuple[int, ...], int]:
     """Map character exponent vectors to eigenspace dimensions.
 
-    Work is roughly #characters * #orbits * generators; raises TooLarge
-    when that exceeds work_limit, before any closure row is reduced.
+    Work is #characters * (#closure edges + #distinct du rows * #generators);
+    raises TooLarge when that exceeds work_limit, before any character is
+    enumerated.
     """
     scan = _Scan(group, bound)
     excess = _sweep_excess(group, scan, work_limit)

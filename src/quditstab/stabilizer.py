@@ -151,10 +151,8 @@ class StabilizerGroup:
         if n > MAX_REQUEST_N:
             raise ValueError(f"n = {n} exceeds the request limit {MAX_REQUEST_N}")
         gens = [
-            PauliElement(d, n, json_int(g.get("phase", 0), "phase"),
-                         tuple(json_int(x, "a") for x in g["a"]),
-                         tuple(json_int(x, "b") for x in g["b"]))
-            for g in (json_object(x, "generator") for x in obj.get("generators", []))
+            PauliElement.from_json_dict({"phase": 0, **json_object(g, "generator"), "d": d, "n": n})
+            for g in obj.get("generators", [])
         ]
         return validate(d, n, gens)
 
@@ -211,6 +209,15 @@ class LogicalPair:
             "x": self.x_like.to_json_dict(),
         }
 
+    @classmethod
+    def from_json_dict(cls, obj: dict, d: int, n: int) -> "LogicalPair":
+        """Elements default to the report's d and n."""
+        divisor = json_int(obj["divisor"], "divisor")
+        if divisor < 1:
+            raise ValueError(f"divisor {divisor} is not positive")
+        return cls(divisor, PauliElement.from_json_dict({"d": d, "n": n, **obj["z"]}),
+                   PauliElement.from_json_dict({"d": d, "n": n, **obj["x"]}))
+
 
 @dataclass(frozen=True)
 class CssSplit:
@@ -222,6 +229,14 @@ class CssSplit:
             "z_generators": [p.to_json_dict() for p in self.z_part],
             "x_generators": [p.to_json_dict() for p in self.x_part],
         }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict, d: int, n: int) -> "CssSplit":
+        """Elements default to the report's d and n."""
+        def part(key: str) -> tuple[PauliElement, ...]:
+            return tuple(PauliElement.from_json_dict({"d": d, "n": n, **p}) for p in obj[key])
+
+        return cls(part("z_generators"), part("x_generators"))
 
 
 @dataclass(frozen=True)
@@ -261,24 +276,9 @@ class StabilizerReport:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerReport":
         d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
-
-        def element(p: dict) -> PauliElement:
-            return PauliElement.from_json_dict({"d": d, "n": n, **p})
-
-        def pair(p: dict) -> LogicalPair:
-            divisor = json_int(p["divisor"], "divisor")
-            if divisor < 1:
-                raise ValueError(f"divisor {divisor} is not positive")
-            return LogicalPair(divisor, element(p["z"]), element(p["x"]))
-
-        pairs = tuple(pair(p) for p in obj.get("logical_operators", []))
+        pairs = tuple(LogicalPair.from_json_dict(p, d, n) for p in obj.get("logical_operators", []))
         css = obj.get("css")
-        css_obj = None
-        if css:
-            css_obj = CssSplit(
-                tuple(element(g) for g in css["z_generators"]),
-                tuple(element(g) for g in css["x_generators"]),
-            )
+        css_obj = CssSplit.from_json_dict(css, d, n) if css else None
         cls_text = json_str(obj["classification"], "classification")
         kind = cls_text.split("(")[0]
         rank = int(cls_text.split("(")[1].rstrip(")")) if "(" in cls_text else None

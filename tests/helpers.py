@@ -70,9 +70,9 @@ def scan_reference(reps, size: int, db: int, with_words: bool):
 
     orbits lists (members, closure_rows) in the order found, members in BFS
     order.  Without words the closure rows are the sorted distinct nonzero
-    (delta_e,); with words they are a quasi-basis of the sorted distinct
-    nonzero rows (delta_e, 2*delta_word), as the oracle reads them from its
-    scan's keys and closure_rows.
+    (delta_e,); with words they are the sorted distinct nonzero rows
+    (delta_e, 2*delta_word), as the oracle reads them from its scan's keys
+    and from orbit_certificates.
     """
     g = len(reps)
     perms = [r.perm for r in reps]
@@ -108,10 +108,7 @@ def scan_reference(reps, size: int, db: int, with_words: bool):
                     raw.add((de,) + du)
                 elif not with_words and de:
                     raw.add((de,))
-        rows = sorted(raw)
-        if with_words and rows:
-            rows = [v for v, _ in Submodule(db, 1 + g, rows).quasi_basis()]
-        orbits.append((members, rows))
+        orbits.append((members, sorted(raw)))
     return orbits, pot
 
 

@@ -150,13 +150,13 @@ class TestOracleVerifyCommand:
         assert verdict["skipped"] == {}
 
     def test_skipped_check_is_named(self, capsys, monkeypatch):
-        # <Z_1..Z_8> on 12 qubits: 2^8 characters * 2^12 orbits * 9 > 8_000_000
+        # <Z_1..Z_16> on 16 qubits: 2^16 characters * (16 closure edges + 16 du rows * 16) > 8_000_000
         z_block = {
             "d": 2,
-            "n": 12,
+            "n": 16,
             "generators": [
-                {"phase": 0, "a": [0] * 12, "b": [int(i == k) for i in range(12)]}
-                for k in range(8)
+                {"phase": 0, "a": [0] * 16, "b": [int(i == k) for i in range(16)]}
+                for k in range(16)
             ],
         }
         request = self.build_request(capsys, monkeypatch, z_block)
@@ -164,7 +164,7 @@ class TestOracleVerifyCommand:
         assert code == 0
         verdict = json.loads(out)
         assert verdict["skipped"] == {
-            "transitivity": "character sweep work 9437184 exceeds limit 8000000"
+            "transitivity": "character sweep work 17825792 exceeds limit 8000000"
         }
         assert "transitivity" not in verdict["checks"]
         assert verdict["eigenspace_histogram"] is None

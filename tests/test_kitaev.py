@@ -213,6 +213,17 @@ class TestPathOperators:
         with pytest.raises(NotAPath):
             path_operator(model, [(("h", 0, 0), False), (("h", 1, 1), False)])
 
+    def test_path_through_a_null_vertex(self):
+        # vertex ids may be JSON null; the walk must not restart at it
+        graph = SurfaceGraph(
+            [None, 1, 2],
+            [Edge("a", None, 1), Edge("b", 1, 2), Edge("c", 2, None)],
+            [[("a", "L"), ("b", "L"), ("c", "L")], [("a", "R"), ("b", "R"), ("c", "R")]],
+        )
+        with pytest.raises(NotAPath, match="step on edge b does not start at None"):
+            path_endpoints(graph, [("c", False), ("b", False)])
+        assert path_endpoints(graph, [("a", False), ("b", False)]) == (None, 2)
+
 
 class TestNormalizerGenerators:
     @pytest.mark.parametrize("d", [2, 3])

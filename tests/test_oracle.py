@@ -25,6 +25,7 @@ from quditstab.stabilizer import analyze, characters, validate
 from tests.helpers import (
     block_group,
     chi_basis_reference,
+    count_reductions,
     random_pauli,
     random_stabilizer_group,
     represent_reference,
@@ -172,7 +173,7 @@ class TestScan:
             scan = oracle_module._Scan(group, None)
             orbits, pot = scan_reference(scan.reps, scan.size, scan.db, with_words)
             if with_words:
-                rows = [scan.closure_rows(k) for k in scan.key_of]
+                rows = [c.closure_rows for c in orbit_certificates(group)]
             else:
                 rows = [[(de,) for de in sorted(set(scan.keys[k])) if de] for k in scan.key_of]
             assert list(zip(scan.orbits, rows)) == orbits
@@ -254,30 +255,49 @@ class TestEigenspaces:
             assert sum(dims.values()) == group.d**group.n
             assert len(set(dims.values())) == 1
 
-    @pytest.mark.parametrize("make_group", [x4z4_group, d6_group])
-    def test_class_weighted_equals_per_orbit_count(self, make_group):
-        group = make_group()
-        db = phase_modulus(group.d)
-        certs = orbit_certificates(group)
-        naive = {
-            chi.values: sum(1 for c in certs if c.consistent_with(chi.values, db))
-            for chi in characters(group)
-        }
-        dims = eigenspace_dimensions(group)
-        assert dims == naive
-        assert list(dims) == list(naive)
-        # orbits sharing closure rows are counted as one class
-        assert len(Counter(tuple(c.closure_rows) for c in certs)) < len(certs)
+    @pytest.mark.parametrize(
+        "make_groups",
+        [
+            lambda: [x4z4_group()],
+            lambda: [d6_group()],
+            lambda: [g for g in scan_groups(random.Random(53), 150) if g.cardinality <= 64],
+        ],
+        ids=["x4z4_group", "d6_group", "scan_groups"],
+    )
+    def test_class_weighted_equals_per_orbit_count(self, make_groups):
+        shared = False
+        for group in make_groups():
+            db = phase_modulus(group.d)
+            reps = [represent(g) for g in group.generators]
+            orbits, _ = scan_reference(reps, group.d**group.n, db, with_words=True)
+            certs = orbit_certificates(group)
+            naive = {}
+            for chi in characters(group):
+                w = chi.values
+                consistent = [
+                    rows for _, rows in orbits
+                    if all((sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db == 0 for row in rows)
+                ]
+                naive[w] = len(consistent)
+                assert [c.consistent_with(w, db) for c in certs] == [rows in consistent for _, rows in orbits]
+                # at most one class per character: its orbits share one row set
+                assert len({tuple(rows) for rows in consistent}) <= 1
+            dims = eigenspace_dimensions(group)
+            assert dims == naive
+            assert list(dims) == list(naive)
+            # orbits sharing closure rows are counted as one class
+            shared |= len(Counter(tuple(c.closure_rows) for c in certs)) < len(certs)
+        assert shared
 
     def test_work_limit_checked_before_word_scan(self, monkeypatch):
-        def no_submodule(*args, **kwargs):
-            raise AssertionError("word scan reduced closure rows")
+        def no_characters(*args, **kwargs):
+            raise AssertionError("skipped sweep enumerated the characters")
 
-        monkeypatch.setattr(oracle_module, "Submodule", no_submodule)
+        monkeypatch.setattr(oracle_module, "characters", no_characters)
         scans = record_scans(monkeypatch)
-        with pytest.raises(TooLarge, match="character sweep work 48 exceeds limit 47"):
-            # 4 characters * 4 orbits {0,4}, {1,5}, {2,6}, {3,7} * (2 generators + 1)
-            eigenspace_dimensions(x4z4_group(), work_limit=47)
+        with pytest.raises(TooLarge, match="character sweep work 28 exceeds limit 27"):
+            # 4 characters * (3 closure edges + 2 distinct du rows * 2 generators)
+            eigenspace_dimensions(x4z4_group(), work_limit=27)
         assert len(scans) == 1
 
 
@@ -376,16 +396,16 @@ class TestVerifyReport:
                 assert calls[pair.z_like] == calls[pair.x_like] == 0
 
     def test_skipped_sweep_builds_no_word_scan(self, monkeypatch):
-        def no_submodule(*args, **kwargs):
-            raise AssertionError("skipped sweep reduced closure rows")
+        def no_characters(*args, **kwargs):
+            raise AssertionError("skipped sweep enumerated the characters")
 
         scans = record_scans(monkeypatch)
-        monkeypatch.setattr(oracle_module, "Submodule", no_submodule)
-        group = z_block_group(2, 12, 8)
+        monkeypatch.setattr(oracle_module, "characters", no_characters)
+        group = z_block_group(2, 16, 16)
         verdict = verify_report(group, analyze(group))
-        # 2^8 characters * 2^12 orbits * (8 generators + 1) > 8_000_000
+        # 2^16 characters * (16 closure edges + 16 distinct du rows * 16 generators) > 8_000_000
         assert verdict.skipped == {
-            "transitivity": "character sweep work 9437184 exceeds limit 8000000"
+            "transitivity": "character sweep work 17825792 exceeds limit 8000000"
         }
         assert "transitivity" not in verdict.checks
         assert verdict.histogram is None
@@ -400,10 +420,33 @@ class TestVerifyReport:
         assert verdict.to_json_dict()["skipped"] == {}
 
     def test_sweep_limit_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "HISTOGRAM_WORK_LIMIT", 47)
+        monkeypatch.setattr(oracle_module, "HISTOGRAM_WORK_LIMIT", 27)
         group = x4z4_group()
         verdict = verify_report(group, analyze(group))
-        assert verdict.skipped == {"transitivity": "character sweep work 48 exceeds limit 47"}
+        assert verdict.skipped == {"transitivity": "character sweep work 28 exceeds limit 27"}
+
+    @pytest.mark.parametrize(
+        "make_group",
+        [
+            x4z4_group,
+            d6_group,
+            lambda: build_model(torus_grid_graph(2, 2), 2).stabilizer,
+            lambda: build_model(torus_grid_graph(2, 3), 2).stabilizer,
+        ],
+        ids=["x4z4", "d6", "torus2x2_d2", "torus2x3_d2"],
+    )
+    def test_reductions_are_those_of_characters(self, monkeypatch, make_group):
+        group = make_group()
+        report = analyze(group)
+        calls = count_reductions(monkeypatch)
+        characters(group)
+        own = [m.entries for m in calls]
+        calls.clear()
+        verdict = verify_report(group, report)
+        assert verdict.checks["transitivity"]
+        # the sweep reads one key per character; no closure row is reduced
+        assert [m.entries for m in calls] == own
+        assert len(own) == 2
 
     def test_unfixed_basis_is_an_internal_invariant(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_maps_to_multiple", lambda *args, **kw: False)
