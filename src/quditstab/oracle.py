@@ -15,8 +15,9 @@ each of its steps, so it equals the plain BFS or raises InternalInvariant.
 Every call represents each generator once and makes one scan, which serves
 the dimension, every protected basis and the character sweep: each of them
 finds the one orbit class that carries a w-eigenvector by one key lookup.
-Logical operators are applied to the protected basis vectors alone, digit
-by digit.
+Logical operators are applied to the protected basis vectors alone; each
+basis index is decoded into digits once per call, and each operator reads
+the digits at its own support.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadBound, InternalInvariant, TooLarge
 from .pauli import PauliElement, inverse, multiply, phase_modulus, power
@@ -142,10 +143,12 @@ class _Scan:
     An orbit's key is its tuple of discrepancies, one per closure edge;
     orbits index the list of distinct keys, and each key is a class.  A
     class carries a w-eigenvector iff its key is du . w edge by edge, and
-    the keys are distinct, so class_of(w) finds the only candidate by one
-    lookup.  The closure edges share a few distinct du rows (du_rows, with
-    edge_row the index of each edge's row), so the lookup key costs one dot
-    product per distinct row.  Every reader works from this one scan.
+    the keys are distinct, so at most one class does.  The closure edges
+    share a few distinct du rows (du_rows, with edge_row the index of each
+    edge's row), and du . w is equal on edges with equal rows.  So only the
+    classes whose key agrees on such edges can match; row_index keys them by
+    their one entry per row, and class_of(w) costs one dot product per
+    distinct row and one lookup.  Every reader works from this one scan.
     """
 
     def __init__(self, group: StabilizerGroup, bound: Optional[int]):
@@ -220,23 +223,32 @@ class _Scan:
             if [perm[x] for x in sources] != targets:
                 raise InternalInvariant("oracle.scan", "closure edge misses its template member")
             discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
-        self.index: dict[tuple[int, ...], int] = {}
+        index: dict[tuple[int, ...], int] = {}
         for key in zip(*discrepancies) if discrepancies else [()] * len(orbits):
-            self.key_of.append(self.index.setdefault(key, len(self.index)))
-        self.keys = list(self.index)
+            self.key_of.append(index.setdefault(key, len(index)))
+        self.keys = list(index)
+        # edges with equal du rows get equal entries of du . w, so only a class whose
+        # key agrees on them can match; its key is then fixed by one entry per row
+        first = [self.edge_row.index(r) for r in range(len(self.du_rows))]
+        self.row_index: dict[tuple[int, ...], int] = {}
+        for k, key in enumerate(self.keys):
+            per_row = tuple(key[e] for e in first)
+            if all(key[e] == per_row[r] for e, r in enumerate(self.edge_row)):
+                self.row_index[per_row] = k
 
     def class_of(self, w: Sequence[int]) -> Optional[int]:
         """The class whose orbits carry a w-eigenvector, or None when no class does."""
         db = self.db
-        dots = [sum(c * x for c, x in zip(row, w)) % db for row in self.du_rows]
-        return self.index.get(tuple(dots[r] for r in self.edge_row))
+        dots = tuple(sum(c * x for c, x in zip(row, w)) % db for row in self.du_rows)
+        return self.row_index.get(dots)
 
 
 def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optional[str]:
     """Why the character sweep is too large, or None when it fits.
 
-    Work is #characters * (#closure edges + #distinct du rows * #generators):
-    the cost of one class_of per character.
+    Work is #characters * (#closure edges + #distinct du rows * #generators).
+    It bounds the cost of one class_of per character from above, since
+    class_of reads the distinct du rows alone.
     """
     work = group.cardinality * (len(scan.edge_row) + len(scan.du_rows) * len(group.generators))
     if work > work_limit:
@@ -361,7 +373,8 @@ def verify_report(
 
     Each generator is represented once, and one scan serves the dimension,
     the protected basis, the sizing of the sweep and the sweep itself.
-    Logical operators are applied to the protected basis vectors only.
+    Logical operators are applied to the protected basis vectors only, whose
+    indices are decoded into digits once.
     """
     d, n = group.d, group.n
     db = phase_modulus(d)
@@ -377,11 +390,12 @@ def verify_report(
 
     basis = _protected_basis(scan, (0,) * len(group.generators))
     vector_of = {i: vec for vec in basis for i in vec}
+    digits = {i: _digits(i, d, n) for i in vector_of}
     ok = True
     for pair in report.logical_operators:
         for op in (pair.z_like, pair.x_like):
-            for vec in basis:
-                if not _in_span(_image(op, vec), vector_of, db):
+            for image in _images(op, basis, digits):
+                if not _in_span(image, vector_of, db):
                     ok = False
                     details.setdefault("logical_action", f"operator {op.to_text()} leaves V^H")
     checks["logical_action"] = ok
@@ -441,24 +455,34 @@ def verify_report(
     )
 
 
-def _image(p: PauliElement, vec: dict[int, int]) -> dict[int, int]:
-    """p applied to a vector {basis index: zeta exponent}, with represent's arithmetic.
+def _digits(i: int, d: int, n: int) -> list[int]:
+    """The n base-d digits of basis index i, most significant first."""
+    out = [0] * n
+    for r in range(n - 1, -1, -1):
+        i, out[r] = divmod(i, d)
+    return out
 
-    Only the vector's indices are mapped, digit by digit, so no d^n table is
+
+def _images(
+    p: PauliElement, vectors: Sequence[dict[int, int]], digits: dict[int, list[int]]
+) -> Iterator[dict[int, int]]:
+    """p applied to each vector {basis index: zeta exponent}, with represent's arithmetic.
+
+    digits holds each index's _digits.  Only the vectors' indices are mapped,
+    and only at the qudits where p has an X or a Z part, so no d^n table is
     built.
     """
     d, n = p.d, p.n
     db = phase_modulus(d)
-    out = {}
-    for i, e in vec.items():
-        t, ph, stride, rest = 0, e + p.phase, 1, i
-        for r in range(n - 1, -1, -1):
-            rest, digit = divmod(rest, d)
-            t += ((digit + p.a[r]) % d) * stride
-            ph += 2 * p.b[r] * digit
-            stride *= d
-        out[t] = ph % db
-    return out
+    shifts = [(r, x, d ** (n - 1 - r)) for r, x in enumerate(p.a) if x]
+    scales = [(r, 2 * z) for r, z in enumerate(p.b) if z]
+    for vec in vectors:
+        out = {}
+        for i, e in vec.items():
+            ds = digits[i]
+            t = i + sum(((ds[r] + x) % d - ds[r]) * stride for r, x, stride in shifts)
+            out[t] = (e + p.phase + sum(z * ds[r] for r, z in scales)) % db
+        yield out
 
 
 def _in_span(image: dict[int, int], vector_of: dict[int, dict[int, int]], db: int) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -67,18 +69,42 @@ class StabilizerGroup:
         self.tau_image = Submodule(d, 2 * n, self.tau_matrix.entries)
         self.space = SymplecticSpace.standard(n, d)
         self._relations: Optional[tuple[Vector, ...]] = None
+        # per generator: phase c, a . b, and the nonzero (k, a_k) and (k, b_k)
+        self._supports = [
+            (g.phase, sum(map(mul, g.a, g.b)),
+             [(k, g.a[k]) for k in compress(range(n), g.a)],
+             [(k, g.b[k]) for k in compress(range(n), g.b)])
+            for g in self.generators
+        ]
 
     @property
     def cardinality(self) -> int:
         return self.tau_image.cardinality
 
     def word(self, exponents: Sequence[int]) -> PauliElement:
-        """The product of generators with the given exponents."""
-        out = PauliElement.identity(self.d, self.n)
-        for g, e in zip(self.generators, exponents):
-            if e % self.d:
-                out = multiply(out, power(g, e))
-        return out
+        """The product of generators with the given exponents, in generator order.
+
+        multiply and power unrolled over the generators' supports: with
+        m = e mod phase_modulus(d), factor g^m adds m c + m(m-1) a.b to the
+        phase, and moving it past the Z part b of the product so far adds
+        2 m (b . a).  Factors with e == 0 mod d are skipped.
+        """
+        d, n = self.d, self.n
+        if len(exponents) != len(self.generators):
+            raise ValueError(f"{len(exponents)} exponents for {len(self.generators)} generators")
+        db = phase_modulus(d)
+        phase = 0
+        a, b = [0] * n, [0] * n
+        for (c, ab, xs, zs), e in zip(self._supports, exponents):
+            if not e % d:
+                continue
+            m = e % db
+            phase += m * (c + (m - 1) * ab + 2 * sum(b[k] * x for k, x in xs))
+            for k, x in xs:
+                a[k] += m * x
+            for k, z in zs:
+                b[k] += m * z
+        return PauliElement(d, n, phase, tuple(a), tuple(b))
 
     def relation_kernel(self) -> tuple[Vector, ...]:
         """Generators of {lam : lam . tau(generators) == 0 mod d}, computed once.
@@ -171,11 +197,13 @@ def validate(d: int, n: int, generators: Sequence[PauliElement]) -> StabilizerGr
         for j in range(i + 1, len(row)):
             if row[j]:
                 raise NotAbelian((i, j), row[j])
-    for j, g in enumerate(group.generators):
-        pw = power(g, d)
-        if not is_identity(pw):
+    # g^d is the scalar zeta^(d c + d(d-1) a.b), the phase of power(g, d)
+    db = phase_modulus(d)
+    for j, (c, ab, _, _) in enumerate(group._supports):
+        phase = (d * c + d * (d - 1) * ab) % db
+        if phase:
             witness = tuple(d if k == j else 0 for k in range(len(rows)))
-            raise ContainsScalar(witness, pw.phase)
+            raise ContainsScalar(witness, phase)
     for lam in group.relation_kernel():
         w = group.word(lam)
         if not is_identity(w):

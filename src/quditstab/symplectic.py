@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 from typing import Optional, Sequence
 
@@ -55,16 +56,27 @@ class SymplecticSpace:
         return (sum(map(mul, u[:n], v[n:])) - sum(map(mul, u[n:], v[:n]))) % self.modulus
 
     def pairing_table(self, us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> list[list[int]]:
-        """[[pairing(u, v) for v in vs] for u in us], from nonzero coordinates only: sum_k
-        |U_k| * |V_k| products, U_k the us with functional(u)[k] != 0, V_k the vs with v[k] != 0."""
-        cols = [[(j, v[k]) for j, v in enumerate(vs) if v[k]] for k in range(self.rank)]
+        """[[pairing(u, v) for v in vs] for u in us], from nonzero coordinates only.
+
+        cols[k] lists (j, vs[j][k]) over the nonzero entries.  u's functional is
+        read in place: u_k meets column k + n as +u_k for k < n, and column
+        k - n as -u_k otherwise.  That is sum_k |U_k| * |V_k| products, U_k the
+        us with u[k] != 0 and V_k the vs nonzero in k's partner column.
+        """
+        n = self.n
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.rank)]
+        for j, v in enumerate(vs):
+            for k in compress(range(len(v)), v):
+                cols[k].append((j, v[k]))
+        partner = [(cols[k + n], 1) for k in range(n)] + [(cols[k], -1) for k in range(n)]
         table = []
         for u in us:
             row = [0] * len(vs)
-            for k, x in enumerate(self.functional(u)):
-                if x:
-                    for j, y in cols[k]:
-                        row[j] += x * y
+            for k in compress(range(len(u)), u):
+                col, sign = partner[k]
+                x = sign * u[k]
+                for j, y in col:
+                    row[j] += x * y
             table.append([t % self.modulus for t in row])
         return table
 

@@ -10,13 +10,22 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter, deque
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from quditstab import pauli, zmod
+from quditstab.errors import ContainsScalar, NotAbelian
 from quditstab.oracle import PhasePermutation
-from quditstab.pauli import PauliElement, multiply, order_matched_lift, phase_modulus, power
+from quditstab.pauli import (
+    PauliElement,
+    commutation_phase,
+    is_identity,
+    multiply,
+    order_matched_lift,
+    phase_modulus,
+    power,
+)
 from quditstab.stabilizer import StabilizerGroup, validate
 from quditstab.symplectic import SymplecticSpace
 from quditstab.zmod import SmithForm, Submodule, ZdMatrix, vec_add
@@ -229,6 +238,35 @@ def random_stabilizer_group(rng: random.Random, d: int, n: int) -> StabilizerGro
         gens.append(w)
     rng.shuffle(gens)
     return validate(d, n, gens)
+
+
+def word_reference(group: StabilizerGroup, exponents) -> PauliElement:
+    """The left fold of multiply(out, power(g, e)) over the generators with e != 0 mod d."""
+    out = PauliElement.identity(group.d, group.n)
+    for g, e in zip(group.generators, exponents, strict=True):
+        if e % group.d:
+            out = multiply(out, power(g, e))
+    return out
+
+
+def validate_reference(d: int, n: int, generators) -> StabilizerGroup:
+    """validate's checks in the symbolic arithmetic: commutation_phase per pair in
+    row-major order, power(g, d) per generator, word_reference per relation."""
+    group = StabilizerGroup(d, n, generators)
+    gens = group.generators
+    for i, j in combinations(range(len(gens)), 2):
+        c = commutation_phase(gens[i], gens[j])
+        if c:
+            raise NotAbelian((i, j), c)
+    for j, g in enumerate(gens):
+        pw = power(g, d)
+        if not is_identity(pw):
+            raise ContainsScalar(tuple(d if k == j else 0 for k in range(len(gens))), pw.phase)
+    for lam in group.relation_kernel():
+        w = word_reference(group, lam)
+        if not is_identity(w):
+            raise ContainsScalar(lam, w.phase)
+    return group
 
 
 def random_symplectic_matrix(rng: random.Random, n: int, d: int, steps: int = 6) -> ZdMatrix:

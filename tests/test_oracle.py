@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -21,7 +22,7 @@ from quditstab.oracle import (
     verify_report,
 )
 from quditstab.pauli import PauliElement, multiply, phase_modulus
-from quditstab.stabilizer import analyze, characters, validate
+from quditstab.stabilizer import StabilizerGroup, analyze, characters, validate
 from tests.helpers import (
     block_group,
     chi_basis_reference,
@@ -117,7 +118,8 @@ class TestRepresent:
             support = rng.sample(range(d**n), rng.randint(0, min(5, d**n)))
             vec = {i: rng.randrange(db) for i in support}
             expected = {rep.perm[i]: (e + rep.phase[i]) % db for i, e in vec.items()}
-            assert oracle_module._image(p, vec) == expected
+            digits = {i: oracle_module._digits(i, d, n) for i in vec}
+            assert list(oracle_module._images(p, [vec, {}], digits)) == [expected, {}]
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
@@ -337,6 +339,24 @@ class TestProtectedBasis:
                 assert [list(v.items()) for v in basis] == [list(v.items()) for v in reference]
                 checked += bool(basis) and any(chi.values)
         assert checked
+
+    def test_unvalidated_groups_match_bfs_reference(self):
+        # generators that do not commute, or that yield a scalar, give orbit classes
+        # whose key differs on two edges with one du row; no character may reach them
+        rng = random.Random(57)
+        split = 0
+        for _ in range(40):
+            d, n = rng.choice([2, 3, 4, 6]), rng.randint(1, 2)
+            group = StabilizerGroup(d, n, [random_pauli(rng, d, n) for _ in range(rng.randint(1, 3))])
+            reps = [represent(g) for g in group.generators]
+            size, db = d**n, phase_modulus(d)
+            scan = oracle_module._Scan(group, None)
+            split += len(scan.row_index) < len(scan.keys)
+            for w in itertools.product(range(d), repeat=len(reps)):
+                basis = protected_basis(group, w)
+                reference = chi_basis_reference(reps, size, db, w)
+                assert [list(v.items()) for v in basis] == [list(v.items()) for v in reference]
+        assert split >= 10
 
 
 class TestOrbitCertificates:

@@ -5,9 +5,11 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditstab import stabilizer, zmod
 from quditstab.errors import ContainsScalar, DimensionMismatch, InternalInvariant, NotAbelian, NotFree
@@ -18,6 +20,7 @@ from quditstab.pauli import (
     multiply,
     order,
     order_matched_lift,
+    phase_modulus,
     power,
 )
 from quditstab.stabilizer import (
@@ -42,8 +45,11 @@ from tests.helpers import (
     brute_span,
     count_pairings,
     count_reductions,
+    random_pauli,
     random_stabilizer_group,
     record_replays,
+    validate_reference,
+    word_reference,
 )
 
 
@@ -86,6 +92,18 @@ class TestValidate:
             validate(6, 2, [z1, z2, x2, x1])
         assert (info.value.pair, info.value.value) == ((0, 3), 1)
 
+    def test_matches_symbolic_reference(self):
+        # the closed-form power check and words against power, multiply and
+        # commutation_phase: same group, or same error, witness, phase and message
+        rng = random.Random(1501)
+        seen = Counter()
+        for d, n, gens in validate_cases(rng, 480):
+            got = validate_outcome(validate, d, n, gens)
+            assert got == validate_outcome(validate_reference, d, n, gens)
+            # relation witnesses are reduced mod d; the power check's witness holds d
+            seen["power" if got[0] == "ContainsScalar" and d in got[1] else got[0]] += 1
+        assert min(seen[k] for k in ("ok", "NotAbelian", "ContainsScalar", "power")) >= 20, seen
+
     @pytest.mark.parametrize("seed", range(40))
     def test_not_abelian_witness_matches_pairwise_scan(self, seed):
         rng = random.Random(seed)
@@ -106,6 +124,44 @@ class TestValidate:
         except ContainsScalar:
             got = None
         assert got == expected
+
+
+def validate_cases(rng: random.Random, count: int):
+    """(d, n, generators) lists for validate: valid groups, the same with a scalar
+    shift on one generator or an extra scalar-shifted word, and random Paulis,
+    with identity and pure-scalar generators mixed in."""
+    for k in range(count):
+        d = rng.choice([2, 3, 4, 6, 8, 12, 360, 2**64])
+        n = rng.randint(1, 3)
+        db = phase_modulus(d)
+        kind = k % 4
+        if kind == 3:
+            gens = [random_pauli(rng, d, n) for _ in range(rng.randint(1, 4))]
+        else:
+            gens = list(random_stabilizer_group(rng, d, n).generators)
+            if kind == 1 and gens:
+                j = rng.randrange(len(gens))
+                gens[j] = multiply(PauliElement.scalar(d, n, rng.randrange(1, db)), gens[j])
+            elif kind == 2:
+                extra = PauliElement.scalar(d, n, rng.randrange(db))
+                for g in gens:
+                    extra = multiply(extra, power(g, rng.randrange(-d, 2 * db)))
+                gens.append(extra)
+        if rng.random() < 0.2:
+            extra = rng.choice([PauliElement.identity(d, n), PauliElement.scalar(d, n, rng.randrange(db))])
+            gens.insert(rng.randrange(len(gens) + 1), extra)
+        yield d, n, gens
+
+
+def validate_outcome(check, d: int, n: int, gens) -> tuple:
+    """The group's generators and cardinality, or the error's type, fields and message."""
+    try:
+        group = check(d, n, gens)
+    except NotAbelian as exc:
+        return "NotAbelian", exc.pair, exc.value, str(exc)
+    except ContainsScalar as exc:
+        return "ContainsScalar", exc.witness, exc.phase, str(exc)
+    return "ok", group.generators, group.cardinality
 
 
 def relation_kernel_cases():
@@ -159,6 +215,41 @@ class TestRelationKernel:
         relations = group.relation_kernel()
         assert all(len(lam) == g and image(lam) == zero for lam in relations)
         assert brute_span(relations, d, g) == left_kernel
+
+
+@st.composite
+def word_cases(draw):
+    """An unvalidated group (random phases, entries possibly zero) and exponents that
+    are negative, multiples of d, or at least phase_modulus(d)."""
+    d = draw(st.sampled_from([2, 3, 6, 12, 2**64]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    db = phase_modulus(d)
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=d - 1))
+    gen = st.builds(lambda c, a, b: PauliElement(d, n, c, a, b), st.integers(min_value=0, max_value=db - 1),
+                    st.tuples(*[entry] * n), st.tuples(*[entry] * n))
+    gens = draw(st.lists(gen, max_size=5))
+    exponent = st.one_of(
+        st.integers(min_value=-3 * db, max_value=-1),
+        st.integers(min_value=-3, max_value=3).map(lambda k: k * d),
+        st.integers(min_value=db, max_value=4 * db),
+        st.integers(min_value=0, max_value=db - 1),
+    )
+    return StabilizerGroup(d, n, gens), draw(st.lists(exponent, min_size=len(gens), max_size=len(gens)))
+
+
+class TestWord:
+    @given(word_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_multiply_power_fold(self, case):
+        group, exponents = case
+        assert group.word(exponents) == word_reference(group, exponents)
+
+    def test_length_mismatch_raises(self):
+        group = StabilizerGroup(6, 2, [PauliElement.z_op(6, 2, 0), PauliElement.x_op(6, 2, 1)])
+        with pytest.raises(ValueError, match="1 exponents for 2 generators"):
+            group.word((1,))
+        with pytest.raises(ValueError, match="3 exponents for 2 generators"):
+            group.word((1, 0, 2))
 
 
 class TestMembership:

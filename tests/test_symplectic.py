@@ -47,10 +47,11 @@ def standard_vector_pairs(draw):
 @st.composite
 def pairing_table_cases(draw):
     """(d, n, us, vs): lists of up to 6 vectors, each sparse (at most two nonzero
-    coordinates) or dense with entries in [-d, 2d], at d up to 2^64."""
+    coordinates) or dense with entries in [-3d, 3d], so zero, negative and
+    unreduced, at d up to 2^64."""
     d = draw(st.sampled_from([2, 6, 12, 360, 2**64]))
     n = draw(st.integers(min_value=1, max_value=4))
-    entry = st.integers(min_value=-d, max_value=2 * d)
+    entry = st.integers(min_value=-3 * d, max_value=3 * d)
     sparse = st.dictionaries(st.integers(min_value=0, max_value=2 * n - 1), entry, max_size=2).map(
         lambda nonzero: tuple(nonzero.get(k, 0) for k in range(2 * n)))
     vector = st.one_of(sparse, st.tuples(*[entry] * (2 * n)))
@@ -105,6 +106,7 @@ class TestSymplecticSpace:
     @settings(max_examples=200, deadline=None)
     @example((6, 2, [], [(1, 0, 0, 1)]))
     @example((2**64, 1, [(0, 1)], []))
+    @example((6, 2, [(0, 0, 0, 0), (-7, 13, 0, -1), (6, 0, -12, 18)], [(5, -1, 0, 25), (0, 0, 0, 0)]))
     def test_pairing_table_matches_pairing(self, case):
         d, n, us, vs = case
         space = SymplecticSpace.standard(n, d)
