@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import InternalInvariant, NotSymplectic
@@ -23,6 +24,8 @@ from .pauli import (
     order_matched_lift,
     phase_modulus,
     power,
+    support,
+    word,
 )
 from .symplectic import SymplecticSpace, structure_decomposition
 from .zmod import Submodule, ZdMatrix
@@ -142,14 +145,14 @@ class PauliAutomorphism:
     z_images: tuple[PauliElement, ...]
     x_images: tuple[PauliElement, ...]
 
+    @cached_property
+    def _supports(self) -> list:
+        """The images' supports in the order apply reads p: X_k, then Z_k, per qudit."""
+        return [support(q) for pair in zip(self.x_images, self.z_images) for q in pair]
+
     def apply(self, p: PauliElement) -> PauliElement:
-        out = PauliElement.scalar(self.d, self.n, p.phase)
-        for k in range(self.n):
-            if p.a[k]:
-                out = multiply(out, power(self.x_images[k], p.a[k]))
-            if p.b[k]:
-                out = multiply(out, power(self.z_images[k], p.b[k]))
-        return out
+        exponents = (e for pair in zip(p.a, p.b) for e in pair)
+        return word(self.d, self.n, p.phase, zip(self._supports, exponents))
 
     def induced_matrix(self) -> ZdMatrix:
         """The symplectic map on module vectors, as a column-action matrix."""
@@ -170,24 +173,23 @@ class PauliAutomorphism:
 def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
     """Lift a symplectic matrix on the standard module to a Pauli automorphism.
 
-    Images are order-matched lifts of the mapped basis vectors; the
-    presentation relations are checked before returning.
+    Images are order-matched lifts of the mapped basis vectors.  The
+    commutator relations are the columns' pairing table, as p*q ==
+    xi^phi(tau p, tau q) q*p holds exactly; the order relation Y^d == 1 is
+    the closed-form phase d c + d(d-1) a.b of each image.
     """
     d, n = space.modulus, space.n
     if psi.rows != 2 * n or psi.cols != 2 * n or psi.modulus != d:
         raise ValueError("matrix does not act on this module")
     # psi is symplectic iff its columns pair as the unit vectors do
     units = ZdMatrix.identity(d, 2 * n).entries
-    form_values = space.pairing_table(units, units)
     cols = [psi.col(k) for k in range(2 * n)]
-    if space.pairing_table(cols, cols) != form_values:
+    if space.pairing_table(cols, cols) != space.pairing_table(units, units):
         raise NotSymplectic("matrix does not preserve the form")
-    z_images = tuple(order_matched_lift(d, c) for c in cols[:n])
-    x_images = tuple(order_matched_lift(d, c) for c in cols[n:])
-    images = z_images + x_images
-    orders = (d,) * (2 * n)
-    if not verify_presentation(images, orders, form_values):
+    aut = PauliAutomorphism(d, n, tuple(order_matched_lift(d, c) for c in cols[:n]),
+                            tuple(order_matched_lift(d, c) for c in cols[n:]))
+    if any((d * c + d * (d - 1) * ab) % phase_modulus(d) for c, ab, _, _ in aut._supports):
         raise InternalInvariant(
             "heisenberg.lift_symplectic", "lifted images violate the presentation"
         )
-    return PauliAutomorphism(d, n, z_images, x_images)
+    return aut

@@ -175,15 +175,13 @@ class KitaevModel:
         self.d = d
         n = len(graph.edges)
         self.n = n
-        self.vertex_ops: dict[object, PauliElement] = {}
-        for s in graph.vertices:
-            a = [0] * n
-            for i, e in enumerate(graph.edges):
-                if e.head == s:
-                    a[i] += 1
-                if e.tail == s:
-                    a[i] -= 1
-            self.vertex_ops[s] = PauliElement(d, n, 0, tuple(a), (0,) * n)
+        xs = {s: [0] * n for s in graph.vertices}
+        for i, e in enumerate(graph.edges):  # +1 at the head, -1 at the tail: a loop nets 0
+            xs[e.head][i] += 1
+            xs[e.tail][i] -= 1
+        self.vertex_ops: dict[object, PauliElement] = {
+            s: PauliElement(d, n, 0, tuple(a), (0,) * n) for s, a in xs.items()
+        }
         self.face_ops: dict[int, PauliElement] = {}
         for fi, walk in enumerate(graph.faces):
             b = [0] * n

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InternalInvariant, json_int
 from .zmod import Vector, vector_order
@@ -146,6 +148,35 @@ def power(p: PauliElement, m: int) -> PauliElement:
     a = tuple(m * x for x in p.a)
     b = tuple(m * x for x in p.b)
     return PauliElement(p.d, p.n, phase, a, b)
+
+
+def support(p: PauliElement) -> tuple[int, int, list, list]:
+    """What word reads of a factor: phase c, a . b, and the nonzero (k, a_k) and (k, b_k)."""
+    return (p.phase, sum(map(mul, p.a, p.b)),
+            [(k, p.a[k]) for k in compress(range(p.n), p.a)],
+            [(k, p.b[k]) for k in compress(range(p.n), p.b)])
+
+
+def word(d: int, n: int, phase: int, factors: Iterable[tuple[tuple, int]]) -> PauliElement:
+    """zeta^phase times the product of g^e over (support(g), e) pairs, in order.
+
+    multiply and power unrolled over the supports, for factors of order
+    dividing d (e == 0 mod d is skipped): with m = e mod phase_modulus(d), g^m
+    adds m c + m(m-1) a.b to the phase, and moving it past the Z part b of the
+    product so far adds 2 m (b . a).
+    """
+    db = phase_modulus(d)
+    a, b = [0] * n, [0] * n
+    for (c, ab, xs, zs), e in factors:
+        if not e % d:
+            continue
+        m = e % db
+        phase += m * (c + (m - 1) * ab + 2 * sum(b[k] * x for k, x in xs))
+        for k, x in xs:
+            a[k] += m * x
+        for k, z in zs:
+            b[k] += m * z
+    return PauliElement(d, n, phase, tuple(a), tuple(b))
 
 
 def is_scalar(p: PauliElement) -> bool:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -31,13 +29,15 @@ from .heisenberg import PauliAutomorphism, crt_canonical_chain, lift_symplectic
 from .pauli import (
     PauliElement,
     commutation_phase,
-    inverse,
+    conjugate,
     is_identity,
     module_vector,
     multiply,
     order_matched_lift,
     phase_modulus,
     power,
+    support,
+    word,
 )
 from .symplectic import (
     SymplecticSpace,
@@ -69,42 +69,17 @@ class StabilizerGroup:
         self.tau_image = Submodule(d, 2 * n, self.tau_matrix.entries)
         self.space = SymplecticSpace.standard(n, d)
         self._relations: Optional[tuple[Vector, ...]] = None
-        # per generator: phase c, a . b, and the nonzero (k, a_k) and (k, b_k)
-        self._supports = [
-            (g.phase, sum(map(mul, g.a, g.b)),
-             [(k, g.a[k]) for k in compress(range(n), g.a)],
-             [(k, g.b[k]) for k in compress(range(n), g.b)])
-            for g in self.generators
-        ]
+        self._supports = [support(g) for g in self.generators]
 
     @property
     def cardinality(self) -> int:
         return self.tau_image.cardinality
 
     def word(self, exponents: Sequence[int]) -> PauliElement:
-        """The product of generators with the given exponents, in generator order.
-
-        multiply and power unrolled over the generators' supports: with
-        m = e mod phase_modulus(d), factor g^m adds m c + m(m-1) a.b to the
-        phase, and moving it past the Z part b of the product so far adds
-        2 m (b . a).  Factors with e == 0 mod d are skipped.
-        """
-        d, n = self.d, self.n
+        """The product of generators with the given exponents, in generator order."""
         if len(exponents) != len(self.generators):
             raise ValueError(f"{len(exponents)} exponents for {len(self.generators)} generators")
-        db = phase_modulus(d)
-        phase = 0
-        a, b = [0] * n, [0] * n
-        for (c, ab, xs, zs), e in zip(self._supports, exponents):
-            if not e % d:
-                continue
-            m = e % db
-            phase += m * (c + (m - 1) * ab + 2 * sum(b[k] * x for k, x in xs))
-            for k, x in xs:
-                a[k] += m * x
-            for k, z in zs:
-                b[k] += m * z
-        return PauliElement(d, n, phase, tuple(a), tuple(b))
+        return word(self.d, self.n, 0, zip(self._supports, exponents))
 
     def relation_kernel(self) -> tuple[Vector, ...]:
         """Generators of {lam : lam . tau(generators) == 0 mod d}, computed once.
@@ -337,16 +312,14 @@ def coset_order_matched_lift(group: StabilizerGroup, v: Sequence[int], coset_ord
     h = group.element_over(module_vector(ga))
     if h is None:
         raise ValueError("power of the lift does not map into the group image")
-    w = multiply(ga, inverse(h))
-    if any(w.a) or any(w.b):
-        raise InternalInvariant("analyze.lifts", "residual is not scalar")
-    target = (-w.phase) % db
+    # ga and h share a module vector, so ga h^-1 is the scalar zeta^(ga.phase - h.phase)
+    target = (h.phase - ga.phase) % db
     gcd = math.gcd(coset_order, db)
     if target % gcd:
         raise InternalInvariant("analyze.lifts", "no zeta correction exists")
     x = (target // gcd) * pow(coset_order // gcd, -1, db // gcd) % (db // gcd)
     out = multiply(PauliElement.scalar(d, group.n, x), g)
-    if not membership(group, power(out, coset_order)):
+    if power(out, coset_order) != h:
         raise InternalInvariant("analyze.lifts", "corrected lift does not reach the group")
     return out
 
@@ -440,8 +413,7 @@ class CanonicalConjugation:
     phase_fix: PauliElement
 
     def apply(self, p: PauliElement) -> PauliElement:
-        q = self.automorphism.apply(p)
-        return multiply(multiply(self.phase_fix, q), inverse(self.phase_fix))
+        return conjugate(self.phase_fix, self.automorphism.apply(p))
 
 
 def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
@@ -458,20 +430,21 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
     k = len(basis)
     space = group.space
     es, fs = extend_isotropic_basis(space, basis)
-    cols = list(es) + list(fs)
-    cmat = ZdMatrix.from_rows(d, list(zip(*cols)), cols=2 * n)
     # beta is the inverse of the basis matrix: it sends e_i to z_i, f_i to x_i.
     # v = sum_i pairing(v, f_i) e_i + pairing(e_i, v) f_i, so its rows are the
-    # functionals of -f_i, then of e_i
+    # functionals of -f_i, then of e_i; they invert the basis iff (es, fs)
+    # pairs as the unit vectors do
+    cols = list(es) + list(fs)
+    units = ZdMatrix.identity(d, 2 * n).entries
+    if space.pairing_table(cols, cols) != space.pairing_table(units, units):
+        raise InternalInvariant(
+            "canonicalize.basis", "the pairing-read inverse does not invert the basis"
+        )
     beta = ZdMatrix.from_rows(
         d,
         [space.functional(vec_scale(-1, f, d)) for f in fs] + [space.functional(e) for e in es],
         cols=2 * n,
     )
-    if beta @ cmat != ZdMatrix.identity(d, 2 * n):
-        raise InternalInvariant(
-            "canonicalize.basis", "the pairing-read inverse does not invert the basis"
-        )
     aut = lift_symplectic(space, beta)
 
     a_exp = [0] * n

@@ -249,6 +249,17 @@ def word_reference(group: StabilizerGroup, exponents) -> PauliElement:
     return out
 
 
+def apply_reference(aut, p: PauliElement) -> PauliElement:
+    """PauliAutomorphism.apply as the left fold of multiply(out, power(image, e)), X_k before Z_k."""
+    out = PauliElement.scalar(aut.d, aut.n, p.phase)
+    for k in range(aut.n):
+        if p.a[k]:
+            out = multiply(out, power(aut.x_images[k], p.a[k]))
+        if p.b[k]:
+            out = multiply(out, power(aut.z_images[k], p.b[k]))
+    return out
+
+
 def validate_reference(d: int, n: int, generators) -> StabilizerGroup:
     """validate's checks in the symbolic arithmetic: commutation_phase per pair in
     row-major order, power(g, d) per generator, word_reference per relation."""
@@ -456,3 +467,18 @@ def count_pairings(monkeypatch) -> Counter:
         if name.split(".")[0] == "quditstab" and getattr(module, "commutation_phase", None) is real_phase:
             monkeypatch.setattr(module, "commutation_phase", commutation_phase)
     return counts
+
+
+def count_multiplies(monkeypatch) -> list:
+    """The (p, q) of every later multiply call, in every quditstab module that imports it."""
+    calls = []
+    real = pauli.multiply
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quditstab" and getattr(module, "multiply", None) is real:
+            monkeypatch.setattr(module, "multiply", counting)
+    return calls

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditstab.errors import Degenerate, NotSymplectic
+from quditstab import heisenberg
+from quditstab.errors import Degenerate, InternalInvariant, NotSymplectic
 from quditstab.heisenberg import (
     crt_canonical_chain,
     heisenberg_structure,
@@ -22,7 +23,13 @@ from quditstab.pauli import (
 from quditstab.stabilizer import analyze, validate
 from quditstab.symplectic import SymplecticSpace
 from quditstab.zmod import Submodule, ZdMatrix
-from tests.helpers import chain_reference, random_pauli, random_symplectic_matrix, standard_gram
+from tests.helpers import (
+    apply_reference,
+    chain_reference,
+    random_pauli,
+    random_symplectic_matrix,
+    standard_gram,
+)
 
 # primes whose products give moduli up to 2^64 with a known factorisation
 PRIMES = (2, 3, 5, 7, 11, 13, 65537, 998244353, 1000000007, 4294967291)
@@ -239,3 +246,26 @@ class TestLiftSymplectic:
                 assert a1.apply(multiply(p, q)) == multiply(a1.apply(p), a1.apply(q))
             # the lift fixes zeta
             assert a1.apply(PauliElement.scalar(d, n, 1)) == PauliElement.scalar(d, n, 1)
+
+    @given(st.sampled_from([2, 3, 4, 6, 12, 2**64]), st.integers(1, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_apply_is_the_multiply_fold(self, d, n, rng):
+        aut = lift_symplectic(SymplecticSpace.standard(n, d), random_symplectic_matrix(rng, n, d))
+        for _ in range(4):
+            p = random_pauli(rng, d, n)
+            assert aut.apply(p) == apply_reference(aut, p)
+
+    def test_order_relation_is_checked(self, monkeypatch):
+        # zeta Z at d=2 squares to -1: the image pairs correctly but has order 4
+        real = heisenberg.order_matched_lift
+
+        def zeta_times(d, v):
+            return multiply(PauliElement.scalar(d, len(v) // 2, 1), real(d, v))
+
+        monkeypatch.setattr(heisenberg, "order_matched_lift", zeta_times)
+        psi = random_symplectic_matrix(random.Random(5), 2, 2)
+        with pytest.raises(InternalInvariant) as info:
+            lift_symplectic(SymplecticSpace.standard(2, 2), psi)
+        assert (info.value.stage, info.value.detail) == (
+            "heisenberg.lift_symplectic", "lifted images violate the presentation")
+

@@ -43,6 +43,7 @@ from quditstab.zmod import Submodule, ZdMatrix, vec_scale
 from tests.helpers import (
     block_group,
     brute_span,
+    count_multiplies,
     count_pairings,
     count_reductions,
     random_pauli,
@@ -321,14 +322,15 @@ class TestMembership:
 
 class TestCosetOrderMatchedLift:
     def test_failed_check_raises_under_optimisation(self):
-        # the final membership check must survive python -O, which strips asserts
+        # the final check must survive python -O, which strips asserts; dropping
+        # the zeta correction leaves Z with Z^2 outside <zeta^4 Z^2> = <-Z^2>
         script = textwrap.dedent("""
             import quditstab.stabilizer as S
             from quditstab.pauli import PauliElement
-            group = S.validate(4, 1, [PauliElement.z_op(4, 1, 0, 2)])
-            S.membership = lambda group, p: False
+            group = S.validate(4, 1, [PauliElement(4, 1, 4, (0,), (2,))])
+            S.multiply = lambda p, q: q
             try:
-                S.coset_order_matched_lift(group, (0, 2), 2)
+                S.coset_order_matched_lift(group, (1, 0), 2)
             except AssertionError as exc:
                 print("raised:", exc)
             else:
@@ -361,10 +363,10 @@ class TestCosetOrderMatchedLift:
     def test_failed_check_names_its_stage(self, monkeypatch):
         import quditstab.stabilizer as S
 
-        group = validate(4, 1, [PauliElement.z_op(4, 1, 0, 2)])
-        monkeypatch.setattr(S, "membership", lambda group, p: False)
+        group = validate(4, 1, [PauliElement(4, 1, 4, (0,), (2,))])
+        monkeypatch.setattr(S, "multiply", lambda p, q: q)
         with pytest.raises(InternalInvariant) as info:
-            S.coset_order_matched_lift(group, (0, 2), 2)
+            S.coset_order_matched_lift(group, (1, 0), 2)
         assert info.value.stage == "analyze.lifts"
         assert info.value.detail == "corrected lift does not reach the group"
 
@@ -618,6 +620,26 @@ class TestCanonicalConjugation:
         with pytest.raises(InternalInvariant) as info:
             canonical_conjugation(validate(5, 2, [PauliElement.z_op(5, 2, 0)]))
         assert info.value.stage == "canonicalize.basis"
+
+    def test_bad_e_names_its_stage(self, monkeypatch):
+        real_extend = stabilizer.extend_isotropic_basis
+
+        def scaled(space, basis):
+            es, fs = real_extend(space, basis)
+            return (vec_scale(2, es[0], space.modulus),) + es[1:], fs
+
+        monkeypatch.setattr(stabilizer, "extend_isotropic_basis", scaled)
+        with pytest.raises(InternalInvariant) as info:
+            canonical_conjugation(validate(5, 2, [PauliElement.z_op(5, 2, 0)]))
+        assert info.value.stage == "canonicalize.basis"
+
+    def test_torus_6x6_makes_few_multiplies(self, monkeypatch):
+        # the presentation is checked by pairings and closed-form phases; a replay
+        # with Pauli products over all 4n^2 image pairs makes some 83,000 here
+        group = build_model(torus_grid_graph(6, 6), 6).stabilizer
+        calls = count_multiplies(monkeypatch)
+        canonical_conjugation(group)
+        assert len(calls) < 1000
 
 
 class TestCharacters:
