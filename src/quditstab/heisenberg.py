@@ -182,9 +182,8 @@ def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
     if psi.rows != 2 * n or psi.cols != 2 * n or psi.modulus != d:
         raise ValueError("matrix does not act on this module")
     # psi is symplectic iff its columns pair as the unit vectors do
-    units = ZdMatrix.identity(d, 2 * n).entries
     cols = [psi.col(k) for k in range(2 * n)]
-    if space.pairing_table(cols, cols) != space.pairing_table(units, units):
+    if not space.has_standard_gram(cols):
         raise NotSymplectic("matrix does not preserve the form")
     aut = PauliAutomorphism(d, n, tuple(order_matched_lift(d, c) for c in cols[:n]),
                             tuple(order_matched_lift(d, c) for c in cols[n:]))

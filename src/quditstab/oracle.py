@@ -12,9 +12,13 @@ read off.  X parts act on indices as translations, so one BFS of the orbit
 of index 0, with the generator word of each of its positions, gives a
 template that is replayed from every other orbit's start; the replay checks
 each of its steps, so it equals the plain BFS or raises InternalInvariant.
-Every call represents each generator once and makes one scan, which serves
-the dimension, every protected basis and the character sweep: each of them
-finds the one orbit class that carries a w-eigenvector by one key lookup.
+A closure edge that returns to its own template position (every edge of an
+X-free generator) has phase discrepancy phase[x] alone: the potentials
+cancel.  Every call represents each generator once, repeating whole tables
+off the generator's support, and makes one scan, which serves the
+dimension, every protected basis and the character sweep: each of them
+finds the one orbit class that carries a w-eigenvector by one key lookup,
+and the sweep steps through the characters in odometer order.
 Logical operators are applied to the protected basis vectors alone; each
 basis index is decoded into digits once per call, and each operator reads
 the digits at its own support.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadBound, InternalInvariant, TooLarge
@@ -86,23 +91,34 @@ class PhasePermutation:
 def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
     """Exact phase-permutation of p: X shifts a digit, Z scales by xi^digit.
 
-    Basis index i = sum_r digit_r * d^(n-1-r).  The tables grow one qudit at
-    a time, most significant digit first: every entry built so far is
-    followed by the d entries of the next digit, read off per-qudit shift
-    and scale tables.
+    Basis index i = sum_r digit_r * d^(n-1-r), and perm[i] = i + shift[i].
+    The shift and phase tables grow one qudit at a time, least significant
+    digit first: the tables over digits r..n-1 are d blocks, one per value of
+    digit r, each a copy of the tables over digits r+1..n-1 plus that
+    value's shift or scale.  Where p has no X (Z) part on qudit r, the shift
+    (phase) table is repeated d times as it is, so entry-wise work happens
+    on p's support alone; an X-free p has perm = range(d^n).
     """
     d, n = p.d, p.n
-    _check_size(d, n, bound)
+    size = _check_size(d, n, bound)
     db = phase_modulus(d)
-    perm = [0]
+    shift = [0]
     phase = [p.phase % db]
-    for r in range(n):
-        stride = d ** (n - 1 - r)
-        shift = [((x + p.a[r]) % d) * stride for x in range(d)]
-        scale = [(2 * p.b[r] * x) % db for x in range(d)]
-        perm = [t + s for t in perm for s in shift]
-        phase = [(q + s) % db for q in phase for s in scale]
-    return PhasePermutation(d, n, tuple(perm), tuple(phase))
+    for r in range(n - 1, -1, -1):
+        a, b = p.a[r], p.b[r]
+        if a:
+            stride = d ** (n - 1 - r)
+            steps = [((x + a) % d - x) * stride for x in range(d)]
+            shift = [s + c for c in steps for s in shift]
+        else:
+            shift *= d
+        if b:
+            scale = [(2 * b * x) % db for x in range(d)]
+            phase = [(q + c) % db for c in scale for q in phase]
+        else:
+            phase *= d
+    perm = tuple(map(add, range(size), shift)) if any(p.a) else tuple(range(size))
+    return PhasePermutation(d, n, perm, tuple(phase))
 
 
 @dataclass
@@ -200,19 +216,20 @@ class _Scan:
         self.edge_row = [row_index.setdefault(row, len(row_index)) for row in du]
         self.du_rows = list(row_index)
         orbits = self.orbits
+        steps = [(p, perms[j], phases[j]) for p, j in tree]
         for start in range(self.size):
             if orbit_id[start] != -1:
                 continue
             oid = len(orbits)
             orbit_id[start] = oid
             members = [start]
-            for p, j in tree:
+            for p, perm, phase in steps:
                 x = members[p]
-                t = perms[j][x]
+                t = perm[x]
                 if orbit_id[t] != -1:
                     raise InternalInvariant("oracle.scan", f"tree edge from {x} lands on visited {t}")
                 orbit_id[t] = oid
-                pot[t] = (pot[x] + phases[j][x]) % db
+                pot[t] = (pot[x] + phase[x]) % db
                 members.append(t)
             orbits.append(members)
         columns = [list(col) for col in zip(*orbits)]  # columns[pos][oid]
@@ -222,10 +239,13 @@ class _Scan:
             sources, targets = columns[p], columns[tp]
             if [perm[x] for x in sources] != targets:
                 raise InternalInvariant("oracle.scan", "closure edge misses its template member")
-            discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
+            if p == tp:  # a self-loop: the potentials cancel, and phase is already reduced
+                discrepancies.append([phase[x] for x in sources])
+            else:
+                discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
         index: dict[tuple[int, ...], int] = {}
-        for key in zip(*discrepancies) if discrepancies else [()] * len(orbits):
-            self.key_of.append(index.setdefault(key, len(index)))
+        keys = zip(*discrepancies) if discrepancies else [()] * len(orbits)
+        self.key_of = [index.setdefault(key, len(index)) for key in keys]
         self.keys = list(index)
         # edges with equal du rows get equal entries of du . w, so only a class whose
         # key agrees on them can match; its key is then fixed by one entry per row
@@ -239,7 +259,7 @@ class _Scan:
     def class_of(self, w: Sequence[int]) -> Optional[int]:
         """The class whose orbits carry a w-eigenvector, or None when no class does."""
         db = self.db
-        dots = tuple(sum(c * x for c, x in zip(row, w)) % db for row in self.du_rows)
+        dots = tuple(sum(map(mul, row, w)) % db for row in self.du_rows)
         return self.row_index.get(dots)
 
 
@@ -323,9 +343,12 @@ def protected_basis(
     """Exact orthogonal basis of the chi-eigenspace (default: fixed space).
 
     Each vector is {basis index: zeta exponent}, one per consistent orbit;
-    every returned vector is re-verified against all generators.
+    every returned vector is re-verified against all generators.  chi holds
+    one value per generator; any other length raises ValueError.
     """
     w = tuple(chi) if chi is not None else (0,) * len(group.generators)
+    if len(w) != len(group.generators):
+        raise ValueError(f"{len(w)} character values for {len(group.generators)} generators")
     return _protected_basis(_Scan(group, bound), w)
 
 

@@ -434,9 +434,7 @@ def canonical_conjugation(group: StabilizerGroup) -> CanonicalConjugation:
     # v = sum_i pairing(v, f_i) e_i + pairing(e_i, v) f_i, so its rows are the
     # functionals of -f_i, then of e_i; they invert the basis iff (es, fs)
     # pairs as the unit vectors do
-    cols = list(es) + list(fs)
-    units = ZdMatrix.identity(d, 2 * n).entries
-    if space.pairing_table(cols, cols) != space.pairing_table(units, units):
+    if not space.has_standard_gram(list(es) + list(fs)):
         raise InternalInvariant(
             "canonicalize.basis", "the pairing-read inverse does not invert the basis"
         )

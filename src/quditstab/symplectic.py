@@ -80,6 +80,15 @@ class SymplecticSpace:
             table.append([t % self.modulus for t in row])
         return table
 
+    def has_standard_gram(self, vs: Sequence[Sequence[int]]) -> bool:
+        """vs pairs as the 2n unit vectors do: 1 at (i, n+i), d-1 at (n+i, i), 0 elsewhere."""
+        n = self.n
+        standard = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            standard[i][n + i] = 1
+            standard[n + i][i] = self.modulus - 1
+        return self.pairing_table(vs, vs) == standard
+
     def functional(self, u: Sequence[int]) -> Vector:
         """Coefficient row r with r . x == pairing(u, x) for all x: (-u_x | u_z)."""
         d, n = self.modulus, self.n

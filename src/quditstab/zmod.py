@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _cartesian
 from typing import Iterable, Iterator, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -535,20 +534,27 @@ class Submodule:
         return Submodule(d, m, gens)
 
     def enumerate_elements(self) -> Iterator[Vector]:
-        """All elements, via quasi-basis coefficients (no duplicates)."""
-        qb = self.quasi_basis()
-        d, m = self.modulus, self.ambient_rank
-        if not qb:
-            yield (0,) * m
-            return
-        vecs = [q[0] for q in qb]
-        orders = [q[1] for q in qb]
-        for coeffs in _cartesian(*(range(o) for o in orders)):
-            x = (0,) * m
-            for cf, vec in zip(coeffs, vecs):
-                if cf:
-                    x = vec_add(x, vec_scale(cf, vec, d), d)
+        """All elements, via quasi-basis coefficients (no duplicates).
+
+        The coefficients run in itertools.product order, last digit fastest,
+        and each step adds one quasi-basis vector per digit that changes, as
+        an odometer turns.  A digit that wraps from its order back to 0 adds
+        its vector once more, which is right because order * vector == 0.
+        """
+        d = self.modulus
+        wheel = self.quasi_basis()[::-1]  # least significant digit first
+        coeffs = [0] * len(wheel)
+        x = (0,) * self.ambient_rank
+        while True:
             yield x
+            for i, (vec, order) in enumerate(wheel):
+                x = vec_add(x, vec, d)
+                coeffs[i] += 1
+                if coeffs[i] < order:
+                    break
+                coeffs[i] = 0
+            else:
+                return
 
     def __repr__(self) -> str:
         return f"Submodule(d={self.modulus}, m={self.ambient_rank}, gens={list(self.generators)})"

@@ -28,7 +28,7 @@ from quditstab.pauli import (
 )
 from quditstab.stabilizer import StabilizerGroup, validate
 from quditstab.symplectic import SymplecticSpace
-from quditstab.zmod import SmithForm, Submodule, ZdMatrix, vec_add
+from quditstab.zmod import SmithForm, Submodule, ZdMatrix, vec_add, vec_scale
 
 
 def mat_x(d: int) -> np.ndarray:
@@ -167,6 +167,38 @@ def tampered_represent(real, fixed: int = 0):
         return PhasePermutation(rep.d, rep.n, tuple(perm), rep.phase)
 
     return represent
+
+
+def swapped_x_free_represent(real, i: int = 1, j: int = 2):
+    """represent, except that every X-free action swaps the images of indices i and j.
+
+    tampered_represent leaves X-free actions alone, since they fix every
+    index; this one breaks their identity permutation.
+    """
+
+    def represent(p, bound=None):
+        rep = real(p, bound)
+        if any(p.a):
+            return rep
+        perm = list(rep.perm)
+        perm[i], perm[j] = perm[j], perm[i]
+        return PhasePermutation(rep.d, rep.n, tuple(perm), rep.phase)
+
+    return represent
+
+
+def enumerate_elements_reference(sub: Submodule) -> list:
+    """sub's elements by the fold over itertools.product of the quasi-basis coefficient ranges."""
+    qb = sub.quasi_basis()
+    d = sub.modulus
+    out = []
+    for coeffs in product(*(range(o) for _, o in qb)):
+        x = (0,) * sub.ambient_rank
+        for cf, (vec, _) in zip(coeffs, qb):
+            if cf:
+                x = vec_add(x, vec_scale(cf, vec, d), d)
+        out.append(x)
+    return out
 
 
 def brute_span(gens, d, m) -> set:

@@ -31,6 +31,7 @@ from tests.helpers import (
     random_stabilizer_group,
     represent_reference,
     scan_reference,
+    swapped_x_free_represent,
     tampered_represent,
 )
 
@@ -107,6 +108,22 @@ class TestRepresent:
         rep = represent(p)
         assert (rep.perm, rep.phase) == represent_reference(p)
         assert isinstance(rep.perm, tuple) and isinstance(rep.phase, tuple)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 12])
+    def test_matches_digit_loop_off_the_support(self, d):
+        # X-free, Z-free and scalar elements repeat whole tables; 12^6 states is left out
+        rng = random.Random(d)
+        for n in range(7):
+            if d**n > 12**5:
+                continue
+            for x_part, z_part in [(False, True), (True, False), (False, False)]:
+                support = rng.sample(range(n), rng.randint(0, n))
+                a = tuple(rng.randrange(1, d) if x_part and r in support else 0 for r in range(n))
+                b = tuple(rng.randrange(1, d) if z_part and r in support else 0 for r in range(n))
+                p = PauliElement(d, n, rng.randrange(phase_modulus(d)), a, b)
+                rep = represent(p, bound=d**n)
+                assert (rep.perm, rep.phase) == represent_reference(p)
+                assert isinstance(rep.perm, tuple) and isinstance(rep.phase, tuple)
 
     def test_image_matches_the_table(self):
         rng = random.Random(54)
@@ -231,6 +248,18 @@ class TestScan:
         with pytest.raises(InternalInvariant, match="oracle.scan"):
             protected_dimension(group)
 
+    def test_tampered_x_free_action_is_an_internal_invariant(self, monkeypatch):
+        # every edge of Z_3^3 closes on its own template position; with 1 and 2
+        # swapped, start 1's self-loop lands on 2, and only that branch checks it
+        monkeypatch.setattr(oracle_module, "represent", swapped_x_free_represent(represent))
+        group = d6_group()
+        with pytest.raises(InternalInvariant) as info:
+            verify_report(group, analyze(group))
+        assert (info.value.stage, info.value.detail) == (
+            "oracle.scan", "closure edge misses its template member")
+        with pytest.raises(InternalInvariant, match="oracle.scan"):
+            protected_dimension(group)
+
 
 class TestEigenspaces:
     def test_trivial_group(self):
@@ -324,6 +353,12 @@ class TestProtectedBasis:
         # chi(Z) = xi: eigenvector is v_1
         basis = protected_basis(group, chi=(1,))
         assert basis == [{1: 0}]
+
+    @pytest.mark.parametrize("chi, detail", [((1,), "1 character values for 2 generators"),
+                                             ((1, 0, 5), "3 character values for 2 generators")])
+    def test_character_length_must_match_the_generators(self, chi, detail):
+        with pytest.raises(ValueError, match=detail):
+            protected_basis(z_block_group(2, 2, 2), chi)
 
     def test_every_character_matches_bfs_reference(self):
         rng = random.Random(53)

@@ -112,6 +112,25 @@ class TestSymplecticSpace:
         space = SymplecticSpace.standard(n, d)
         assert space.pairing_table(us, vs) == [[space.pairing(u, v) for v in vs] for u in us]
 
+    def test_standard_gram_is_the_unit_vectors_table(self):
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(120):
+            d, n = rng.choice([2, 3, 6, 12, 2**64]), rng.randint(0, 3)
+            space = SymplecticSpace.standard(n, d)
+            units = ZdMatrix.identity(d, 2 * n).entries
+            cols = [random_symplectic_matrix(rng, n, d).col(k) for k in range(2 * n)]
+            if cols and rng.random() < 0.5:
+                k = rng.randrange(2 * n)
+                cols[k] = tuple((x + rng.randrange(d)) % d for x in cols[k])
+            if rng.random() < 0.2:
+                cols = cols[: rng.randint(0, 2 * n)]
+            want = space.pairing_table(cols, cols) == space.pairing_table(units, units)
+            assert space.has_standard_gram(cols) == want
+            assert space.has_standard_gram(units)
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_all_pairs_checks_call_no_pairing(self, monkeypatch):
         # the isotropy checks, the dual orthogonalisation and the lift's form
         # check each read one pairing_table instead of pairing every pair

@@ -17,6 +17,7 @@ from quditstab.zmod import (
 )
 from tests.helpers import (
     brute_span,
+    enumerate_elements_reference,
     record_replays,
     smith_diagonal,
     smith_u,
@@ -218,6 +219,41 @@ class TestSubmodule:
             n1, n2 = Submodule(d, 2, g1), Submodule(d, 2, g2)
             meet = set(n1.intersection(n2).enumerate_elements())
             assert meet == brute_span(g1, d, 2) & brute_span(g2, d, 2)
+
+
+@st.composite
+def enumerable_submodules(draw):
+    """A zero, full or random submodule with at most 1728 elements.
+
+    At d = 2^64 the entries are multiples of 2^60, so every order is at most 16.
+    """
+    d = draw(st.sampled_from((2, 3, 4, 6, 12, 2**64)))
+    m = draw(st.integers(min_value=0, max_value=3))
+    kind = draw(st.sampled_from(("zero", "full", "random")))
+    if kind == "zero":
+        return Submodule.zero(d, m)
+    if kind == "full" and d**m <= 1728:
+        return Submodule.full(d, m)
+    unit = 2**60 if d == 2**64 else 1
+    entry = st.integers(min_value=0, max_value=d // unit - 1).map(lambda x: x * unit)
+    gens = draw(st.lists(st.tuples(*[entry] * m), max_size=3))
+    return Submodule(d, m, gens)
+
+
+class TestEnumerateElements:
+    @given(enumerable_submodules())
+    @settings(max_examples=150, deadline=None)
+    def test_order_matches_the_product_fold(self, sub):
+        assert list(sub.enumerate_elements()) == enumerate_elements_reference(sub)
+
+    def test_orders_of_2_64_are_stepped_lazily(self):
+        # itertools.product would build a tuple of each coefficient range first
+        d = 2**64
+        sub = Submodule.full(d, 2)
+        (_, o1), (vec, o2) = sub.quasi_basis()
+        assert (o1, o2) == (d, d)
+        first = list(itertools.islice(sub.enumerate_elements(), 4))
+        assert first == [vec_scale(k, vec, d) for k in range(4)]
 
 
 class TestVInvRows:
