@@ -45,7 +45,7 @@ from .symplectic import (
     gram_blocks,
     perp,
 )
-from .zmod import Submodule, Vector, ZdMatrix, kernel_matrix, vec_scale
+from .zmod import Submodule, Vector, ZdMatrix, vec_scale
 
 
 MAX_REQUEST_N = 1024  # qudits a JSON request may ask for; kitaev build reads n from its graph
@@ -63,10 +63,8 @@ class StabilizerGroup:
         for g in self.generators:
             if (g.d, g.n) != (d, n):
                 raise DimensionMismatch(f"generator on ({g.d},{g.n}) in a ({d},{n}) group")
-        self.tau_matrix = ZdMatrix.from_rows(
-            d, [module_vector(g) for g in self.generators], cols=2 * n
-        )
-        self.tau_image = Submodule(d, 2 * n, self.tau_matrix.entries)
+        self.tau_rows = tuple(module_vector(g) for g in self.generators)
+        self.tau_image = Submodule(d, 2 * n, self.tau_rows)
         self.space = SymplecticSpace.standard(n, d)
         self._relations: Optional[tuple[Vector, ...]] = None
         self._supports = [support(g) for g in self.generators]
@@ -88,7 +86,7 @@ class StabilizerGroup:
         kernel of tau_image, read from its Smith form, in generator coordinates.
         """
         if self._relations is None:
-            rows = self.tau_matrix.entries
+            rows = self.tau_rows
             g = len(rows)
             units = [tuple(int(k == j) for k in range(g)) for j, row in enumerate(rows) if not any(row)]
             left = self.tau_image.smith.transpose().kernel()
@@ -99,7 +97,7 @@ class StabilizerGroup:
         """commutation_phase(p, g) for every generator g, as one pairing_table row."""
         if (p.d, p.n) != (self.d, self.n):
             raise DimensionMismatch(f"({p.d},{p.n}) vs ({self.d},{self.n})")
-        return self.space.pairing_table([module_vector(p)], self.tau_matrix.entries)[0]
+        return self.space.pairing_table([module_vector(p)], self.tau_rows)[0]
 
     def elements(self, limit: int = 4096) -> Iterator[PauliElement]:
         """Explicit enumeration, for small-instance cross checks only.
@@ -117,7 +115,7 @@ class StabilizerGroup:
         tau_image drops generators with a zero module image; they get exponent 0.
         """
         coefs = iter(lam)
-        return tuple(next(coefs) if any(row) else 0 for row in self.tau_matrix.entries)
+        return tuple(next(coefs) if any(row) else 0 for row in self.tau_rows)
 
     def _solve_word(self, v: Sequence[int]) -> Optional[Vector]:
         """Exponents of a word over v, from tau_image's cached membership solve."""
@@ -166,7 +164,7 @@ def validate(d: int, n: int, generators: Sequence[PauliElement]) -> StabilizerGr
     (including a generator power landing on a scalar).
     """
     group = StabilizerGroup(d, n, generators)
-    rows = group.tau_matrix.entries
+    rows = group.tau_rows
     # commutation_phase(p, q) == pairing(tau(p), tau(q)); report the first pair in row-major order
     for i, row in enumerate(group.space.pairing_table(rows, rows)):
         for j in range(i + 1, len(row)):
@@ -372,7 +370,7 @@ def analyze(group: StabilizerGroup) -> StabilizerReport:
             raise InternalInvariant("analyze.lifts", "logical pair has the wrong commutation phase")
         pairs.append(LogicalPair(b.divisor, e_op, f_op))
     lifts = [module_vector(op) for pair in pairs for op in (pair.z_like, pair.x_like)]
-    if any(map(any, space.pairing_table(lifts, group.tau_matrix.entries))):
+    if any(map(any, space.pairing_table(lifts, group.tau_rows))):
         raise InternalInvariant("analyze.lifts", "logical operator escapes the normaliser")
     return StabilizerReport(
         d=d,
@@ -499,15 +497,16 @@ def character_action(group: StabilizerGroup, chi: CharacterMap, p: PauliElement)
 
 
 def characters(group: StabilizerGroup) -> list[CharacterMap]:
-    """All characters of the group (one per element of tau(H))."""
-    d = group.d
-    g = len(group.generators)
-    rel_rows = group.relation_kernel()
-    if not rel_rows:
-        sols = Submodule.full(d, g)
-    else:
-        sols = Submodule(d, g, kernel_matrix(ZdMatrix.from_rows(d, rel_rows, cols=g)))
-    out = [CharacterMap(v) for v in sols.enumerate_elements()]
+    """All characters of the group (one per element of tau(H)).
+
+    Every character is h -> xi^pairing(x, tau(h)) for some x, with values
+    pairing(x, tau(h_j)) == functional(x) . tau(h_j); functional is a bijection,
+    so the value vectors are the column span of the matrix whose rows are
+    tau_rows.  Over Z/dZ a submodule is the annihilator of its annihilator, so
+    that span is exactly the vectors that vanish on every relation.
+    """
+    span = Submodule(group.d, len(group.generators), zip(*group.tau_rows))
+    out = [CharacterMap(v) for v in span.enumerate_elements()]
     if len(out) != group.cardinality:
         raise InternalInvariant("characters.count", "character count mismatch")
     return out

@@ -28,8 +28,6 @@ from .zmod import (
     _min_nonzero,
     Submodule,
     Vector,
-    ZdMatrix,
-    solve_linear,
     unit_lifting_gcd,
     vec_add,
     vec_scale,
@@ -316,7 +314,9 @@ def _lagrangian_blocks(space: SymplecticSpace, lsub: Submodule) -> tuple[list, l
 
     Splits off the block of a maximal-order element, then recurses on the
     standard space of rank 2(n - 1) whose coordinates are a symplectic basis
-    of that block's perp.
+    of that block's perp.  The block (e, f) is read from lsub's own Smith
+    form: e is row 0 of v^-1 and f the functional of column 0 of v, so
+    pairing(e, f) == e . (column 0 of v) == 1.
     """
     d, n = space.modulus, space.n
     if n == 0:
@@ -327,9 +327,8 @@ def _lagrangian_blocks(space: SymplecticSpace, lsub: Submodule) -> tuple[list, l
     # the invertible v^-1, has order d
     a = d // lsub.smith.diag[0]
     (e,) = lsub.smith.v_inv_rows([0])
-    f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)]), (1,))
-    if f is None:
-        raise NotLagrangian("no symplectic partner; input is not Lagrangian")
+    (x,) = lsub.smith.v_columns([(0, 1)])
+    f = space.functional(x)
     if not lsub.contains(vec_scale(a, f, d)):
         raise NotLagrangian("a*f escapes the module; input is not Lagrangian")
     blocks = gram_blocks(space, perp(space, Submodule(d, 2 * n, [e, f])).generators)
@@ -379,7 +378,8 @@ def classify_isotropic_block(
 
     Returns (a, b, (e, f)) with d | a*b, a | b, and (e, f) a symplectic
     basis of the block; a = d / (maximal element order), b is minimal
-    with b*f in the submodule.
+    with b*f in the submodule.  e is row 0 of v^-1 in sub's Smith form and
+    f the functional of column 0 of v, so pairing(e, f) == 1.
     """
     d = space.modulus
     if space.rank != 2:
@@ -391,9 +391,8 @@ def classify_isotropic_block(
     # the maximal-order quasi-basis element is a * e, with e of order d
     a = sub.smith.diag[0]
     (e,) = sub.smith.v_inv_rows([0])
-    f = solve_linear(ZdMatrix.from_rows(d, [space.functional(e)], cols=2), (1,))
-    if f is None:
-        raise NotIsotropic("no symplectic partner for the maximal-order element")
+    (x,) = sub.smith.v_columns([(0, 1)])
+    f = space.functional(x)
     # the order of f modulo the submodule
     b = Submodule(d, 2, sub.generators + (f,)).cardinality // sub.cardinality
     if (a * b) % d or b % a:

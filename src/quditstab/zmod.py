@@ -237,8 +237,9 @@ class SmithForm:
 
     The form is its recorded operations: u is row_ops applied in order to the
     identity, v^T is col_ops applied in order, and neither is ever built.
-    solve replays the operations on its vectors; kernel (columns of v) and
-    v_inv_rows (rows of v^-1) replay them on a block as wide as they pick.
+    solve replays the operations on its vectors; v_columns (columns of v, which
+    kernel picks) and v_inv_rows (rows of v^-1) replay them on a block as wide
+    as they pick.
     """
 
     modulus: int
@@ -275,15 +276,15 @@ class SmithForm:
         """The Smith form of a's transpose, unreduced: col_ops already build v^T as row operations."""
         return SmithForm(self.modulus, self.shape[::-1], self.diag, self.col_ops, self.row_ops)
 
-    def kernel(self) -> list[Vector]:
-        """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag).
+    def v_columns(self, picked: Sequence[tuple[int, int]]) -> list[Vector]:
+        """scale * (column i of v) for (i, scale) in picked: the transposed col_ops replayed in reverse."""
+        return _replay_columns(self.modulus, self.shape[1], picked, _transposes(reversed(self.col_ops)))
 
-        v @ y replays the transposed col_ops in reverse, as solve does.
-        """
+    def kernel(self) -> list[Vector]:
+        """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag)."""
         d, c = self.modulus, self.shape[1]
         diag = self.diag + (d,) * (c - len(self.diag))
-        picked = [(i, d // s) for i, s in enumerate(diag) if s != 1]
-        return _replay_columns(d, c, picked, _transposes(reversed(self.col_ops)))
+        return self.v_columns([(i, d // s) for i, s in enumerate(diag) if s != 1])
 
     def v_inv_rows(self, indices: Iterable[int]) -> list[Vector]:
         """Rows i of v^-1, for i in indices: v^-T @ e_i replays the inverse col_ops in reverse."""

@@ -20,15 +20,16 @@ from quditstab.oracle import PhasePermutation
 from quditstab.pauli import (
     PauliElement,
     commutation_phase,
+    inverse,
     is_identity,
     multiply,
     order_matched_lift,
     phase_modulus,
     power,
 )
-from quditstab.stabilizer import StabilizerGroup, validate
+from quditstab.stabilizer import StabilizerGroup, membership, validate
 from quditstab.symplectic import SymplecticSpace
-from quditstab.zmod import SmithForm, Submodule, ZdMatrix, vec_add, vec_scale
+from quditstab.zmod import SmithForm, Submodule, ZdMatrix, kernel_matrix, vec_add, vec_scale
 
 
 def mat_x(d: int) -> np.ndarray:
@@ -310,6 +311,50 @@ def validate_reference(d: int, n: int, generators) -> StabilizerGroup:
         if not is_identity(w):
             raise ContainsScalar(lam, w.phase)
     return group
+
+
+def characters_reference(group: StabilizerGroup) -> set:
+    """The character value vectors as the annihilator of the relations.
+
+    The kernel of the matrix whose rows are relation_kernel(), read from that
+    matrix's own Smith form; every vector when there is no relation.
+    """
+    d, g = group.d, len(group.generators)
+    relations = group.relation_kernel()
+    if not relations:
+        return set(product(range(d), repeat=g))
+    return set(Submodule(d, g, kernel_matrix(ZdMatrix.from_rows(d, relations, cols=g))).enumerate_elements())
+
+
+def relations_reference(group: StabilizerGroup, pairs) -> tuple[bool, str | None]:
+    """verify_report's relations check with dense products: each commutator, shifted by
+    the expected braiding scalar, and each power, must be a member of the group.
+
+    Returns (ok, the first failure's detail or None), in verify_report's loop order.
+    """
+    d, n = group.d, group.n
+    ok, detail = True, None
+
+    def fail(text):
+        nonlocal ok, detail
+        ok = False
+        detail = detail or text
+
+    for i, p1 in enumerate(pairs):
+        comm = multiply(multiply(p1.z_like, p1.x_like), inverse(multiply(p1.x_like, p1.z_like)))
+        if not membership(group, multiply(comm, PauliElement.scalar(d, n, -2 * (d // p1.divisor)))):
+            fail(f"pair {i} braiding phase mismatch")
+        for op in (p1.z_like, p1.x_like):
+            if not membership(group, power(op, p1.divisor)):
+                fail(f"pair {i} power escapes the group")
+        for j, p2 in enumerate(pairs):
+            if i == j:
+                continue
+            for u in (p1.z_like, p1.x_like):
+                for v in (p2.z_like, p2.x_like):
+                    if not membership(group, multiply(multiply(u, v), inverse(multiply(v, u)))):
+                        fail(f"pairs {i},{j} do not commute modulo H")
+    return ok, detail
 
 
 def random_symplectic_matrix(rng: random.Random, n: int, d: int, steps: int = 6) -> ZdMatrix:

@@ -29,6 +29,7 @@ from tests.helpers import (
     count_reductions,
     random_pauli,
     random_stabilizer_group,
+    relations_reference,
     represent_reference,
     scan_reference,
     swapped_x_free_represent,
@@ -501,7 +502,66 @@ class TestVerifyReport:
         assert verdict.checks["transitivity"]
         # the sweep reads one key per character; no closure row is reduced
         assert [m.entries for m in calls] == own
-        assert len(own) == 2
+        assert len(own) == 1
+
+    def test_relations_solve_only_the_powers(self, monkeypatch):
+        calls = []
+        real = oracle_module.membership
+
+        def counting(group, p):
+            calls.append(p)
+            return real(group, p)
+
+        monkeypatch.setattr(oracle_module, "membership", counting)
+        for group in (x4z4_group(), d6_group(), build_model(torus_grid_graph(2, 2), 3).stabilizer):
+            report = analyze(group)
+            calls.clear()
+            assert verify_report(group, report).checks["relations"]
+            # commutators are scalars, read from commutation_phase; each power is solved
+            assert len(calls) == 2 * len(report.logical_operators)
+
+    def test_mutated_pairs_fail_as_dense_products_do(self):
+        group = build_model(torus_grid_graph(2, 2), 3).stabilizer
+        report = analyze(group)
+        p0, p1 = report.logical_operators
+        swapped = (p0, dataclasses.replace(p1, z_like=p1.x_like, x_like=p1.z_like))
+        mixed = (p0, dataclasses.replace(p1, x_like=p0.x_like))
+        for pairs, detail in ((swapped, "pair 1 braiding phase mismatch"),
+                              (mixed, "pairs 0,1 do not commute modulo H")):
+            verdict = verify_report(group, dataclasses.replace(report, logical_operators=pairs))
+            assert not verdict.passed
+            assert verdict.checks == {"dimension": True, "logical_action": True, "relations": False,
+                                      "irreducibility_count": True, "transitivity": True}
+            assert verdict.details == {"relations": detail}
+            assert relations_reference(group, pairs) == (False, detail)
+
+    def test_relations_match_dense_products_on_random_mutations(self):
+        rng = random.Random(71)
+        seen = Counter()
+        for _ in range(100):
+            group = random_stabilizer_group(rng, rng.choice([3, 4, 6, 8]), rng.randint(1, 3))
+            pairs = list(analyze(group).logical_operators)
+            if not pairs:
+                continue
+            i, j = rng.randrange(len(pairs)), rng.randrange(len(pairs))
+            mutation = rng.choice(["swap", "borrow_x", "borrow_z", "phase", "none"])
+            if mutation == "phase":  # braids as before, but its power may leave H
+                scalar = PauliElement.scalar(group.d, group.n, 1)
+                pairs[i] = dataclasses.replace(pairs[i], z_like=multiply(scalar, pairs[i].z_like))
+            elif mutation == "swap":
+                pairs[i] = dataclasses.replace(pairs[i], z_like=pairs[i].x_like, x_like=pairs[i].z_like)
+            elif mutation == "borrow_x":
+                pairs[i] = dataclasses.replace(pairs[i], x_like=pairs[j].x_like)
+            elif mutation == "borrow_z":
+                pairs[i] = dataclasses.replace(pairs[i], z_like=pairs[j].z_like)
+            ok, detail = relations_reference(group, pairs)
+            seen[detail and detail.split()[0] + " " + detail.split()[-1]] += 1
+            report = dataclasses.replace(analyze(group), logical_operators=tuple(pairs))
+            verdict = verify_report(group, report)
+            assert verdict.checks["relations"] is ok
+            assert verdict.details.get("relations") == detail
+        # a pass and each kind of failure: braiding, power and cross-pair
+        assert set(seen) == {None, "pair mismatch", "pair group", "pairs H"}
 
     def test_unfixed_basis_is_an_internal_invariant(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_maps_to_multiple", lambda *args, **kw: False)

@@ -43,6 +43,7 @@ from quditstab.zmod import Submodule, ZdMatrix, vec_scale
 from tests.helpers import (
     block_group,
     brute_span,
+    characters_reference,
     count_multiplies,
     count_pairings,
     count_reductions,
@@ -205,7 +206,7 @@ class TestRelationKernel:
     @pytest.mark.parametrize("group", list(relation_kernel_cases()))
     def test_spans_enumerated_left_kernel(self, group):
         d, g = group.d, len(group.generators)
-        rows = group.tau_matrix.entries
+        rows = group.tau_rows
 
         def image(lam):
             return tuple(sum(l * row[i] for l, row in zip(lam, rows)) % d
@@ -642,7 +643,25 @@ class TestCanonicalConjugation:
         assert len(calls) < 1000
 
 
+def character_cases():
+    """relation_kernel_cases, two groups without relations (one with no generators) and torus models."""
+    yield from relation_kernel_cases()
+    yield validate(4, 1, [])
+    yield validate(6, 2, [PauliElement.z_op(6, 2, 0), PauliElement.x_op(6, 2, 1)])
+    for d in (2, 3, 4):
+        yield build_model(torus_grid_graph(2, 2), d).stabilizer
+
+
 class TestCharacters:
+    @pytest.mark.parametrize("group", list(character_cases()))
+    def test_column_span_is_the_annihilator_of_the_relations(self, monkeypatch, group):
+        want = characters_reference(group)
+        calls = count_reductions(monkeypatch)
+        got = [chi.values for chi in characters(group)]
+        assert len(calls) == 1
+        assert len(got) == len(set(got)) == group.cardinality
+        assert set(got) == want
+
     def test_normalizer_fixes(self):
         group = validate(4, 2, [PauliElement.z_op(4, 2, 0)])
         chi = CharacterMap((0,))

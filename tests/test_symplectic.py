@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quditstab.symplectic as symplectic_module
 from quditstab.errors import Degenerate, NotFreeSymplectic, NotIsotropic, NotLagrangian
 from quditstab.heisenberg import lift_symplectic
 from quditstab.pauli import commutation_phase, from_module_vector
@@ -391,9 +392,9 @@ class TestLagrangianCanonicalForm:
         assert form.reconstruct() == lagr
 
     def test_reduces_no_matrix_twice(self, monkeypatch):
-        # each level reduces its module, the functional of e (to solve for f)
-        # and span(e, f) for its perp; the top level reuses the Lagrangian's
-        # own Smith form
+        # each level reduces its module and span(e, f) for its perp, and reads
+        # e and f from its module's Smith form; the top level reuses the
+        # Lagrangian's own Smith form
         d, n = 6, 6
         space = SymplecticSpace.standard(n, d)
         lagr = Submodule(d, 2 * n, [tuple(int(j == i) for j in range(2 * n)) for i in range(n)])
@@ -454,8 +455,56 @@ class TestLagrangianCanonicalForm:
             pairs = sorted(x for a in form.divisors for x in (a, d // a) if x > 1)
             assert tuple(pairs) == lagr.invariant_factors
 
+    def test_each_level_pairs_its_block_to_one(self, monkeypatch):
+        # a level splits off (e, f) read from its module's Smith form and appends
+        # the block as (f, -e), so that pair reads pairing(e, f) in the level's space
+        real = symplectic_module._lagrangian_blocks
+        levels = []
+
+        def recording(space, lsub):
+            es, fs, divs = real(space, lsub)
+            if space.n:
+                levels.append((space, lsub, es[-1], fs[-1], divs[-1]))
+            return es, fs, divs
+
+        monkeypatch.setattr(symplectic_module, "_lagrangian_blocks", recording)
+        rng = random.Random(61)
+        squares = {d: [a for a in divisors(d) if (a * a) % d == 0] for d in (4, 12, 36, 72, 360)}
+        squares[2**64] = [2**32, 2**40, 2**64]
+        for _ in range(40):
+            d = rng.choice(sorted(squares))
+            n = rng.randint(1, 4)
+            space = SymplecticSpace.standard(n, d)
+            psi = random_symplectic_matrix(rng, n, d, steps=2 * n)
+            gens = []
+            for i in range(n):
+                a = rng.choice(squares[d])
+                gens.append(vec_scale(a, psi.col(i), d))
+                gens.append(vec_scale(d // a, psi.col(n + i), d))
+            rng.shuffle(gens)
+            levels.clear()
+            lagrangian_canonical_form(space, Submodule(d, 2 * n, gens))
+            assert [level[0].n for level in levels] == list(range(1, n + 1))
+            for level_space, lsub, f, minus_e, a in levels:
+                assert level_space.pairing(f, minus_e) == 1
+                assert lsub.contains(vec_scale(d // a, minus_e, d))
+                assert lsub.contains(vec_scale(a, f, d))
+
 
 class TestClassifyIsotropicBlock:
+    def test_partner_pairs_to_one_on_seeded_submodules(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            d = rng.choice([4, 6, 12, 360, 2**64])
+            space = SymplecticSpace.standard(1, d)
+            gens = random_isotropic_vectors(rng, d, 1)
+            gens += [vec_scale(rng.randrange(d), g, d) for g in gens]
+            sub = Submodule(d, 2, gens)
+            a, b, (e, f) = classify_isotropic_block(space, sub)
+            assert space.pairing(e, f) == 1
+            assert (a * b) % d == 0 and b % a == 0
+            assert Submodule(d, 2, [vec_scale(a, e, d), vec_scale(b, f, d)]) == sub
+
     def test_zero(self):
         space = SymplecticSpace.standard(1, 8)
         a, b, (e, f) = classify_isotropic_block(space, Submodule(8, 2, []))

@@ -275,6 +275,24 @@ class TestVInvRows:
         assert picked == [rows[i] for i in last]
 
 
+class TestVColumns:
+    @given(smith_systems(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_the_transform_reference(self, system, data):
+        a, _, _ = system
+        s = smith_normal_form(a)
+        d, c = a.modulus, a.cols
+        pick = st.tuples(st.integers(min_value=0, max_value=max(c - 1, 0)),
+                         st.integers(min_value=0, max_value=d - 1))
+        picked = data.draw(st.lists(pick, max_size=c))
+        with pytest.MonkeyPatch.context() as mp:
+            widths = record_replays(mp)
+            columns = s.v_columns(picked)
+        assert widths == [len(picked)]
+        v = smith_v(s)
+        assert columns == [vec_scale(scale, v.col(i), d) for i, scale in picked]
+
+
 class TestKernelMatrix:
     @given(smith_systems(moduli=(2, 6, 12, 360, 2**64)))
     @settings(max_examples=200, deadline=None)
