@@ -14,7 +14,9 @@ template that is replayed from every other orbit's start; the replay checks
 each of its steps, so it equals the plain BFS or raises InternalInvariant.
 A closure edge that returns to its own template position (every edge of an
 X-free generator) has phase discrepancy phase[x] alone: the potentials
-cancel.  Every call represents each generator once, repeating whole tables
+cancel.  An X-free generator's permutation is range(d^n), which holds no
+table and fixes every index, so its edges skip the member check; every
+other permutation is an array of machine ints.  Every call represents each generator once, repeating whole tables
 off the generator's support, and makes one scan, which serves the
 dimension, every protected basis and the character sweep: each of them
 finds the one orbit class that carries a w-eigenvector by one key lookup,
@@ -29,7 +31,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadBound, InternalInvariant, TooLarge
@@ -67,14 +69,26 @@ def _check_size(d: int, n: int, bound: Optional[int]) -> int:
     return size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePermutation:
-    """Exact action on basis vectors: p(v_i) = zeta^phase[i] v_perm[i]."""
+    """Exact action on basis vectors: p(v_i) = zeta^phase[i] v_perm[i].
+
+    perm and phase are any integer sequences: represent gives an X-free
+    element perm = range(d^n) and any other an array('l'), compose gives
+    tuples.  Two actions are equal when their d, n and entries are, whatever
+    the containers.
+    """
 
     d: int
     n: int
-    perm: tuple[int, ...]
-    phase: tuple[int, ...]
+    perm: Sequence[int]
+    phase: Sequence[int]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhasePermutation):
+            return NotImplemented
+        mine = (self.d, self.n, list(self.perm), list(self.phase))
+        return mine == (other.d, other.n, list(other.perm), list(other.phase))
 
     def compose(self, other: "PhasePermutation") -> "PhasePermutation":
         """self after other."""
@@ -97,11 +111,16 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
     digit r, each a copy of the tables over digits r+1..n-1 plus that
     value's shift or scale.  Where p has no X (Z) part on qudit r, the shift
     (phase) table is repeated d times as it is, so entry-wise work happens
-    on p's support alone; an X-free p has perm = range(d^n).
+    on p's support alone.  An X-free p has perm = range(d^n), with no table;
+    any other p has perm as an array('l') of machine ints.  phase stays a
+    tuple: its entries are below 2d, so at small d they are cached small ints.
     """
+    from array import array  # on first use: importing the package need not load the extension
+
     d, n = p.d, p.n
     size = _check_size(d, n, bound)
     db = phase_modulus(d)
+    moves = any(p.a)
     shift = [0]
     phase = [p.phase % db]
     for r in range(n - 1, -1, -1):
@@ -110,14 +129,14 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
             stride = d ** (n - 1 - r)
             steps = [((x + a) % d - x) * stride for x in range(d)]
             shift = [s + c for c in steps for s in shift]
-        else:
+        elif moves:
             shift *= d
         if b:
             scale = [(2 * b * x) % db for x in range(d)]
             phase = [(q + c) % db for c in scale for q in phase]
         else:
             phase *= d
-    perm = tuple(map(add, range(size), shift)) if any(p.a) else tuple(range(size))
+    perm = array("l", map(add, range(size), shift)) if moves else range(size)
     return PhasePermutation(d, n, perm, tuple(phase))
 
 
@@ -155,6 +174,8 @@ class _Scan:
     members are closed under every generator, so each replay visits, orders
     and closes its orbit exactly as a BFS from its start would: the
     translation property is checked on the generator tables, not assumed.
+    Only a self-loop of a range(size) action skips its member check, since
+    range(size)[x] == x; any other container is checked.
 
     An orbit's key is its tuple of discrepancies, one per closure edge;
     orbits index the list of distinct keys, and each key is a class.  A
@@ -233,11 +254,13 @@ class _Scan:
                 members.append(t)
             orbits.append(members)
         columns = [list(col) for col in zip(*orbits)]  # columns[pos][oid]
+        identity = range(self.size)
         discrepancies = []
         for p, j, tp in closure:
             perm, phase = perms[j], phases[j]
             sources, targets = columns[p], columns[tp]
-            if [perm[x] for x in sources] != targets:
+            # range(size)[x] == x, so a self-loop of the identity action lands on its member
+            if not (p == tp and perm == identity) and [perm[x] for x in sources] != targets:
                 raise InternalInvariant("oracle.scan", "closure edge misses its template member")
             if p == tp:  # a self-loop: the potentials cancel, and phase is already reduced
                 discrepancies.append([phase[x] for x in sources])
@@ -252,9 +275,13 @@ class _Scan:
         first = [self.edge_row.index(r) for r in range(len(self.du_rows))]
         rep_edge = [first[r] for r in self.edge_row]  # per edge, the first edge with its du row
         self.row_index: dict[tuple[int, ...], int] = {}
-        for k, key in enumerate(self.keys):
-            if tuple(map(key.__getitem__, rep_edge)) == key:
-                self.row_index[tuple(map(key.__getitem__, first))] = k
+        if len(rep_edge) < 2:  # itemgetter of one index returns a bare item, and of none raises
+            agreeing = range(len(self.keys))  # each edge is its own first, so every key agrees
+        else:
+            on_rep = itemgetter(*rep_edge)
+            agreeing = [k for k, key in enumerate(self.keys) if on_rep(key) == key]
+        for k in agreeing:
+            self.row_index[tuple(map(self.keys[k].__getitem__, first))] = k
 
     def class_of(self, w: Sequence[int]) -> Optional[int]:
         """The class whose orbits carry a w-eigenvector, or None when no class does."""

@@ -195,6 +195,15 @@ def normalizer_membership(group: StabilizerGroup, p: PauliElement) -> bool:
     return not any(group._pairings_with(p))
 
 
+def _report_element(obj, d: int, n: int, where: str) -> PauliElement:
+    """A report's Pauli element; its own "d" and "n", where given, must be the report's."""
+    obj = json_object(obj, where)
+    own = (json_int(obj.get("d", d), f"{where}.d"), json_int(obj.get("n", n), f"{where}.n"))
+    if own != (d, n):
+        raise DimensionMismatch(f"{where} has (d, n) = {own}, the report {(d, n)}")
+    return PauliElement.from_json_dict({**obj, "d": d, "n": n})
+
+
 @dataclass(frozen=True)
 class LogicalPair:
     """Conjugate pair of logical operators for one quotient block."""
@@ -211,13 +220,13 @@ class LogicalPair:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict, d: int, n: int) -> "LogicalPair":
-        """Elements default to the report's d and n."""
+    def from_json_dict(cls, obj: dict, d: int, n: int, where: str) -> "LogicalPair":
+        """Elements are read in the report's d and n; where names the pair in errors."""
         divisor = json_int(obj["divisor"], "divisor")
         if divisor < 1:
             raise ValueError(f"divisor {divisor} is not positive")
-        return cls(divisor, PauliElement.from_json_dict({"d": d, "n": n, **obj["z"]}),
-                   PauliElement.from_json_dict({"d": d, "n": n, **obj["x"]}))
+        return cls(divisor, _report_element(obj["z"], d, n, f"{where}.z"),
+                   _report_element(obj["x"], d, n, f"{where}.x"))
 
 
 @dataclass(frozen=True)
@@ -233,9 +242,9 @@ class CssSplit:
 
     @classmethod
     def from_json_dict(cls, obj: dict, d: int, n: int) -> "CssSplit":
-        """Elements default to the report's d and n."""
+        """Elements are read in the report's d and n."""
         def part(key: str) -> tuple[PauliElement, ...]:
-            return tuple(PauliElement.from_json_dict({"d": d, "n": n, **p}) for p in obj[key])
+            return tuple(_report_element(p, d, n, f"css.{key}[{i}]") for i, p in enumerate(obj[key]))
 
         return cls(part("z_generators"), part("x_generators"))
 
@@ -277,7 +286,8 @@ class StabilizerReport:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerReport":
         d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
-        pairs = tuple(LogicalPair.from_json_dict(p, d, n) for p in obj.get("logical_operators", []))
+        pairs = tuple(LogicalPair.from_json_dict(p, d, n, f"logical_operators[{i}]")
+                      for i, p in enumerate(obj.get("logical_operators", [])))
         css = obj.get("css")
         css_obj = CssSplit.from_json_dict(css, d, n) if css else None
         cls_text = json_str(obj["classification"], "classification")

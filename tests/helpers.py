@@ -188,6 +188,18 @@ def swapped_x_free_represent(real, i: int = 1, j: int = 2):
     return represent
 
 
+def tuple_x_free_represent(real):
+    """represent, except that every X-free action's range(d^n) arrives as an equal tuple."""
+
+    def represent(p, bound=None):
+        rep = real(p, bound)
+        if type(rep.perm) is not range:
+            return rep
+        return PhasePermutation(rep.d, rep.n, tuple(rep.perm), rep.phase)
+
+    return represent
+
+
 def enumerate_elements_reference(sub: Submodule) -> list:
     """sub's elements by the fold over itertools.product of the quasi-basis coefficient ranges."""
     qb = sub.quasi_basis()

@@ -125,6 +125,9 @@ class TestAnalyzeCommand:
         assert "default 200000" in capsys.readouterr().out
 
 
+Z1_ON_TWO_QUTRITS = {"d": 3, "n": 2, "generators": [{"phase": 0, "a": [0, 0], "b": [1, 0]}]}
+
+
 class TestOracleVerifyCommand:
     def build_request(self, capsys, monkeypatch, request=GOLDEN_REQUEST):
         _, out = run_cli(capsys, ["analyze", "--input", "-"], request, monkeypatch)
@@ -246,6 +249,38 @@ class TestOracleVerifyCommand:
         assert code == 2
         assert json.loads(out)["error"] == {
             "type": "InvalidRequest", "detail": f"divisor {divisor} is not positive"}
+
+    @pytest.mark.parametrize(
+        "where, pick, key, value, own",
+        [
+            ("logical_operators[0].z", lambda r: r["logical_operators"][0]["z"], "n", 1, "(3, 1)"),
+            ("logical_operators[0].x", lambda r: r["logical_operators"][0]["x"], "d", 9, "(9, 2)"),
+            ("css.z_generators[0]", lambda r: r["css"]["z_generators"][0], "n", 3, "(3, 3)"),
+        ],
+        ids=["pair_z_n", "pair_x_d", "css_z_n"],
+    )
+    def test_element_off_the_report_dimensions_exit_2(self, capsys, monkeypatch, where, pick, key, value, own):
+        # an element's own d or n may only repeat the report's; the error names the element
+        request = self.build_request(capsys, monkeypatch, Z1_ON_TWO_QUTRITS)
+        element = pick(request["report"])
+        element[key] = value
+        if key == "n":  # a well-formed element of the wrong size
+            element["a"], element["b"] = element["a"][:1] * value, element["b"][:1] * value
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "DimensionMismatch", "detail": f"{where} has (d, n) = {own}, the report (3, 2)"}
+
+    def test_elements_read_in_the_report_dimensions(self, capsys, monkeypatch):
+        request = self.build_request(capsys, monkeypatch, Z1_ON_TWO_QUTRITS)
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        for pair in request["report"]["logical_operators"]:
+            for element in (pair["z"], pair["x"]):
+                del element["d"], element["n"]
+        for element in request["report"]["css"]["z_generators"]:
+            del element["d"], element["n"]
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
+        assert run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch) == (code, out)
 
     def test_failure_exit_3(self, capsys, monkeypatch):
         request = self.build_request(capsys, monkeypatch)

@@ -3,6 +3,8 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 
 import quditstab.oracle as oracle_module
 from quditstab.errors import BadBound, InternalInvariant, TooLarge
-from quditstab.kitaev import build_model, torus_grid_graph
+from quditstab.kitaev import ShiftPair, apply_twist, build_model, torus_grid_graph
 from quditstab.oracle import (
+    PhasePermutation,
     eigenspace_dimensions,
     oracle_bound,
     orbit_certificates,
@@ -34,6 +37,7 @@ from tests.helpers import (
     scan_reference,
     swapped_x_free_represent,
     tampered_represent,
+    tuple_x_free_represent,
 )
 
 
@@ -80,20 +84,35 @@ def pauli_for_represent(draw):
     return PauliElement(d, n, phase, a, b)
 
 
+def assert_containers(rep, p):
+    """represent's exact containers: perm is range(d^n) when p is X-free, else an array('l')."""
+    if any(p.a):
+        assert type(rep.perm) is array and rep.perm.typecode == "l"
+    else:
+        assert type(rep.perm) is range and rep.perm == range(p.d**p.n)
+    assert type(rep.phase) is tuple
+
+
 class TestRepresent:
     def test_identity(self):
-        rep = represent(PauliElement.identity(3, 1))
-        assert rep.perm == (0, 1, 2) and rep.phase == (0, 0, 0)
+        p = PauliElement.identity(3, 1)
+        rep = represent(p)
+        assert tuple(rep.perm) == (0, 1, 2) and rep.phase == (0, 0, 0)
+        assert_containers(rep, p)
 
     def test_shift(self):
-        rep = represent(PauliElement.x_op(3, 1, 0))
-        assert rep.perm == (1, 2, 0)
+        p = PauliElement.x_op(3, 1, 0)
+        rep = represent(p)
+        assert tuple(rep.perm) == (1, 2, 0)
         assert rep.phase == (0, 0, 0)
+        assert_containers(rep, p)
 
     def test_qubit_xz(self):
-        rep = represent(PauliElement(2, 1, 0, (1,), (1,)))
-        assert rep.perm == (1, 0)
+        p = PauliElement(2, 1, 0, (1,), (1,))
+        rep = represent(p)
+        assert tuple(rep.perm) == (1, 0)
         assert rep.phase == (0, 2)  # v1 -> zeta^2 v0 = -v0
+        assert_containers(rep, p)
 
     def test_homomorphism(self):
         rng = random.Random(50)
@@ -101,14 +120,18 @@ class TestRepresent:
             d = rng.choice([2, 3, 4, 5])
             n = rng.randint(1, 2)
             p, q = random_pauli(rng, d, n), random_pauli(rng, d, n)
-            assert represent(multiply(p, q)) == represent(p).compose(represent(q))
+            pq = multiply(p, q)
+            rep, composed = represent(pq), represent(p).compose(represent(q))
+            assert rep == composed
+            assert (tuple(rep.perm), rep.phase) == (composed.perm, composed.phase)
+            assert_containers(rep, pq)
 
     @given(pauli_for_represent())
     @settings(max_examples=60, deadline=None)
     def test_matches_digit_loop(self, p):
         rep = represent(p)
-        assert (rep.perm, rep.phase) == represent_reference(p)
-        assert isinstance(rep.perm, tuple) and isinstance(rep.phase, tuple)
+        assert (tuple(rep.perm), rep.phase) == represent_reference(p)
+        assert_containers(rep, p)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6, 12])
     def test_matches_digit_loop_off_the_support(self, d):
@@ -123,8 +146,27 @@ class TestRepresent:
                 b = tuple(rng.randrange(1, d) if z_part and r in support else 0 for r in range(n))
                 p = PauliElement(d, n, rng.randrange(phase_modulus(d)), a, b)
                 rep = represent(p, bound=d**n)
-                assert (rep.perm, rep.phase) == represent_reference(p)
-                assert isinstance(rep.perm, tuple) and isinstance(rep.phase, tuple)
+                assert (tuple(rep.perm), rep.phase) == represent_reference(p)
+                assert_containers(rep, p)
+
+    def test_equality_is_by_value_whatever_the_container(self):
+        rng = random.Random(58)
+        for _ in range(100):
+            d = rng.choice([2, 3, 4, 6])
+            n = rng.randint(0, 3)
+            p = random_pauli(rng, d, n)
+            rep = represent(p)
+            as_tuples = PhasePermutation(d, n, tuple(rep.perm), tuple(rep.phase))
+            as_array = PhasePermutation(d, n, array("l", rep.perm), rep.phase)
+            assert rep == as_tuples == as_array and as_tuples == rep
+            if d**n > 1:
+                moved = list(rep.perm)
+                moved[0], moved[-1] = moved[-1], moved[0]
+                assert rep != PhasePermutation(d, n, tuple(moved), rep.phase)
+                assert rep != PhasePermutation(d, n, rep.perm, (rep.phase[0] + 1,) + rep.phase[1:])
+            assert rep != PhasePermutation(d, n + 1, rep.perm, rep.phase)
+            assert rep != PhasePermutation(d, n, tuple(rep.perm)[:-1], rep.phase)
+        assert PhasePermutation(2, 1, range(2), (0, 0)) != (2, 1, range(2), (0, 0))
 
     def test_image_matches_the_table(self):
         rng = random.Random(54)
@@ -260,6 +302,49 @@ class TestScan:
             "oracle.scan", "closure edge misses its template member")
         with pytest.raises(InternalInvariant, match="oracle.scan"):
             protected_dimension(group)
+
+    def test_row_index_matches_the_per_edge_agreement(self):
+        # itemgetter of one index returns a bare item and of none raises, so scans with
+        # no closure edge and with one take their own branch
+        rng = random.Random(60)
+        groups = [validate(3, 2, []), validate(2, 1, [PauliElement.x_op(2, 1, 0)]),
+                  x4z4_group(), d6_group(), *scan_groups(rng, 60)]
+        for _ in range(30):  # unvalidated, so some keys differ on two edges with one du row
+            d, n = rng.choice([2, 3, 4, 6]), rng.randint(1, 2)
+            groups.append(StabilizerGroup(d, n, [random_pauli(rng, d, n) for _ in range(rng.randint(1, 3))]))
+        edges = Counter()
+        split = 0
+        for group in groups:
+            scan = oracle_module._Scan(group, None)
+            first = [scan.edge_row.index(r) for r in range(len(scan.du_rows))]
+            expected = {
+                tuple(key[e] for e in first): k
+                for k, key in enumerate(scan.keys)
+                if all(key[e] == key[first[r]] for e, r in enumerate(scan.edge_row))
+            }
+            assert scan.row_index == expected
+            edges[min(len(scan.edge_row), 2)] += 1
+            split += len(expected) < len(scan.keys)
+        assert edges[0] and edges[1] and edges[2] and split
+
+    def test_x_free_ranges_read_as_equal_tuples(self, monkeypatch):
+        # an equal tuple in place of range(d^n) runs every closure edge's member check;
+        # the range skips it on X-free self-loops, so both must read the same
+        rng = random.Random(59)
+        groups = [x4z4_group(), d6_group(), build_model(torus_grid_graph(2, 2), 2).stabilizer]
+        groups += [g for g in scan_groups(rng, 60) if g.cardinality <= 64]
+        x_free = 0
+        for group in groups:
+            report = analyze(group)
+            with monkeypatch.context() as m:
+                m.setattr(oracle_module, "represent", tuple_x_free_represent(represent))
+                as_tuples = (verify_report(group, report).to_json_dict(), protected_basis(group),
+                             orbit_certificates(group))
+            as_ranges = (verify_report(group, report).to_json_dict(), protected_basis(group),
+                         orbit_certificates(group))
+            assert as_ranges == as_tuples
+            x_free += any(not any(g.a) for g in group.generators)
+        assert x_free >= 10
 
 
 class TestEigenspaces:
@@ -406,6 +491,22 @@ class TestOrbitCertificates:
 
 
 class TestVerifyReport:
+    def test_peak_memory_on_the_d4_twist(self):
+        # 4^8 states and seven generators, six of them X-free: their actions hold no
+        # table, and the others hold machine ints; tuples of boxed ints peaked at 28.9 MiB
+        model = build_model(torus_grid_graph(2, 2), 4)
+        group = apply_twist(model, (0, 0), [ShiftPair((0, 1), 4, 2, ((("h", 0, 0), False),)),
+                                            ShiftPair((1, 0), 4, 2, ((("v", 0, 0), False),))])
+        report = analyze(group)
+        tracemalloc.start()
+        try:
+            verdict = verify_report(group, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed and verdict.skipped == {}
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_golden_d8(self):
         group = x4z4_group()
         verdict = verify_report(group, analyze(group))
