@@ -16,18 +16,21 @@ A closure edge that returns to its own template position (every edge of an
 X-free generator) has phase discrepancy phase[x] alone: the potentials
 cancel.  An X-free generator's permutation is range(d^n), which holds no
 table and fixes every index, so its edges skip the member check; every
-other permutation is an array of machine ints.  Every call represents each generator once, repeating whole tables
-off the generator's support, and makes one scan, which serves the
-dimension, every protected basis and the character sweep: each of them
-finds the one orbit class that carries a w-eigenvector by one key lookup,
-and the sweep steps through the characters in odometer order.
-Logical operators are applied to the protected basis vectors alone; each
-basis index is decoded into digits once per call, and each operator reads
-the digits at its own support.
+other permutation is an array of machine ints.
+
+Every call represents each generator once, repeating whole tables off the
+generator's support, and makes one scan, which serves the dimension, every
+protected basis and the eigenspace histogram: each of them finds the one
+orbit class that carries a w-eigenvector by one key lookup.  The histogram
+reads a character only through its image under one homomorphism, so it
+visits each image once, not each character.  Logical operators are applied
+to the protected basis vectors alone; each basis index is decoded into
+digits once per call, and each operator reads the digits at its own support.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +42,6 @@ from .pauli import PauliElement, commutation_phase, phase_modulus, power
 from .stabilizer import StabilizerGroup, StabilizerReport, characters, membership
 
 DEFAULT_BOUND = 200_000
-HISTOGRAM_WORK_LIMIT = 8_000_000  # verify_report's character sweep runs up to this work
 _BOUND_ENV = "QUDITSTAB_ORACLE_BOUND"
 
 
@@ -290,29 +292,37 @@ class _Scan:
         return self.row_index.get(dots)
 
 
-def _sweep_excess(group: StabilizerGroup, scan: _Scan, work_limit: int) -> Optional[str]:
-    """Why the character sweep is too large, or None when it fits.
-
-    Work is #characters * (#closure edges + #distinct du rows * #generators).
-    It bounds the cost of one class_of per character from above, since
-    class_of reads the distinct du rows alone.
-    """
-    work = group.cardinality * (len(scan.edge_row) + len(scan.du_rows) * len(group.generators))
-    if work > work_limit:
-        return f"character sweep work {work} exceeds limit {work_limit}"
-    return None
-
-
 def _protected_dimension(scan: _Scan) -> int:
     return scan.sizes[scan.class_of((0,) * len(scan.reps))]
 
 
-def _eigenspace_dimensions(group: StabilizerGroup, scan: _Scan) -> dict[tuple[int, ...], int]:
-    """Each character's eigenspace dimension: the number of orbits in its class, or 0."""
-    out = {chi.values: scan.sizes[scan.class_of(chi.values)] for chi in characters(group)}
-    if sum(out.values()) != scan.size:
+def _histogram(group: StabilizerGroup, scan: _Scan) -> dict[int, int]:
+    """Eigenspace dimension -> number of characters, from the fibres of T.
+
+    class_of(w) reads w only through T(w) = (du . w mod db) over the distinct
+    du rows, and T is a homomorphism on the character group C, so each fibre
+    holds the same number m of characters, all of one dimension.  C is
+    spanned by the 2n columns of the generators' exponents, so T(C) is closed
+    from their images: each image t not yet in S appends S + t, S + 2t, ...
+    until a multiple of t lands in S, which builds each element once.  The
+    eigenspaces of all characters sum to d^n, so m = d^n / sum of dim over T(C).
+    """
+    db, rows, gens = scan.db, scan.du_rows, group.generators
+    span = dict.fromkeys([(0,) * len(rows)])  # T(C) so far: a subgroup, as an ordered set
+    for k in range(group.n):
+        for column in ([g.b[k] for g in gens], [g.a[k] for g in gens]):
+            t = tuple(sum(map(mul, row, column)) % db for row in rows)
+            if t in span:
+                continue
+            subgroup, coset = list(span), t
+            while coset not in span:
+                span.update(dict.fromkeys(tuple((x + y) % db for x, y in zip(z, coset)) for z in subgroup))
+                coset = tuple((x + y) % db for x, y in zip(coset, t))
+    dims = Counter(scan.sizes[scan.row_index.get(y)] for y in span)  # dimension -> images with it
+    total = sum(dim * count for dim, count in dims.items())
+    if not total or scan.size % total:
         raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
-    return out
+    return {dim: count * (scan.size // total) for dim, count in dims.items()}
 
 
 def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
@@ -356,10 +366,13 @@ def eigenspace_dimensions(
     enumerated.
     """
     scan = _Scan(group, bound)
-    excess = _sweep_excess(group, scan, work_limit)
-    if excess:
-        raise TooLarge(excess)
-    return _eigenspace_dimensions(group, scan)
+    work = group.cardinality * (len(scan.edge_row) + len(scan.du_rows) * len(group.generators))
+    if work > work_limit:
+        raise TooLarge(f"character sweep work {work} exceeds limit {work_limit}")
+    out = {chi.values: scan.sizes[scan.class_of(chi.values)] for chi in characters(group)}
+    if sum(out.values()) != scan.size:
+        raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
+    return out
 
 
 def protected_basis(
@@ -392,7 +405,7 @@ class OracleVerdict:
     passed: bool
     checks: dict[str, bool]
     details: dict[str, str]
-    histogram: Optional[dict[int, int]]
+    histogram: dict[int, int]
     skipped: dict[str, str] = field(default_factory=dict)  # check -> why it did not run
 
     def to_json_dict(self) -> dict:
@@ -400,9 +413,7 @@ class OracleVerdict:
             "verdict": "pass" if self.passed else "fail",
             "checks": dict(self.checks),
             "details": dict(self.details),
-            "eigenspace_histogram": (
-                {str(k): v for k, v in sorted(self.histogram.items())} if self.histogram else None
-            ),
+            "eigenspace_histogram": {str(k): v for k, v in sorted(self.histogram.items())},
             "skipped": dict(self.skipped),
         }
 
@@ -416,21 +427,23 @@ def verify_report(
 
     Checks: (a) the protected dimension, (b) logical operators preserve
     the fixed space, (c) the Heisenberg relations of the logical pairs
-    hold modulo the group, (d) the cardinality identity of the reported
-    quotient structure.  An eigenspace histogram (dimension -> number of
-    characters) and (e) transitivity are included when the character sweep
-    fits HISTOGRAM_WORK_LIMIT; otherwise skipped names the check and why.
+    hold modulo the group, (d) the report's count: prod s_i * |H| = d^n,
+    |H| equals the oracle's own count of the characters and prod s_i equals
+    the oracle's dimension, and (e) transitivity: every character's eigenspace
+    has the same dimension.  The histogram (dimension -> number of
+    characters) comes from the fibres of the homomorphism through which the
+    scan reads a character, so its work follows the number of distinct
+    images, not of characters, and nothing is skipped.
 
     Each generator is represented once, and one scan serves the dimension,
-    the protected basis, the sizing of the sweep and the sweep itself.
-    Logical operators are applied to the protected basis vectors only, whose
-    indices are decoded into digits once.
+    the protected basis and the histogram.  Logical operators are applied
+    to the protected basis vectors only, whose indices are decoded into
+    digits once.
     """
     d, n = group.d, group.n
     db = phase_modulus(d)
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
-    skipped: dict[str, str] = {}
 
     scan = _Scan(group, bound)
     dim = _protected_dimension(scan)
@@ -472,33 +485,22 @@ def verify_report(
                         details.setdefault("relations", f"pairs {i},{j} do not commute modulo H")
     checks["relations"] = ok
 
-    prodq = 1
-    for dv in report.quotient_divisors:
-        prodq *= dv
-    checks["irreducibility_count"] = prodq * report.cardinality == d**n
-    if not checks["irreducibility_count"]:
+    histogram = _histogram(group, scan)
+    order = sum(histogram.values())  # |H| = |C|, counted by the fibres
+    prodq = math.prod(report.quotient_divisors)
+    if prodq * report.cardinality != d**n:
         details["irreducibility_count"] = "divisors inconsistent with the group order"
+    elif order != report.cardinality:
+        details["irreducibility_count"] = f"oracle |H| {order} != reported {report.cardinality}"
+    elif prodq != dim:
+        details["irreducibility_count"] = f"divisors multiply to {prodq} != oracle dimension {dim}"
+    checks["irreducibility_count"] = "irreducibility_count" not in details
 
-    histogram: Optional[dict[int, int]] = None
-    excess = _sweep_excess(group, scan, HISTOGRAM_WORK_LIMIT)
-    if excess:
-        skipped["transitivity"] = excess
-    else:
-        dims = _eigenspace_dimensions(group, scan)
-        histogram = dict(Counter(dims.values()))
-        if len(set(dims.values())) > 1:
-            checks["transitivity"] = False
-            details["transitivity"] = "eigenspace dimensions differ across characters"
-        else:
-            checks["transitivity"] = True
+    checks["transitivity"] = len(histogram) == 1
+    if not checks["transitivity"]:
+        details["transitivity"] = "eigenspace dimensions differ across characters"
 
-    return OracleVerdict(
-        passed=all(checks.values()),
-        checks=checks,
-        details=details,
-        histogram=histogram,
-        skipped=skipped,
-    )
+    return OracleVerdict(passed=all(checks.values()), checks=checks, details=details, histogram=histogram)
 
 
 def _digits(i: int, d: int, n: int) -> list[int]:

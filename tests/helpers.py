@@ -14,8 +14,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from quditstab import pauli, zmod
-from quditstab.errors import ContainsScalar, NotAbelian
+from quditstab import oracle, pauli, zmod
+from quditstab.errors import ContainsScalar, InternalInvariant, NotAbelian
 from quditstab.oracle import PhasePermutation
 from quditstab.pauli import (
     PauliElement,
@@ -27,7 +27,7 @@ from quditstab.pauli import (
     phase_modulus,
     power,
 )
-from quditstab.stabilizer import StabilizerGroup, membership, validate
+from quditstab.stabilizer import StabilizerGroup, characters, membership, validate
 from quditstab.symplectic import SymplecticSpace
 from quditstab.zmod import SmithForm, Submodule, ZdMatrix, kernel_matrix, vec_add, vec_scale
 
@@ -198,6 +198,18 @@ def tuple_x_free_represent(real):
         return PhasePermutation(rep.d, rep.n, tuple(rep.perm), rep.phase)
 
     return represent
+
+
+def sweep_histogram(group: StabilizerGroup) -> dict[int, int]:
+    """The eigenspace histogram by the character sweep: class_of of each of characters(group).
+
+    Raises InternalInvariant("oracle.histogram") when the dimensions do not sum to d^n.
+    """
+    scan = oracle._Scan(group, None)
+    dims = [scan.sizes[scan.class_of(chi.values)] for chi in characters(group)]
+    if sum(dims) != scan.size:
+        raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
+    return dict(Counter(dims))
 
 
 def enumerate_elements_reference(sub: Submodule) -> list:

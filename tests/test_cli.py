@@ -152,8 +152,11 @@ class TestOracleVerifyCommand:
         assert verdict["eigenspace_histogram"] == {"2": 4}
         assert verdict["skipped"] == {}
 
-    def test_skipped_check_is_named(self, capsys, monkeypatch):
-        # <Z_1..Z_16> on 16 qubits: 2^16 characters * (16 closure edges + 16 du rows * 16) > 8_000_000
+    def test_z_block_runs_every_check(self, capsys, monkeypatch):
+        # <Z_1..Z_16> on 16 qubits: 2^16 characters, read by the fibres without enumerating them
+        def no_characters(*args, **kwargs):
+            raise AssertionError("verify_report enumerated the characters")
+
         z_block = {
             "d": 2,
             "n": 16,
@@ -163,14 +166,13 @@ class TestOracleVerifyCommand:
             ],
         }
         request = self.build_request(capsys, monkeypatch, z_block)
+        monkeypatch.setattr(oracle_module, "characters", no_characters)
         code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
         assert code == 0
         verdict = json.loads(out)
-        assert verdict["skipped"] == {
-            "transitivity": "character sweep work 17825792 exceeds limit 8000000"
-        }
-        assert "transitivity" not in verdict["checks"]
-        assert verdict["eigenspace_histogram"] is None
+        assert verdict["skipped"] == {}
+        assert verdict["checks"]["transitivity"] is True
+        assert verdict["eigenspace_histogram"] == {"1": 65536}
 
     def test_internal_invariant_exit_4(self, capsys, monkeypatch):
         request = self.build_request(capsys, monkeypatch)

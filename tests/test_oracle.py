@@ -8,7 +8,7 @@ from array import array
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quditstab.oracle as oracle_module
@@ -25,7 +25,7 @@ from quditstab.oracle import (
     verify_report,
 )
 from quditstab.pauli import PauliElement, multiply, phase_modulus
-from quditstab.stabilizer import StabilizerGroup, analyze, characters, validate
+from quditstab.stabilizer import StabilizerGroup, StabilizerReport, analyze, characters, validate
 from tests.helpers import (
     block_group,
     chi_basis_reference,
@@ -36,6 +36,7 @@ from tests.helpers import (
     represent_reference,
     scan_reference,
     swapped_x_free_represent,
+    sweep_histogram,
     tampered_represent,
     tuple_x_free_represent,
 )
@@ -490,6 +491,74 @@ class TestOrbitCertificates:
         assert len(consistent) == 2
 
 
+def empty_report(group):
+    """A report with no logical pairs, for groups that analyze would reject."""
+    return StabilizerReport(group.d, group.n, group.cardinality, 0, (), (), "GENERAL", None, (), None)
+
+
+@st.composite
+def fibre_cases(draw):
+    """(group, kind) at d <= 12 and d^n <= 4096.
+
+    kind "valid" is a validated random group; "scaled" multiplies one of its
+    generators by a random scalar without validating, so the group may hold
+    a scalar; "raw" takes random Paulis, which need not commute.
+    """
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12]))
+    n = draw(st.integers(min_value=1, max_value=max(k for k in range(1, 13) if d**k <= 4096)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    kind = draw(st.sampled_from(["valid", "scaled", "raw"]))
+    if kind == "raw":
+        return StabilizerGroup(d, n, [random_pauli(rng, d, n) for _ in range(rng.randint(1, 3))]), kind
+    gens = list(random_stabilizer_group(rng, d, n).generators)
+    if kind == "scaled" and gens:
+        j = rng.randrange(len(gens))
+        gens[j] = multiply(PauliElement.scalar(d, n, rng.randrange(phase_modulus(d))), gens[j])
+    return StabilizerGroup(d, n, gens), kind
+
+
+def fibres_against_the_sweep(group, report) -> str:
+    """verify_report's histogram equals sweep_histogram's, or both raise at one stage with one detail."""
+    try:
+        reference = sweep_histogram(group)
+    except InternalInvariant as exc:
+        with pytest.raises(InternalInvariant) as info:
+            verify_report(group, report)
+        assert (info.value.stage, info.value.detail) == (exc.stage, exc.detail)
+        assert exc.stage == "oracle.histogram"
+        return "raises"
+    verdict = verify_report(group, report)
+    assert verdict.histogram == reference
+    assert verdict.checks["transitivity"] is (len(reference) == 1)
+    assert verdict.skipped == {}
+    # the fibres count |H| = |C| with no engine value read
+    assert sum(verdict.histogram.values()) == group.cardinality
+    return "histogram"
+
+
+class TestFibres:
+    @settings(max_examples=80, deadline=None)
+    @given(fibre_cases())
+    @example((StabilizerGroup(2, 1, [PauliElement.x_op(2, 1, 0), PauliElement.z_op(2, 1, 0)]), "raw"))
+    def test_fibres_match_the_sweep(self, case):
+        group, kind = case
+        if kind == "valid":
+            report = analyze(group)
+            assert fibres_against_the_sweep(group, report) == "histogram"
+            assert verify_report(group, report).passed
+        else:
+            fibres_against_the_sweep(group, empty_report(group))
+
+    def test_seeded_unvalidated_groups_reach_both_outcomes(self):
+        rng = random.Random(61)
+        outcomes = Counter()
+        for _ in range(150):
+            d, n = rng.choice([2, 3, 4, 6]), rng.randint(1, 2)
+            group = StabilizerGroup(d, n, [random_pauli(rng, d, n) for _ in range(rng.randint(1, 3))])
+            outcomes[fibres_against_the_sweep(group, empty_report(group))] += 1
+        assert outcomes["raises"] >= 20 and outcomes["histogram"] >= 20
+
+
 class TestVerifyReport:
     def test_peak_memory_on_the_d4_twist(self):
         # 4^8 states and seven generators, six of them X-free: their actions hold no
@@ -554,21 +623,19 @@ class TestVerifyReport:
 
     def test_skipped_sweep_builds_no_word_scan(self, monkeypatch):
         def no_characters(*args, **kwargs):
-            raise AssertionError("skipped sweep enumerated the characters")
+            raise AssertionError("verify_report enumerated the characters")
 
         scans = record_scans(monkeypatch)
         monkeypatch.setattr(oracle_module, "characters", no_characters)
         group = z_block_group(2, 16, 16)
         verdict = verify_report(group, analyze(group))
-        # 2^16 characters * (16 closure edges + 16 distinct du rows * 16 generators) > 8_000_000
-        assert verdict.skipped == {
-            "transitivity": "character sweep work 17825792 exceeds limit 8000000"
-        }
-        assert "transitivity" not in verdict.checks
-        assert verdict.histogram is None
+        # 2^16 characters with 2^16 distinct images, each visited once by the fibres
+        assert verdict.skipped == {}
+        assert verdict.checks["transitivity"]
+        assert verdict.histogram == {1: 2**16}
         assert verdict.passed
         assert len(scans) == 1
-        assert verdict.to_json_dict()["skipped"] == verdict.skipped
+        assert verdict.to_json_dict()["skipped"] == {}
 
     def test_nothing_skipped_when_the_sweep_fits(self):
         group = x4z4_group()
@@ -576,11 +643,12 @@ class TestVerifyReport:
         assert verdict.skipped == {}
         assert verdict.to_json_dict()["skipped"] == {}
 
-    def test_sweep_limit_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "HISTOGRAM_WORK_LIMIT", 27)
+    def test_sweep_limit_is_read_at_call_time(self):
+        # eigenspace_dimensions' own limit: 4 characters * (3 closure edges + 2 du rows * 2 generators)
         group = x4z4_group()
-        verdict = verify_report(group, analyze(group))
-        assert verdict.skipped == {"transitivity": "character sweep work 28 exceeds limit 27"}
+        with pytest.raises(TooLarge, match="character sweep work 28 exceeds limit 27"):
+            eigenspace_dimensions(group, work_limit=27)
+        assert sorted(eigenspace_dimensions(group, work_limit=28).values()) == [2, 2, 2, 2]
 
     @pytest.mark.parametrize(
         "make_group",
@@ -592,18 +660,70 @@ class TestVerifyReport:
         ],
         ids=["x4z4", "d6", "torus2x2_d2", "torus2x3_d2"],
     )
-    def test_reductions_are_those_of_characters(self, monkeypatch, make_group):
+    def test_histogram_makes_no_reduction(self, monkeypatch, make_group):
         group = make_group()
         report = analyze(group)
         calls = count_reductions(monkeypatch)
-        characters(group)
-        own = [m.entries for m in calls]
-        calls.clear()
         verdict = verify_report(group, report)
         assert verdict.checks["transitivity"]
-        # the sweep reads one key per character; no closure row is reduced
-        assert [m.entries for m in calls] == own
-        assert len(own) == 1
+        # the powers' membership solves reuse analyze's reduction, and the fibres make none,
+        # where the character sweep's characters() made one
+        assert calls == []
+        characters(group)
+        assert len(calls) == 1
+
+    def test_dropped_block_with_inflated_cardinality_fails(self):
+        # 2x2 torus at d=3: drop one of the two logical pairs and its divisor, and triple
+        # the cardinality so that prod s_i * |H| = d^n still holds; the fibres count 729
+        group = build_model(torus_grid_graph(2, 2), 3).stabilizer
+        report = analyze(group)
+        assert (report.cardinality, report.quotient_divisors) == (729, (3, 3))
+        bad = dataclasses.replace(report, cardinality=2187, quotient_divisors=(3,),
+                                  logical_operators=report.logical_operators[:1])
+        verdict = verify_report(group, bad)
+        assert not verdict.passed
+        assert verdict.checks == {"dimension": True, "logical_action": True, "relations": True,
+                                  "irreducibility_count": False, "transitivity": True}
+        assert verdict.details == {"irreducibility_count": "oracle |H| 729 != reported 2187"}
+        assert verdict.histogram == {9: 729}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cardinality_off_by_a_prime_factor_of_d_fails(self, p):
+        group = z_block_group(6, 2, 1)
+        report = analyze(group)
+        card = report.cardinality
+        assert report.quotient_divisors == (6,)
+        alone = dataclasses.replace(report, cardinality=card * p)
+        # the divisor shrinks with it, so prod s_i * |H| = d^n still holds
+        balanced = dataclasses.replace(alone, quotient_divisors=(6 // p,))
+        for bad, detail in ((alone, "divisors inconsistent with the group order"),
+                            (balanced, f"oracle |H| {card} != reported {card * p}")):
+            verdict = verify_report(group, bad)
+            assert not verdict.passed
+            assert verdict.details == {"irreducibility_count": detail}
+
+    def test_wrong_divisor_and_pairs_swapped_between_blocks_fail(self):
+        group = d6_group()
+        report = analyze(group)
+        p0, p1 = report.logical_operators
+        assert report.quotient_divisors == (3, 3)
+        # the product still matches |H|, but pair 0 no longer braids by xi^(6/1)
+        wrong = dataclasses.replace(report, quotient_divisors=(1, 9),
+                                    logical_operators=(dataclasses.replace(p0, divisor=1), p1))
+        swapped = dataclasses.replace(report, logical_operators=(
+            dataclasses.replace(p0, x_like=p1.x_like), dataclasses.replace(p1, x_like=p0.x_like)))
+        for bad in (wrong, swapped):
+            verdict = verify_report(group, bad)
+            assert not verdict.passed
+            assert verdict.details == {"relations": "pair 0 braiding phase mismatch"}
+
+    def test_divisors_are_checked_against_the_oracle_dimension(self, monkeypatch):
+        group = build_model(torus_grid_graph(2, 2), 3).stabilizer
+        report = analyze(group)
+        monkeypatch.setattr(oracle_module, "_protected_dimension", lambda scan: 3)
+        verdict = verify_report(group, report)
+        assert verdict.details == {"dimension": "oracle 3 != reported 9",
+                                   "irreducibility_count": "divisors multiply to 9 != oracle dimension 3"}
 
     def test_relations_solve_only_the_powers(self, monkeypatch):
         calls = []
