@@ -1,9 +1,8 @@
 """Every CLI output of the golden corpus hashes as recorded in tests/golden/manifest.json."""
 
 import json
-import os
 
-from tests.golden.corpus import run
+from tests.golden.corpus import entries, run
 from tests.golden.regenerate import MANIFEST
 
 
@@ -16,4 +15,5 @@ def test_outputs_match_the_manifest():
         if (code, digest) != (entry["exit"], entry["sha256"]):
             moved.append(f"{entry['name']}: exit {code}, sha256 {digest}")
     assert not moved, "outputs moved (regenerate with python -m tests.golden.regenerate):\n" + "\n".join(moved)
-    assert len(manifest) >= 40
+    # an entry added to the corpus but not yet hashed is not checked: regenerate
+    assert [e["name"] for e in manifest] == [name for name, _, _ in entries()]

@@ -517,8 +517,8 @@ def fibre_cases(draw):
     return StabilizerGroup(d, n, gens), kind
 
 
-def fibres_against_the_sweep(group, report) -> str:
-    """verify_report's histogram equals sweep_histogram's, or both raise at one stage with one detail."""
+def fibres_against_the_sweep(group, report):
+    """verify_report's verdict, whose histogram equals sweep_histogram's; None where both raise alike."""
     try:
         reference = sweep_histogram(group)
     except InternalInvariant as exc:
@@ -526,14 +526,14 @@ def fibres_against_the_sweep(group, report) -> str:
             verify_report(group, report)
         assert (info.value.stage, info.value.detail) == (exc.stage, exc.detail)
         assert exc.stage == "oracle.histogram"
-        return "raises"
+        return None
     verdict = verify_report(group, report)
     assert verdict.histogram == reference
     assert verdict.checks["transitivity"] is (len(reference) == 1)
     assert verdict.skipped == {}
     # the fibres count |H| = |C| with no engine value read
     assert sum(verdict.histogram.values()) == group.cardinality
-    return "histogram"
+    return verdict
 
 
 class TestFibres:
@@ -543,9 +543,7 @@ class TestFibres:
     def test_fibres_match_the_sweep(self, case):
         group, kind = case
         if kind == "valid":
-            report = analyze(group)
-            assert fibres_against_the_sweep(group, report) == "histogram"
-            assert verify_report(group, report).passed
+            assert fibres_against_the_sweep(group, analyze(group)).passed
         else:
             fibres_against_the_sweep(group, empty_report(group))
 
@@ -555,8 +553,8 @@ class TestFibres:
         for _ in range(150):
             d, n = rng.choice([2, 3, 4, 6]), rng.randint(1, 2)
             group = StabilizerGroup(d, n, [random_pauli(rng, d, n) for _ in range(rng.randint(1, 3))])
-            outcomes[fibres_against_the_sweep(group, empty_report(group))] += 1
-        assert outcomes["raises"] >= 20 and outcomes["histogram"] >= 20
+            outcomes[fibres_against_the_sweep(group, empty_report(group)) is None] += 1
+        assert outcomes[True] >= 20 and outcomes[False] >= 20  # raised, and gave a histogram
 
 
 class TestVerifyReport:
