@@ -144,14 +144,15 @@ class StabilizerGroup:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerGroup":
+        obj = json_object(obj, "request")
         d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
         if n < 0:
             raise ValueError(f"n = {n}: need n >= 0")
         if n > MAX_REQUEST_N:
             raise ValueError(f"n = {n} exceeds the request limit {MAX_REQUEST_N}")
         gens = [
-            PauliElement.from_json_dict({"phase": 0, **json_object(g, "generator"), "d": d, "n": n})
-            for g in obj.get("generators", [])
+            _report_element({"phase": 0, **json_object(g, "generator")}, d, n, f"generators[{i}]")
+            for i, g in enumerate(obj.get("generators", []))
         ]
         return validate(d, n, gens)
 
@@ -196,11 +197,11 @@ def normalizer_membership(group: StabilizerGroup, p: PauliElement) -> bool:
 
 
 def _report_element(obj, d: int, n: int, where: str) -> PauliElement:
-    """A report's Pauli element; its own "d" and "n", where given, must be the report's."""
+    """A Pauli element of a request or report read in (d, n); its own "d" and "n", where given, must match."""
     obj = json_object(obj, where)
     own = (json_int(obj.get("d", d), f"{where}.d"), json_int(obj.get("n", n), f"{where}.n"))
     if own != (d, n):
-        raise DimensionMismatch(f"{where} has (d, n) = {own}, the report {(d, n)}")
+        raise DimensionMismatch(f"{where} has (d, n) = {own}, not {(d, n)}")
     return PauliElement.from_json_dict({**obj, "d": d, "n": n})
 
 

@@ -8,7 +8,9 @@ The Smith reduction works on integer representatives, reducing mod d after
 every elementary operation (reducing mod d is the same as adding rows of
 d times the identity, so the augmentation by d*I is implicit).  Pivots are
 normalised to divisors of d by scaling with a unit, which is always
-possible and sidesteps zero-divisor pivots.
+possible and sidesteps zero-divisor pivots.  Each column operation walks
+only the rows it can change, and the replays of the recorded operations
+keep their rows sparse, so both cost what they touch.
 """
 
 from __future__ import annotations
@@ -172,19 +174,6 @@ class ZdMatrix:
 _SWAP, _ADD, _SCALE = 0, 1, 2
 
 
-def _apply_row_ops_to_rows(
-    d: int, rows: list[list[int]], ops: Iterable[tuple[int, int, int, int]]
-) -> None:
-    """The row operations applied in order to the rows of a matrix, in place."""
-    for kind, i, j, q in ops:
-        if kind == _SWAP:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif kind == _ADD:
-            rows[i] = [(x + q * y) % d for x, y in zip(rows[i], rows[j])]
-        else:
-            rows[i] = [(q * x) % d for x in rows[i]]
-
-
 def _apply_row_ops_to_vector(
     d: int, vec: list[int], ops: Iterable[tuple[int, int, int, int]]
 ) -> None:
@@ -218,12 +207,31 @@ def _inverses(d: int, ops: Iterable[tuple[int, int, int, int]]):
 def _replay_columns(d: int, size: int, picked: Sequence[tuple[int, int]], ops) -> list[Vector]:
     """The columns scale * e_i, (i, scale) in picked, with the row operations applied in order.
 
-    The block has len(picked) columns: a caller pays only for the columns it picks."""
-    rows = [[0] * len(picked) for _ in range(size)]
+    Each row of the block is kept as {block column: nonzero value}: an ADD costs
+    the support of its source row, a SWAP exchanges two references and a SCALE
+    (by a unit) maps one support.  The dense columns are built once, at the end."""
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
     for t, (i, scale) in enumerate(picked):
-        rows[i][t] = scale % d
-    _apply_row_ops_to_rows(d, rows, ops)
-    return list(zip(*rows))
+        if scale % d:
+            rows[i][t] = scale % d
+    for kind, i, j, q in ops:
+        if kind == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == _ADD:
+            dst = rows[i]
+            for t, y in rows[j].items():
+                x = (dst.get(t, 0) + q * y) % d
+                if x:
+                    dst[t] = x
+                else:
+                    dst.pop(t, None)
+        elif rows[i]:
+            rows[i] = {t: (q * x) % d for t, x in rows[i].items()}
+    columns = [[0] * size for _ in picked]
+    for i, row in enumerate(rows):
+        for t, x in row.items():
+            columns[t][i] = x
+    return [tuple(col) for col in columns]
 
 
 @dataclass(frozen=True)
@@ -239,7 +247,9 @@ class SmithForm:
     identity, v^T is col_ops applied in order, and neither is ever built.
     solve replays the operations on its vectors; v_columns (columns of v, which
     kernel picks) and v_inv_rows (rows of v^-1) replay them on a block as wide
-    as they pick.
+    as they pick, whose rows are sparse, so an addition costs the support of
+    its source row.  smith_normal_form records a column operation after
+    walking only the rows where the pivot column is nonzero.
     """
 
     modulus: int
@@ -338,16 +348,20 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
         m[i] = [(w * x) % d for x in m[i]]
         row_ops.append((_SCALE, i, i, w))
 
+    # Rows above the pivot k are zero from column k on, so a column operation
+    # on columns >= k changes only rows >= k, and col_j += q * col_k only the
+    # rows where col_k is nonzero.
     def col_swap(i, j):
-        for row in m:
+        # i is the pivot index
+        for row in m[i:]:
             row[i], row[j] = row[j], row[i]
         col_ops.append((_SWAP, i, j, 0))
 
-    def col_addmul(j, k, q):
-        # col_j += q * col_k
+    def col_addmul(j, k, q, rows):
+        # col_j += q * col_k, over the rows where col_k is nonzero
         if q == 0:
             return
-        for row in m:
+        for row in rows:
             row[j] = (row[j] + q * row[k]) % d
         col_ops.append((_ADD, j, k, q))
 
@@ -368,9 +382,10 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
                     row_addmul(i, k, (-(m[i][k] // p)) % d)
                     if m[i][k]:
                         dirty = True
+            touched = [mi for mi in m[k:] if mi[k]]
             for j in range(k + 1, c):
                 if m[k][j]:
-                    col_addmul(j, k, (-(m[k][j] // p)) % d)
+                    col_addmul(j, k, (-(m[k][j] // p)) % d, touched)
                     if m[k][j]:
                         dirty = True
             if dirty:
@@ -425,14 +440,11 @@ class Submodule:
     def __init__(self, modulus: int, ambient_rank: int, generators: Iterable[Sequence[int]]):
         self.modulus = modulus
         self.ambient_rank = ambient_rank
-        gens = []
-        for g in generators:
-            g = vec_reduce(g, modulus)
-            if len(g) != ambient_rank:
-                raise ValueError("generator has wrong length")
-            if any(g):
-                gens.append(g)
-        self.generators: tuple[Vector, ...] = tuple(gens)
+        mat = ZdMatrix.from_rows(modulus, generators, ambient_rank)
+        self.generators: tuple[Vector, ...] = tuple(g for g in mat.entries if any(g))
+        # reduced once: the Smith form's matrix is mat itself unless zero rows were dropped
+        self.generator_matrix = mat if len(self.generators) == mat.rows \
+            else ZdMatrix.from_rows(modulus, self.generators, ambient_rank)
 
     @classmethod
     def zero(cls, d: int, m: int) -> "Submodule":
@@ -441,11 +453,6 @@ class Submodule:
     @classmethod
     def full(cls, d: int, m: int) -> "Submodule":
         return cls(d, m, ZdMatrix.identity(d, m).entries)
-
-    @property
-    def generator_matrix(self) -> ZdMatrix:
-        return ZdMatrix.from_rows(self.modulus, self.generators) if self.generators \
-            else ZdMatrix.zeros(self.modulus, 0, self.ambient_rank)
 
     @cached_property
     def smith(self) -> SmithForm:

@@ -196,4 +196,7 @@ _ERRORS = [
     ("wrong_length", ["analyze", "--input", "@input"], {"d": 3, "n": 2, "generators": [{"a": [1], "b": [0]}]}),
     ("missing_d", ["analyze", "--input", "@input"], {"n": 1, "generators": []}),
     ("wrong_report", ["oracle", "verify", "--input", "@input"], {"d": 3, "n": 1, "generators": [], "report": {}}),
+    ("generator_off_the_request", ["analyze", "--input", "@input"],
+     {"d": 2, "n": 1, "generators": [{"a": [0], "b": [1], "n": 2}]}),
+    ("request_not_an_object", ["analyze", "--input", "@input"], []),
 ]

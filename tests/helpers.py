@@ -7,6 +7,7 @@ symbolic normal-form code paths it is used to check.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from collections import Counter, deque
@@ -445,16 +446,81 @@ def smith_diagonal(s: SmithForm) -> ZdMatrix:
 
 
 def record_replays(monkeypatch) -> list:
-    """The width of every later block replay of a Smith form's operations, in call order."""
+    """The width (columns picked) of every later block replay of a Smith form's operations, in call order."""
     widths = []
-    real = zmod._apply_row_ops_to_rows
+    real = zmod._replay_columns
 
-    def recording(d, rows, ops):
-        widths.append(len(rows[0]) if rows else 0)
-        return real(d, rows, ops)
+    def recording(d, size, picked, ops):
+        widths.append(len(picked))
+        return real(d, size, picked, ops)
 
-    monkeypatch.setattr(zmod, "_apply_row_ops_to_rows", recording)
+    monkeypatch.setattr(zmod, "_replay_columns", recording)
     return widths
+
+
+def smith_normal_form_reference(mat: ZdMatrix) -> SmithForm:
+    """smith_normal_form on dense rows: every column operation walks all r rows.
+
+    The same pivot rule and order of operations, so the same diag, row_ops and
+    col_ops.  Operations are recorded as (0, i, j, 0) swap, (1, i, j, q)
+    row_i += q * row_j and (2, i, i, w) scale; col_j += q * col_k is (1, j, k, q).
+    """
+    d = mat.modulus
+    r, c = mat.rows, mat.cols
+    m = [list(row) for row in mat.entries]
+    row_ops, col_ops = [], []
+
+    def row_addmul(i, j, q):
+        if q:
+            m[i] = [(x + q * y) % d for x, y in zip(m[i], m[j])]
+            row_ops.append((1, i, j, q))
+
+    def col_addmul(j, k, q):
+        if q:
+            for row in m:
+                row[j] = (row[j] + q * row[k]) % d
+            col_ops.append((1, j, k, q))
+
+    for k in range(min(r, c)):
+        while True:
+            entries = [(m[i][j], i, j) for i in range(k, r) for j in range(k, c) if m[i][j]]
+            if not entries:
+                break
+            _, i0, j0 = min(entries)
+            if i0 != k:
+                m[k], m[i0] = m[i0], m[k]
+                row_ops.append((0, k, i0, 0))
+            if j0 != k:
+                for row in m:
+                    row[k], row[j0] = row[j0], row[k]
+                col_ops.append((0, k, j0, 0))
+            p = m[k][k]
+            dirty = False
+            for i in range(k + 1, r):
+                if m[i][k]:
+                    row_addmul(i, k, (-(m[i][k] // p)) % d)
+                    dirty = dirty or bool(m[i][k])
+            for j in range(k + 1, c):
+                if m[k][j]:
+                    col_addmul(j, k, (-(m[k][j] // p)) % d)
+                    dirty = dirty or bool(m[k][j])
+            if dirty:
+                continue
+            g = math.gcd(p, d)
+            if g != p:
+                w = zmod.unit_lifting_gcd(p, d)
+                m[k] = [(w * x) % d for x in m[k]]
+                row_ops.append((2, k, k, w))
+                p = g
+            if p == 1:
+                break
+            bad = next((i for i in range(k + 1, r) if any(x % p for x in m[i][k + 1:])), None)
+            if bad is None:
+                break
+            row_addmul(k, bad, 1)
+
+    diag = tuple(m[i][i] or d for i in range(min(r, c)))
+    return SmithForm(d, (r, c), diag, tuple(row_ops), tuple(col_ops))
 
 
 def solve_reference(s: SmithForm, b) -> tuple | None:

@@ -271,7 +271,7 @@ class TestOracleVerifyCommand:
         code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
         assert code == 2
         assert json.loads(out)["error"] == {
-            "type": "DimensionMismatch", "detail": f"{where} has (d, n) = {own}, the report (3, 2)"}
+            "type": "DimensionMismatch", "detail": f"{where} has (d, n) = {own}, not (3, 2)"}
 
     def test_elements_read_in_the_report_dimensions(self, capsys, monkeypatch):
         request = self.build_request(capsys, monkeypatch, Z1_ON_TWO_QUTRITS)
@@ -579,6 +579,25 @@ class TestMalformedRequests:
         error = json.loads(out)["error"]
         assert error["type"] == "InvalidRequest"
         assert "generator must be an object" in error["detail"]
+
+    @pytest.mark.parametrize("key, value, own", [("n", 2, "(2, 2)"), ("d", 3, "(3, 1)")])
+    @pytest.mark.parametrize("command", [["analyze"], ["canonicalize"], ["oracle", "verify"]])
+    def test_generator_off_the_request_dimensions_exit_2(self, capsys, monkeypatch, key, value, own, command):
+        # a generator's own d or n may only repeat the request's; the error names the generator
+        request = {"d": 2, "n": 1, "generators": [{"a": [0], "b": [1]}, {"a": [0], "b": [1], key: value}],
+                   "report": {}}
+        code, out = run_cli(capsys, command + ["--input", "-"], request, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "DimensionMismatch", "detail": f"generators[1] has (d, n) = {own}, not (2, 1)"}
+
+    @pytest.mark.parametrize("request_obj", [[], 5, "request"])
+    @pytest.mark.parametrize("command", [["analyze"], ["canonicalize"], ["oracle", "verify"]])
+    def test_request_not_an_object_exit_2(self, capsys, monkeypatch, request_obj, command):
+        code, out = run_cli(capsys, command + ["--input", "-"], request_obj, monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InvalidRequest", "detail": f"request must be an object, got {request_obj!r}"}
 
     @given(cli_requests())
     @settings(max_examples=150, deadline=None)

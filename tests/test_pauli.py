@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -235,6 +236,13 @@ class TestSerialization:
     def test_text_shape(self):
         p = PauliElement(6, 2, 7, (1, 5), (0, 3))
         assert p.to_text() == "z^7 * X1^1 Z1^0 * X2^5 Z2^3"
+
+    def test_bool_exponents_are_stored_as_ints(self):
+        # reduction mod d turns a bool into an int, so the JSON holds 1 and 0, never true/false
+        p = PauliElement(2, 2, True, (True, 0), (False, 1))
+        assert [type(x) for x in (p.phase, *p.a, *p.b)] == [int] * 5
+        assert p.to_json_dict() == {"d": 2, "n": 2, "phase": 1, "a": [1, 0], "b": [0, 1]}
+        assert json.dumps(p.to_json_dict()) == '{"d": 2, "n": 2, "phase": 1, "a": [1, 0], "b": [0, 1]}'
 
 
 class TestConjugate:

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditstab import zmod
@@ -20,6 +20,7 @@ from tests.helpers import (
     enumerate_elements_reference,
     record_replays,
     smith_diagonal,
+    smith_normal_form_reference,
     smith_u,
     smith_u_inv,
     smith_v,
@@ -106,6 +107,36 @@ def smith_systems(draw, moduli=(2, 4, 6, 12, 360, 2**64)):
     return a, tuple(draw(st.lists(entry, min_size=r, max_size=r))), False
 
 
+# (matrix, operations, one operation its reduction must record there): the
+# pivot 4 leaves 2 below and beside it, so a second round at k = 0 swaps a
+# column in (the dirty loop); the pivot 10 needs the unit 5 to become
+# gcd(10, 12) = 2; the pivot 2 divides its row and column but not the 3 past
+# them, so row 0 += row 1
+BRANCH_EXAMPLES = [
+    (ZdMatrix.from_rows(12, [(4, 6), (6, 4)]), "col_ops", (0, 0, 1, 0)),
+    (ZdMatrix.from_rows(12, [(10,)]), "row_ops", (2, 0, 0, 5)),
+    (ZdMatrix.from_rows(12, [(2, 0), (0, 3)]), "row_ops", (1, 0, 1, 1)),
+]
+
+
+class TestSparseSmith:
+    @given(smith_systems(moduli=(2, 6, 12, 360, 2**64)))
+    @example((ZdMatrix.zeros(6, 0, 3), (), True))
+    @example((ZdMatrix.zeros(6, 3, 0), (0, 0, 0), True))
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_the_dense_reference(self, system):
+        # the column walk touches only rows that can change, so it records what the dense loop does
+        a, _, _ = system
+        s, ref = smith_normal_form(a), smith_normal_form_reference(a)
+        assert (s.shape, s.diag, s.row_ops, s.col_ops) == (ref.shape, ref.diag, ref.row_ops, ref.col_ops)
+
+    @pytest.mark.parametrize("a, ops, witness", BRANCH_EXAMPLES)
+    def test_branch_examples(self, a, ops, witness):
+        s, ref = smith_normal_form(a), smith_normal_form_reference(a)
+        assert (s.diag, s.row_ops, s.col_ops) == (ref.diag, ref.row_ops, ref.col_ops)
+        assert witness in getattr(s, ops)
+
+
 class TestSmithSolve:
     @given(smith_systems())
     @settings(max_examples=200, deadline=None)
@@ -190,6 +221,18 @@ class TestSubmodule:
         assert Submodule(6, 2, []).invariant_factors == ()
         assert Submodule(6, 2, [(2, 0), (0, 3)]).invariant_factors == (6,)
         assert Submodule(4, 2, [(2, 0), (0, 2)]).invariant_factors == (2, 2)
+
+    def test_generator_matrix_holds_the_reduced_generators(self):
+        # the rows are reduced once: the Smith form's matrix holds the generator tuples themselves
+        sub = Submodule(6, 3, [(7, 8, 9), [1, 2, 3]])
+        assert sub.generators == ((1, 2, 3), (1, 2, 3))
+        assert all(row is g for row, g in zip(sub.generator_matrix.entries, sub.generators, strict=True))
+        dropped = Submodule(6, 3, [(6, 0, -6), (1, 2, 3)])
+        assert dropped.generators == ((1, 2, 3),)
+        assert dropped.generator_matrix == ZdMatrix.from_rows(6, [(1, 2, 3)])
+        assert Submodule(6, 3, []).generator_matrix == ZdMatrix.zeros(6, 0, 3)
+        with pytest.raises(ValueError):
+            Submodule(6, 3, [(1, 2)])
 
     def test_cardinality_matches_enumeration(self):
         rng = random.Random(1)
