@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import InternalInvariant, QuditStabError
+from .errors import InternalInvariant, QuditStabError, json_object
 from .kitaev import (
     SurfaceGraph,
     apply_shift,
@@ -122,7 +122,7 @@ def cmd_canonicalize(args) -> int:
 def cmd_oracle_verify(args) -> int:
     req = _load_json(args.input)
     group = StabilizerGroup.from_json_dict(req)
-    report = StabilizerReport.from_json_dict({**req["report"], "d": group.d, "n": group.n})
+    report = StabilizerReport.from_json_dict(dict(json_object(req["report"], "report"), d=group.d, n=group.n))
     verdict = verify_report(group, report, bound=args.bound)
     _emit(_wrap_report(verdict.to_json_dict()), args.format)
     return 0 if verdict.passed else 3

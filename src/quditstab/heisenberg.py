@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InternalInvariant, NotSymplectic
 from .pauli import (
     PauliElement,
+    dth_power_phase,
     inverse,
     is_identity,
     module_vector,
@@ -187,7 +188,7 @@ def lift_symplectic(space: SymplecticSpace, psi: ZdMatrix) -> PauliAutomorphism:
         raise NotSymplectic("matrix does not preserve the form")
     aut = PauliAutomorphism(d, n, tuple(order_matched_lift(d, c) for c in cols[:n]),
                             tuple(order_matched_lift(d, c) for c in cols[n:]))
-    if any((d * c + d * (d - 1) * ab) % phase_modulus(d) for c, ab, _, _ in aut._supports):
+    if any(dth_power_phase(d, supp) for supp in aut._supports):
         raise InternalInvariant(
             "heisenberg.lift_symplectic", "lifted images violate the presentation"
         )

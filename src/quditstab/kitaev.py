@@ -28,6 +28,7 @@ from .errors import (
     OddEuler,
     PathMismatch,
     json_int,
+    json_object,
 )
 from .pauli import PauliElement, power
 from .stabilizer import CharacterMap, StabilizerGroup, validate, validate_character
@@ -109,6 +110,7 @@ class SurfaceGraph:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SurfaceGraph":
+        obj = json_object(obj, "graph")
         edges = [Edge(_freeze(e["id"]), _freeze(e["tail"]), _freeze(e["head"])) for e in obj["edges"]]
         faces = [[(_freeze(step["edge"]), step["side"]) for step in walk] for walk in obj["faces"]]
         return cls([_freeze(v) for v in obj["vertices"]], edges, faces)
@@ -350,14 +352,17 @@ class ShiftPair:
     path: tuple[PathStep, ...]
 
     @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "ShiftPair":
+    def from_json_dict(cls, obj: Mapping, where: str) -> "ShiftPair":
+        """where names the pair in errors."""
+        obj = json_object(obj, where)
         return cls(_freeze(obj["vertex"]), json_int(obj["a"], "a"), json_int(obj["b"], "b"),
                    tuple(_normalize_steps(obj["path"])))
 
 
 def shift_spec_from_json_dict(obj: Mapping) -> tuple[object, list[ShiftPair]]:
     """A shift or twist spec's (source, pairs), the arguments of apply_shift and apply_twist."""
-    pairs = [ShiftPair.from_json_dict(p) for p in obj["pairs"]]
+    obj = json_object(obj, "shift spec")
+    pairs = [ShiftPair.from_json_dict(p, f"pairs[{i}]") for i, p in enumerate(obj["pairs"])]
     return _freeze(obj["source"]), pairs
 
 

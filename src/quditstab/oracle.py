@@ -23,9 +23,12 @@ generator's support, and makes one scan, which serves the dimension, every
 protected basis and the eigenspace histogram: each of them finds the one
 orbit class that carries a w-eigenvector by one key lookup.  The histogram
 reads a character only through its image under one homomorphism, so it
-visits each image once, not each character.  Logical operators are applied
-to the protected basis vectors alone; each basis index is decoded into
-digits once per call, and each operator reads the digits at its own support.
+visits each image once, not each character; eigenspace_dimensions closes
+the characters themselves by the same closure, so of the engine the oracle
+uses only StabilizerGroup, StabilizerReport and membership.  Logical
+operators are applied to the protected basis vectors alone; each basis index
+is decoded into digits once per call, and each operator reads the digits at
+its own support.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, itemgetter, mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadBound, InternalInvariant, TooLarge
 from .pauli import PauliElement, commutation_phase, phase_modulus, power
-from .stabilizer import StabilizerGroup, StabilizerReport, characters, membership
+from .stabilizer import StabilizerGroup, StabilizerReport, membership
 
 DEFAULT_BOUND = 200_000
 _BOUND_ENV = "QUDITSTAB_ORACLE_BOUND"
@@ -140,24 +143,6 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
             phase *= d
     perm = array("l", map(add, range(size), shift)) if moves else range(size)
     return PhasePermutation(d, n, perm, tuple(phase))
-
-
-@dataclass
-class OrbitCertificate:
-    """One orbit of the group action on basis indices.
-
-    closure_rows are the sorted distinct nonzero raw rows (delta_e,
-    2*delta_word) over Z mod phase_modulus(d), one per closure edge of the
-    orbit; a character with exponent vector w is consistent on the orbit iff
-    delta_e == (2*delta_word) . w for every row.
-    """
-
-    representative: int
-    members: list[int]
-    closure_rows: list[tuple[int, ...]] = field(default_factory=list)
-
-    def consistent_with(self, w: Sequence[int], db: int) -> bool:
-        return all((sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db == 0 for row in self.closure_rows)
 
 
 class _Scan:
@@ -296,28 +281,40 @@ def _protected_dimension(scan: _Scan) -> int:
     return scan.sizes[scan.class_of((0,) * len(scan.reps))]
 
 
+def _closure(images: Iterable[tuple], modulus: int, width: int, limit: Optional[int] = None) -> dict:
+    """The subgroup of (Z/modulus)^width spanned by images, as an ordered set.
+
+    Each image t not yet in the span S appends S + t, S + 2t, ... until a
+    multiple of t lands in S, which builds each element once.  Raises
+    TooLarge as soon as the span holds more than limit elements.
+    """
+    span = dict.fromkeys([(0,) * width])
+    for t in images:
+        if t in span:
+            continue
+        subgroup, coset = list(span), t
+        while coset not in span:
+            span.update(dict.fromkeys(tuple((x + y) % modulus for x, y in zip(z, coset)) for z in subgroup))
+            coset = tuple((x + y) % modulus for x, y in zip(coset, t))
+            if limit is not None and len(span) > limit:
+                raise TooLarge(f"the span exceeds {limit} elements")
+    return span
+
+
 def _histogram(group: StabilizerGroup, scan: _Scan) -> dict[int, int]:
     """Eigenspace dimension -> number of characters, from the fibres of T.
 
     class_of(w) reads w only through T(w) = (du . w mod db) over the distinct
     du rows, and T is a homomorphism on the character group C, so each fibre
-    holds the same number m of characters, all of one dimension.  C is
-    spanned by the 2n columns of the generators' exponents, so T(C) is closed
-    from their images: each image t not yet in S appends S + t, S + 2t, ...
-    until a multiple of t lands in S, which builds each element once.  The
-    eigenspaces of all characters sum to d^n, so m = d^n / sum of dim over T(C).
+    holds the same number m of characters, all of one dimension.  Every
+    character is w_j = phi(x, tau(g_j)) for some x, so C is spanned by the 2n
+    columns of the generators' exponents (x a unit vector), and T(C) is closed
+    from their images.  The eigenspaces of all characters sum to d^n, so
+    m = d^n / sum of dim over T(C).
     """
-    db, rows, gens = scan.db, scan.du_rows, group.generators
-    span = dict.fromkeys([(0,) * len(rows)])  # T(C) so far: a subgroup, as an ordered set
-    for k in range(group.n):
-        for column in ([g.b[k] for g in gens], [g.a[k] for g in gens]):
-            t = tuple(sum(map(mul, row, column)) % db for row in rows)
-            if t in span:
-                continue
-            subgroup, coset = list(span), t
-            while coset not in span:
-                span.update(dict.fromkeys(tuple((x + y) % db for x, y in zip(z, coset)) for z in subgroup))
-                coset = tuple((x + y) % db for x, y in zip(coset, t))
+    db, rows = scan.db, scan.du_rows
+    columns = zip(*(g.b + g.a for g in group.generators))
+    span = _closure((tuple(sum(map(mul, row, c)) % db for row in rows) for c in columns), db, len(rows))
     dims = Counter(scan.sizes[scan.row_index.get(y)] for y in span)  # dimension -> images with it
     total = sum(dim * count for dim, count in dims.items())
     if not total or scan.size % total:
@@ -342,36 +339,26 @@ def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
     return vectors
 
 
-def orbit_certificates(group: StabilizerGroup, bound: Optional[int] = None) -> list[OrbitCertificate]:
-    scan = _Scan(group, bound)
-    raw = [[(de,) + scan.du_rows[r] for de, r in zip(key, scan.edge_row)] for key in scan.keys]
-    rows = [sorted({row for row in k_rows if any(row)}) for k_rows in raw]
-    return [OrbitCertificate(m[0], m, list(rows[k])) for m, k in zip(scan.orbits, scan.key_of)]
-
-
 def protected_dimension(group: StabilizerGroup, bound: Optional[int] = None) -> int:
     """dim of the fixed space: orbits whose phase cocycle closes trivially."""
     return _protected_dimension(_Scan(group, bound))
 
 
-def eigenspace_dimensions(
-    group: StabilizerGroup,
-    bound: Optional[int] = None,
-    work_limit: int = 30_000_000,
-) -> dict[tuple[int, ...], int]:
-    """Map character exponent vectors to eigenspace dimensions.
+def eigenspace_dimensions(group: StabilizerGroup, bound: Optional[int] = None) -> dict[tuple[int, ...], int]:
+    """Map character exponent vectors to eigenspace dimensions, in the order the closure builds C.
 
-    Work is #characters * (#closure edges + #distinct du rows * #generators);
-    raises TooLarge when that exceeds work_limit, before any character is
-    enumerated.
+    C is closed from the 2n exponent columns as the histogram closes T(C),
+    and its Counter of dimensions must equal the histogram.  Raises TooLarge
+    past d^n characters, which no group of commuting generators has: an
+    isotropic tau(H) has at most d^n elements.
     """
     scan = _Scan(group, bound)
-    work = group.cardinality * (len(scan.edge_row) + len(scan.du_rows) * len(group.generators))
-    if work > work_limit:
-        raise TooLarge(f"character sweep work {work} exceeds limit {work_limit}")
-    out = {chi.values: scan.sizes[scan.class_of(chi.values)] for chi in characters(group)}
-    if sum(out.values()) != scan.size:
-        raise InternalInvariant("oracle.histogram", "eigenspace dimensions do not sum to d^n")
+    histogram = _histogram(group, scan)
+    columns = zip(*(g.b + g.a for g in group.generators))
+    span = _closure(columns, group.d, len(group.generators), limit=scan.size)
+    out = {w: scan.sizes[scan.class_of(w)] for w in span}
+    if Counter(out.values()) != histogram:
+        raise InternalInvariant("oracle.histogram", "character dimensions differ from the fibres")
     return out
 
 

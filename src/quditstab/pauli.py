@@ -157,6 +157,11 @@ def support(p: PauliElement) -> tuple[int, int, list, list]:
             [(k, p.b[k]) for k in compress(range(p.n), p.b)])
 
 
+def dth_power_phase(d: int, supp: tuple) -> int:
+    """The phase of g^d, the scalar zeta^(d c + d(d-1) a.b), from supp = support(g) = (c, a.b, ...)."""
+    return (d * supp[0] + d * (d - 1) * supp[1]) % phase_modulus(d)
+
+
 def word(d: int, n: int, phase: int, factors: Iterable[tuple[tuple, int]]) -> PauliElement:
     """zeta^phase times the product of g^e over (support(g), e) pairs, in order.
 

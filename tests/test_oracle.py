@@ -18,7 +18,6 @@ from quditstab.oracle import (
     PhasePermutation,
     eigenspace_dimensions,
     oracle_bound,
-    orbit_certificates,
     protected_basis,
     protected_dimension,
     represent,
@@ -67,6 +66,18 @@ def record_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle_module, "_Scan", recording)
     return scans
+
+
+def closure_rows(scan) -> list:
+    """Per orbit, the sorted distinct nonzero rows (delta_e, du) of its closure edges, read from the scan."""
+    by_class = [sorted({row for row in ((de,) + scan.du_rows[r] for de, r in zip(key, scan.edge_row)) if any(row)})
+                for key in scan.keys]
+    return [by_class[k] for k in scan.key_of]
+
+
+def consistent_with(rows, w, db) -> bool:
+    """A w-eigenvector lives on an orbit iff delta_e == du . w on each of its closure rows."""
+    return all((sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db == 0 for row in rows)
 
 
 def z_block_group(d, n, k):
@@ -236,7 +247,7 @@ class TestScan:
             scan = oracle_module._Scan(group, None)
             orbits, pot = scan_reference(scan.reps, scan.size, scan.db, with_words)
             if with_words:
-                rows = [c.closure_rows for c in orbit_certificates(group)]
+                rows = closure_rows(scan)
             else:
                 rows = [[(de,) for de in sorted(set(scan.keys[k])) if de] for k in scan.key_of]
             assert list(zip(scan.orbits, rows)) == orbits
@@ -254,10 +265,8 @@ class TestScan:
             eigenspace_dimensions,
             protected_basis,
             protected_dimension,
-            orbit_certificates,
         ],
-        ids=["verify_report", "eigenspace_dimensions", "protected_basis",
-             "protected_dimension", "orbit_certificates"],
+        ids=["verify_report", "eigenspace_dimensions", "protected_basis", "protected_dimension"],
     )
     def test_each_entry_point_scans_once(self, monkeypatch, call):
         calls = Counter()
@@ -340,9 +349,9 @@ class TestScan:
             with monkeypatch.context() as m:
                 m.setattr(oracle_module, "represent", tuple_x_free_represent(represent))
                 as_tuples = (verify_report(group, report).to_json_dict(), protected_basis(group),
-                             orbit_certificates(group))
+                             eigenspace_dimensions(group), closure_rows(oracle_module._Scan(group, None)))
             as_ranges = (verify_report(group, report).to_json_dict(), protected_basis(group),
-                         orbit_certificates(group))
+                         eigenspace_dimensions(group), closure_rows(oracle_module._Scan(group, None)))
             assert as_ranges == as_tuples
             x_free += any(not any(g.a) for g in group.generators)
         assert x_free >= 10
@@ -388,35 +397,25 @@ class TestEigenspaces:
             db = phase_modulus(group.d)
             reps = [represent(g) for g in group.generators]
             orbits, _ = scan_reference(reps, group.d**group.n, db, with_words=True)
-            certs = orbit_certificates(group)
             naive = {}
-            for chi in characters(group):
+            for chi in characters(group):  # the engine's list, as a reference only
                 w = chi.values
-                consistent = [
-                    rows for _, rows in orbits
-                    if all((sum(c * x for c, x in zip(row[1:], w)) - row[0]) % db == 0 for row in rows)
-                ]
+                consistent = [rows for _, rows in orbits if consistent_with(rows, w, db)]
                 naive[w] = len(consistent)
-                assert [c.consistent_with(w, db) for c in certs] == [rows in consistent for _, rows in orbits]
                 # at most one class per character: its orbits share one row set
                 assert len({tuple(rows) for rows in consistent}) <= 1
-            dims = eigenspace_dimensions(group)
-            assert dims == naive
-            assert list(dims) == list(naive)
+            # the oracle lists the characters in its closure's order, so compare as mappings
+            assert eigenspace_dimensions(group) == naive
             # orbits sharing closure rows are counted as one class
-            shared |= len(Counter(tuple(c.closure_rows) for c in certs)) < len(certs)
+            shared |= len(Counter(tuple(rows) for _, rows in orbits)) < len(orbits)
         assert shared
 
-    def test_work_limit_checked_before_word_scan(self, monkeypatch):
-        def no_characters(*args, **kwargs):
-            raise AssertionError("skipped sweep enumerated the characters")
-
-        monkeypatch.setattr(oracle_module, "characters", no_characters)
-        scans = record_scans(monkeypatch)
-        with pytest.raises(TooLarge, match="character sweep work 28 exceeds limit 27"):
-            # 4 characters * (3 closure edges + 2 distinct du rows * 2 generators)
-            eigenspace_dimensions(x4z4_group(), work_limit=27)
-        assert len(scans) == 1
+    def test_closure_past_its_limit_is_too_large(self):
+        # eigenspace_dimensions caps C at d^n: (Z/2)^2 has 4 elements
+        units = [(1, 0), (0, 1)]
+        assert list(oracle_module._closure(units, 2, 2, limit=4)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        with pytest.raises(TooLarge, match="the span exceeds 3 elements"):
+            oracle_module._closure(units, 2, 2, limit=3)
 
 
 class TestProtectedBasis:
@@ -481,13 +480,11 @@ class TestProtectedBasis:
         assert split >= 10
 
 
-class TestOrbitCertificates:
+class TestClosureRows:
     def test_counts_match(self):
-        group = x4z4_group()
-        certs = orbit_certificates(group)
-        assert sum(len(c.members) for c in certs) == 8
-        db = phase_modulus(8)
-        consistent = [c for c in certs if c.consistent_with((0, 0), db)]
+        scan = oracle_module._Scan(x4z4_group(), None)
+        assert sum(len(members) for members in scan.orbits) == 8
+        consistent = [rows for rows in closure_rows(scan) if consistent_with(rows, (0, 0), phase_modulus(8))]
         assert len(consistent) == 2
 
 
@@ -518,15 +515,23 @@ def fibre_cases(draw):
 
 
 def fibres_against_the_sweep(group, report):
-    """verify_report's verdict, whose histogram equals sweep_histogram's; None where both raise alike."""
+    """verify_report's verdict, whose histogram equals sweep_histogram's; None where both raise alike.
+
+    eigenspace_dimensions raises alike too, or agrees with the sweep character by character.
+    """
     try:
         reference = sweep_histogram(group)
     except InternalInvariant as exc:
-        with pytest.raises(InternalInvariant) as info:
-            verify_report(group, report)
-        assert (info.value.stage, info.value.detail) == (exc.stage, exc.detail)
+        for call in (lambda: verify_report(group, report), lambda: eigenspace_dimensions(group)):
+            with pytest.raises(InternalInvariant) as info:
+                call()
+            assert (info.value.stage, info.value.detail) == (exc.stage, exc.detail)
         assert exc.stage == "oracle.histogram"
         return None
+    scan = oracle_module._Scan(group, None)
+    dims = eigenspace_dimensions(group)
+    assert dims == {chi.values: scan.sizes[scan.class_of(chi.values)] for chi in characters(group)}
+    assert Counter(dims.values()) == reference
     verdict = verify_report(group, report)
     assert verdict.histogram == reference
     assert verdict.checks["transitivity"] is (len(reference) == 1)
@@ -620,11 +625,7 @@ class TestVerifyReport:
                 assert calls[pair.z_like] == calls[pair.x_like] == 0
 
     def test_skipped_sweep_builds_no_word_scan(self, monkeypatch):
-        def no_characters(*args, **kwargs):
-            raise AssertionError("verify_report enumerated the characters")
-
         scans = record_scans(monkeypatch)
-        monkeypatch.setattr(oracle_module, "characters", no_characters)
         group = z_block_group(2, 16, 16)
         verdict = verify_report(group, analyze(group))
         # 2^16 characters with 2^16 distinct images, each visited once by the fibres
@@ -641,12 +642,14 @@ class TestVerifyReport:
         assert verdict.skipped == {}
         assert verdict.to_json_dict()["skipped"] == {}
 
-    def test_sweep_limit_is_read_at_call_time(self):
-        # eigenspace_dimensions' own limit: 4 characters * (3 closure edges + 2 du rows * 2 generators)
-        group = x4z4_group()
-        with pytest.raises(TooLarge, match="character sweep work 28 exceeds limit 27"):
-            eigenspace_dimensions(group, work_limit=27)
-        assert sorted(eigenspace_dimensions(group, work_limit=28).values()) == [2, 2, 2, 2]
+    def test_eigenspace_dimensions_lists_the_3x3_torus(self):
+        # 2^18 states and 2^16 characters, each read by class_of: only the state bound limits it
+        group = build_model(torus_grid_graph(3, 3), 2).stabilizer
+        with pytest.raises(TooLarge, match="exceeds the oracle bound"):
+            eigenspace_dimensions(group)
+        dims = eigenspace_dimensions(group, bound=2**18)
+        assert len(dims) == 2**16 and set(dims.values()) == {4}
+        assert dims.keys() == {chi.values for chi in characters(group)}
 
     @pytest.mark.parametrize(
         "make_group",
@@ -664,8 +667,10 @@ class TestVerifyReport:
         calls = count_reductions(monkeypatch)
         verdict = verify_report(group, report)
         assert verdict.checks["transitivity"]
-        # the powers' membership solves reuse analyze's reduction, and the fibres make none,
-        # where the character sweep's characters() made one
+        # the powers' membership solves reuse analyze's reduction, and the fibres make none;
+        # eigenspace_dimensions closes C itself, where the engine's characters() makes one
+        assert calls == []
+        eigenspace_dimensions(group)
         assert calls == []
         characters(group)
         assert len(calls) == 1
