@@ -19,7 +19,6 @@ from .zmod import (
     Submodule,
     ZdMatrix,
     smith_normal_form,
-    solve_linear,
 )
 from .symplectic import (
     ElementaryBlock,
@@ -105,7 +104,6 @@ __all__ = [
     "Submodule",
     "ZdMatrix",
     "smith_normal_form",
-    "solve_linear",
     # symplectic
     "ElementaryBlock",
     "LagrangianForm",

@@ -69,9 +69,8 @@ def _wrap_report(payload: dict) -> dict:
     return {"tool_version": __version__, "conventions": CONVENTIONS, **payload}
 
 
-def _error_exit(exc: Exception, fmt: str, kind: Optional[str] = None) -> int:
-    obj = {"error": {"type": kind or type(exc).__name__, "detail": str(exc)}}
-    _emit(obj, fmt)
+def _error_exit(kind: str, detail: str, fmt: str) -> int:
+    _emit({"error": {"type": kind, "detail": detail}}, fmt)
     return 2
 
 
@@ -86,9 +85,11 @@ def _guard(fn):
             _emit(obj, args.format)
             return 4
         except QuditStabError as exc:
-            return _error_exit(exc, args.format)
+            return _error_exit(type(exc).__name__, str(exc), args.format)
         except (KeyError, TypeError, ValueError, OSError) as exc:
-            return _error_exit(exc, args.format, kind="InvalidRequest")
+            return _error_exit("InvalidRequest", str(exc), args.format)
+        except RecursionError:  # input nested past the recursion limit, in json.load or in a reader
+            return _error_exit("InvalidRequest", "input nests too deeply", args.format)
 
     return wrapper
 
@@ -120,9 +121,9 @@ def cmd_canonicalize(args) -> int:
 
 @_guard
 def cmd_oracle_verify(args) -> int:
-    req = _load_json(args.input)
+    req = json_object(_load_json(args.input), "request")
     group = StabilizerGroup.from_json_dict(req)
-    report = StabilizerReport.from_json_dict(dict(json_object(req["report"], "report"), d=group.d, n=group.n))
+    report = StabilizerReport.from_json_dict(req["report"], group.d, group.n)
     verdict = verify_report(group, report, bound=args.bound)
     _emit(_wrap_report(verdict.to_json_dict()), args.format)
     return 0 if verdict.passed else 3
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     ov = osub.add_parser("verify", help="verify an analysis report by brute force")
     ov.add_argument("--input", default="-", help="JSON with {d, n, generators, report}")
     ov.add_argument("--bound", type=int, default=None,
-                    help=f"state-space bound (default {DEFAULT_BOUND}, env QUDITSTAB_ORACLE_BOUND)")
+                    help=f"state-space bound (default {DEFAULT_BOUND})")
     add_common(ov)
     ov.set_defaults(func=cmd_oracle_verify)
 

@@ -31,11 +31,25 @@ def json_int(value, what: str) -> int:
     return value
 
 
+class MissingKey(KeyError):
+    """A key that a JSON object lacks; str() is the message, which names the object, not its repr."""
+    __str__ = BaseException.__str__
+
+
+class _JsonObject(dict):
+    __slots__ = ("what",)
+
+    def __missing__(self, key):
+        raise MissingKey(f"{self.what} lacks {key!r}")
+
+
 def json_object(value, what: str) -> dict:
-    """value itself when it is a JSON object; TypeError otherwise."""
+    """A copy of the JSON object value whose missing keys raise MissingKey naming what; TypeError otherwise."""
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be an object, got {value!r}")
-    return value
+    obj = _JsonObject(value)
+    obj.what = what
+    return obj
 
 
 def json_str(value, what: str) -> str:
@@ -100,7 +114,7 @@ class TooLarge(QuditStabError):
 
 
 class BadBound(QuditStabError):
-    """The oracle bound, given or from the environment, is not a positive integer."""
+    """The oracle bound is not a positive integer."""
 
 
 class BadSurface(QuditStabError):

@@ -111,9 +111,12 @@ class SurfaceGraph:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SurfaceGraph":
         obj = json_object(obj, "graph")
-        edges = [Edge(_freeze(e["id"]), _freeze(e["tail"]), _freeze(e["head"])) for e in obj["edges"]]
-        faces = [[(_freeze(step["edge"]), step["side"]) for step in walk] for walk in obj["faces"]]
-        return cls([_freeze(v) for v in obj["vertices"]], edges, faces)
+        edges = [json_object(e, f"edges[{i}]") for i, e in enumerate(obj["edges"])]
+        faces = [[json_object(step, f"faces[{f}][{k}]") for k, step in enumerate(walk)]
+                 for f, walk in enumerate(obj["faces"])]
+        return cls([_freeze(v) for v in obj["vertices"]],
+                   [Edge(_freeze(e["id"]), _freeze(e["tail"]), _freeze(e["head"])) for e in edges],
+                   [[(_freeze(step["edge"]), step["side"]) for step in walk] for walk in faces])
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,14 +210,18 @@ def build_model(graph: SurfaceGraph, d: int) -> KitaevModel:
     return KitaevModel(graph, d)
 
 
-def _normalize_steps(steps: Sequence) -> list[PathStep]:
+def _normalize_steps(steps: Sequence, where: str = "path") -> list[PathStep]:
+    """(edge id, reverse) pairs from {"edge", "reverse"} objects or pairs; where names the path in errors."""
     out = []
-    for step in steps:
-        if isinstance(step, Mapping):
-            out.append((_freeze(step["edge"]), bool(step.get("reverse", False))))
+    for i, step in enumerate(steps):
+        if isinstance(step, dict):
+            step = json_object(step, f"{where}[{i}]")
+            eid, rev = step["edge"], step.get("reverse", False)
         else:
             eid, rev = step
-            out.append((_freeze(eid), bool(rev)))
+        if not isinstance(rev, bool):
+            raise TypeError(f"{where}[{i}].reverse must be a boolean, got {rev!r}")
+        out.append((_freeze(eid), rev))
     return out
 
 
@@ -356,7 +363,7 @@ class ShiftPair:
         """where names the pair in errors."""
         obj = json_object(obj, where)
         return cls(_freeze(obj["vertex"]), json_int(obj["a"], "a"), json_int(obj["b"], "b"),
-                   tuple(_normalize_steps(obj["path"])))
+                   tuple(_normalize_steps(obj["path"], f"{where}.path")))
 
 
 def shift_spec_from_json_dict(obj: Mapping) -> tuple[object, list[ShiftPair]]:

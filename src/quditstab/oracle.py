@@ -34,7 +34,6 @@ its own support.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, itemgetter, mul
@@ -45,25 +44,13 @@ from .pauli import PauliElement, commutation_phase, phase_modulus, power
 from .stabilizer import StabilizerGroup, StabilizerReport, membership
 
 DEFAULT_BOUND = 200_000
-_BOUND_ENV = "QUDITSTAB_ORACLE_BOUND"
 
 
 def oracle_bound(explicit: Optional[int] = None) -> int:
-    """The state-space bound: explicit, else $QUDITSTAB_ORACLE_BOUND, else DEFAULT_BOUND."""
-    if explicit is not None:
-        if explicit <= 0:
-            raise BadBound(f"bound {explicit} is not positive")
-        return explicit
-    env = os.environ.get(_BOUND_ENV)
-    if not env:
-        return DEFAULT_BOUND
-    try:
-        value = int(env)
-    except ValueError:
-        raise BadBound(f"{_BOUND_ENV}={env!r} is not an integer") from None
-    if value <= 0:
-        raise BadBound(f"{_BOUND_ENV}={env!r} is not positive")
-    return value
+    """The state-space bound: explicit, else DEFAULT_BOUND."""
+    if explicit is not None and explicit <= 0:
+        raise BadBound(f"bound {explicit} is not positive")
+    return DEFAULT_BOUND if explicit is None else explicit
 
 
 def _check_size(d: int, n: int, bound: Optional[int]) -> int:

@@ -66,7 +66,7 @@ class StabilizerGroup:
                 raise DimensionMismatch(f"generator on ({g.d},{g.n}) in a ({d},{n}) group")
         self.tau_rows = tuple(module_vector(g) for g in self.generators)
         self.tau_image = Submodule(d, 2 * n, self.tau_rows)
-        self.space = SymplecticSpace.standard(n, d)
+        self.space = SymplecticSpace(n, d)
         self._relations: Optional[tuple[Vector, ...]] = None
         self._supports = [support(g) for g in self.generators]
 
@@ -195,13 +195,19 @@ def normalizer_membership(group: StabilizerGroup, p: PauliElement) -> bool:
     return not any(group._pairings_with(p))
 
 
-def _report_element(obj, d: int, n: int, where: str) -> PauliElement:
-    """A Pauli element of a request or report read in (d, n); its own "d" and "n", where given, must match."""
+def _read_in(obj, d: int, n: int, where: str) -> dict:
+    """The JSON object obj, read in (d, n): its own "d" and "n", where given, must match."""
     obj = json_object(obj, where)
     own = (json_int(obj.get("d", d), f"{where}.d"), json_int(obj.get("n", n), f"{where}.n"))
     if own != (d, n):
         raise DimensionMismatch(f"{where} has (d, n) = {own}, not {(d, n)}")
-    return PauliElement.from_json_dict({**obj, "d": d, "n": n})
+    obj["d"], obj["n"] = d, n  # json_object's own copy
+    return obj
+
+
+def _report_element(obj, d: int, n: int, where: str) -> PauliElement:
+    """A Pauli element of a request or report read in (d, n)."""
+    return PauliElement.from_json_dict(_read_in(obj, d, n, where))
 
 
 @dataclass(frozen=True)
@@ -285,8 +291,8 @@ class StabilizerReport:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "StabilizerReport":
-        d, n = json_int(obj["d"], "d"), json_int(obj["n"], "n")
+    def from_json_dict(cls, obj: dict, d: int, n: int) -> "StabilizerReport":
+        obj = _read_in(obj, d, n, "report")
         pairs = tuple(LogicalPair.from_json_dict(p, d, n, f"logical_operators[{i}]")
                       for i, p in enumerate(obj.get("logical_operators", [])))
         css = obj.get("css")

@@ -41,10 +41,6 @@ class SymplecticSpace:
     n: int
     modulus: int
 
-    @classmethod
-    def standard(cls, n: int, d: int) -> "SymplecticSpace":
-        return cls(n, d)
-
     @property
     def rank(self) -> int:
         return 2 * self.n
@@ -340,7 +336,7 @@ def _lagrangian_blocks(space: SymplecticSpace, lsub: Submodule) -> tuple[list, l
     basis = [b.e for b in blocks] + [b.f for b in blocks]
     table = space.pairing_table(lsub.generators, basis)
     coords = [row[n - 1:] + [-x % d for x in row[:n - 1]] for row in table]
-    child = SymplecticSpace.standard(n - 1, d)
+    child = SymplecticSpace(n - 1, d)
     es_l, fs_l, divs = _lagrangian_blocks(child, Submodule(d, child.rank, coords))
 
     def ambient(y: Vector) -> Vector:

@@ -413,20 +413,6 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
     return SmithForm(d, (r, c), diag, tuple(row_ops), tuple(col_ops))
 
 
-def solve_linear(mat: ZdMatrix, b: Sequence[int]) -> Optional[Vector]:
-    """Some x with mat @ x == b mod d, or None if there is no solution."""
-    if len(b) != mat.rows:
-        raise ValueError("bad right-hand side length")
-    if mat.rows == 0:
-        return (0,) * mat.cols
-    return smith_normal_form(mat).solve(b)
-
-
-def kernel_matrix(mat: ZdMatrix) -> list[Vector]:
-    """Generators of {x : mat @ x == 0 mod d}."""
-    return smith_normal_form(mat).kernel()
-
-
 class Submodule:
     """Finitely generated submodule of (Z/dZ)^m, with cached Smith data.
 
@@ -521,25 +507,12 @@ class Submodule:
     __hash__ = None
 
     def intersection(self, other: "Submodule") -> "Submodule":
-        """Joint-membership system: x = lam.G1 = mu.G2."""
+        """ann(ann(A) + ann(B)), where ann(X) = X.smith.kernel() and ann(ann(X)) = X over Z/dZ."""
         if (self.modulus, self.ambient_rank) != (other.modulus, other.ambient_rank):
             raise ValueError("modules live in different ambients")
         d, m = self.modulus, self.ambient_rank
-        if not self.generators or not other.generators:
-            return Submodule.zero(d, m)
-        g1, g2 = self.generators, other.generators
-        cols = [list(col) for col in zip(*g1)] if g1 else []
-        for i in range(m):
-            cols[i].extend(-x % d for x in (g[i] for g in g2))
-        stacked = ZdMatrix.from_rows(d, cols)
-        gens = []
-        for w in kernel_matrix(stacked):
-            lam = w[: len(g1)]
-            x = (0,) * m
-            for coef, g in zip(lam, g1):
-                x = vec_add(x, vec_scale(coef, g, d), d)
-            gens.append(x)
-        return Submodule(d, m, gens)
+        annihilators = Submodule(d, m, self.smith.kernel() + other.smith.kernel())
+        return Submodule(d, m, annihilators.smith.kernel())
 
     def enumerate_elements(self) -> Iterator[Vector]:
         """All elements, via quasi-basis coefficients (no duplicates).

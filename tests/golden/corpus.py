@@ -1,7 +1,7 @@
 """The golden-output corpus: CLI requests built from seeds, and the hash of each output.
 
 Each entry is (name, command, input).  command is a CLI argv in which a token
-"@key" stands for a file holding the JSON that build(input[key]) returns, so
+"@key" stands for a file holding the text that text(input[key]) returns, so
 the inputs live here as code and seeds, not as data files.  run(command,
 input) calls cli.main in process and returns (exit code, sha256 of stdout
 without its tool_version).  regenerate.py writes every entry with its hash to
@@ -121,6 +121,14 @@ def build(spec: dict):
     return payload
 
 
+def text(spec: dict) -> str:
+    """The file an input spec names: build(spec) as JSON, or "@" in spec["in"] replaced by
+    arrays nested spec["nest"] deep, which json.dump would refuse to write."""
+    if "nest" in spec:
+        return spec.get("in", "@").replace("@", "[" * spec["nest"] + "]" * spec["nest"])
+    return json.dumps(build(spec))
+
+
 def run(command: list, inputs: dict) -> tuple[int, str]:
     """Exit code and sha256 of the output of cli.main(command), with "@key" tokens bound to files."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,7 +137,7 @@ def run(command: list, inputs: dict) -> tuple[int, str]:
             if token.startswith("@"):
                 path = os.path.join(tmp, token[1:] + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(build(inputs[token[1:]]), fh)
+                    fh.write(text(inputs[token[1:]]))
                 token = path
             argv.append(token)
         out = io.StringIO()
@@ -188,6 +196,9 @@ def entries() -> list[tuple[str, list, dict]]:
         if "@graph" in command:
             inputs.update(graph)
         out.append((f"error/{name}", command, inputs))
+    out.append(("error/deeply_nested_request", ["analyze", "--input", "@input"], {"input": {"nest": 100_000}}))
+    out.append(("error/deeply_nested_vertex", ["kitaev", "build", "--graph", "@input", "--d", "2"],
+                {"input": {"nest": 900, "in": '{"vertices": [@], "edges": [], "faces": []}'}}))
     return out
 
 
@@ -212,4 +223,13 @@ _ERRORS = [
     ("twist_pair_not_an_object", ["kitaev", "build", "--graph", "@graph", "--d", "4", "--twist", "@input"],
      {"source": [0, 0], "pairs": [7]}),
     ("graph_not_an_object", ["kitaev", "build", "--graph", "@input", "--d", "2"], [1]),
+    ("reverse_not_a_boolean", ["kitaev", "build", "--graph", "@graph", "--d", "4", "--twist", "@input"],
+     {"source": [0, 0], "pairs": [{"vertex": [0, 1], "a": 4, "b": 2,
+                                   "path": [{"edge": ["h", 0, 0], "reverse": "false"}]}]}),
+    ("shift_spec_without_pairs", ["kitaev", "build", "--graph", "@graph", "--d", "4", "--twist", "@input"],
+     {"source": [0, 0]}),
+    ("edge_not_an_object", ["kitaev", "build", "--graph", "@input", "--d", "2"],
+     {"vertices": [0], "edges": [5], "faces": []}),
+    ("report_off_the_request_dimensions", ["oracle", "verify", "--input", "@input"],
+     {"d": 2, "n": 1, "generators": [], "report": {"d": 3, "n": 7}}),
 ]

@@ -30,7 +30,7 @@ from quditstab.pauli import (
 )
 from quditstab.stabilizer import StabilizerGroup, characters, membership, validate
 from quditstab.symplectic import SymplecticSpace
-from quditstab.zmod import SmithForm, Submodule, ZdMatrix, kernel_matrix, vec_add, vec_scale
+from quditstab.zmod import SmithForm, Submodule, ZdMatrix, smith_normal_form, vec_add, vec_scale
 
 
 def mat_x(d: int) -> np.ndarray:
@@ -268,7 +268,7 @@ def random_pauli(rng: random.Random, d: int, n: int) -> PauliElement:
 
 
 def random_isotropic_vectors(rng: random.Random, d: int, n: int, attempts: int = 4) -> list:
-    space = SymplecticSpace.standard(n, d)
+    space = SymplecticSpace(n, d)
     kept = []
     for _ in range(attempts):
         v = tuple(rng.randrange(d) for _ in range(2 * n))
@@ -348,7 +348,7 @@ def characters_reference(group: StabilizerGroup) -> set:
     relations = group.relation_kernel()
     if not relations:
         return set(product(range(d), repeat=g))
-    return set(Submodule(d, g, kernel_matrix(ZdMatrix.from_rows(d, relations, cols=g))).enumerate_elements())
+    return set(Submodule(d, g, smith_normal_form(ZdMatrix.from_rows(d, relations, cols=g)).kernel()).enumerate_elements())
 
 
 def relations_reference(group: StabilizerGroup, pairs) -> tuple[bool, str | None]:
@@ -384,7 +384,7 @@ def relations_reference(group: StabilizerGroup, pairs) -> tuple[bool, str | None
 
 def random_symplectic_matrix(rng: random.Random, n: int, d: int, steps: int = 6) -> ZdMatrix:
     """Product of random symplectic transvections u -> u + phi(u, v) v."""
-    space = SymplecticSpace.standard(n, d)
+    space = SymplecticSpace(n, d)
     mat = ZdMatrix.identity(d, 2 * n)
     for _ in range(steps):
         v = tuple(rng.randrange(d) for _ in range(2 * n))

@@ -111,18 +111,13 @@ class TestAnalyzeCommand:
         assert error["type"] == "InvalidRequest"
         assert "must be an integer" in error["detail"]
 
-    def test_malformed_bound_env_does_not_break_analyze(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "abc")
-        code, out = run_cli(capsys, ["analyze", "--input", "-"], GOLDEN_REQUEST, monkeypatch)
-        assert code == 0
-        assert json.loads(out)["dim_protected"] == 2
-
-    def test_bound_help_cites_default_without_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "abc")
+    def test_bound_help_cites_default_without_env(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["oracle", "verify", "--help"])
         assert info.value.code == 0
-        assert "default 200000" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "default 200000" in out
+        assert "env" not in out
 
 
 Z1_ON_TWO_QUTRITS = {"d": 3, "n": 2, "generators": [{"phase": 0, "a": [0, 0], "b": [1, 0]}]}
@@ -190,16 +185,6 @@ class TestOracleVerifyCommand:
         assert code == 4
         error = json.loads(out)["error"]
         assert (error["type"], error["stage"]) == ("InternalInvariant", "oracle.scan")
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-    def test_malformed_bound_env_exit_2(self, capsys, monkeypatch, value):
-        request = self.build_request(capsys, monkeypatch)
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", value)
-        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
-        assert code == 2
-        error = json.loads(out)["error"]
-        assert error["type"] == "BadBound"
-        assert "QUDITSTAB_ORACLE_BOUND" in error["detail"]
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_bound_exit_2(self, capsys, monkeypatch, value):
@@ -279,6 +264,18 @@ class TestOracleVerifyCommand:
             del element["d"], element["n"]
         assert (code, json.loads(out)["verdict"]) == (0, "pass")
         assert run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch) == (code, out)
+
+    @pytest.mark.parametrize("own", [(2, 1), (3, 7), (3, 1), (2, 7)])
+    def test_report_read_in_the_request_dimensions(self, capsys, monkeypatch, own):
+        # the report's own d and n may only repeat the request's, as its elements' may
+        request = self.build_request(capsys, monkeypatch, {"d": 2, "n": 1, "generators": [{"a": [0], "b": [1]}]})
+        request["report"]["d"], request["report"]["n"] = own
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        if own == (2, 1):
+            assert (code, json.loads(out)["verdict"]) == (0, "pass")
+        else:
+            assert (code, json.loads(out)["error"]) == (2, {
+                "type": "DimensionMismatch", "detail": f"report has (d, n) = {own}, not (2, 1)"})
 
     def test_failure_exit_3(self, capsys, monkeypatch):
         request = self.build_request(capsys, monkeypatch)
@@ -559,6 +556,19 @@ def cli_requests(draw):
     return [command, "--input", "-"], draw(malformed(base)), {}
 
 
+def error_of_files(capsys, tmp_path, command, files):
+    """The error object of command run with each named file written to tmp_path.
+
+    A file holds its JSON, or its text when given a string; "graph" defaults to the 2x2 torus.
+    """
+    files = {"graph": torus_grid_graph(2, 2).to_json_dict(), **files}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    code, out = run_cli(capsys, [str(tmp_path / a) if a in files else a for a in command])
+    assert code == 2
+    return json.loads(out)["error"]
+
+
 class TestMalformedRequests:
     @pytest.mark.parametrize(
         "request_obj",
@@ -611,18 +621,63 @@ class TestMalformedRequests:
              {"twist": {"source": [0, 0], "pairs": [7]}}, "pairs[0] must be an object, got 7"),
             (["kitaev", "build", "--graph", "graph", "--d", "2"], {"graph": [1]},
              "graph must be an object, got [1]"),
+            (["kitaev", "build", "--graph", "graph", "--d", "2"],
+             {"graph": {"vertices": [0], "edges": [5], "faces": []}}, "edges[0] must be an object, got 5"),
+            (["kitaev", "build", "--graph", "graph", "--d", "2"],
+             {"graph": {"vertices": [0], "edges": [], "faces": [[7]]}}, "faces[0][0] must be an object, got 7"),
         ],
-        ids=["report", "logical_pair", "css", "character", "twist_pair", "graph"],
+        ids=["report", "logical_pair", "css", "character", "twist_pair", "graph", "edge", "face_step"],
     )
     def test_part_not_an_object_exit_2(self, capsys, tmp_path, command, files, detail):
         # each reader below the request level names its own place, not Python's type error
-        files = {"graph": torus_grid_graph(2, 2).to_json_dict(), **files}
-        for name, obj in files.items():
-            (tmp_path / name).write_text(json.dumps(obj))
-        argv = [str(tmp_path / a) if a in files else a for a in command]
-        code, out = run_cli(capsys, argv)
-        assert code == 2
-        assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": detail}
+        assert error_of_files(capsys, tmp_path, command, files) == {"type": "InvalidRequest", "detail": detail}
+
+    @pytest.mark.parametrize(
+        "command, files, detail",
+        [
+            (["oracle", "verify", "--input", "request"], {"request": {**GOLDEN_REQUEST, "report": {}}},
+             "report lacks 'classification'"),
+            (["oracle", "verify", "--input", "request"], {"request": GOLDEN_REQUEST},
+             "request lacks 'report'"),
+            (["analyze", "--input", "request"], {"request": {"n": 1, "generators": []}},
+             "request lacks 'd'"),
+            (["kitaev", "build", "--graph", "graph", "--d", "4", "--twist", "twist"],
+             {"twist": {"source": [0, 0]}}, "shift spec lacks 'pairs'"),
+            (["kitaev", "build", "--graph", "graph", "--d", "4", "--twist", "twist"],
+             {"twist": {"source": [0, 0], "pairs": [{"vertex": [0, 1], "a": 4, "b": 2, "path": [{}]}]}},
+             "pairs[0].path[0] lacks 'edge'"),
+            (["kitaev", "build", "--graph", "graph", "--d", "2"],
+             {"graph": {"vertices": [0], "edges": [{"id": 0, "tail": 0}], "faces": []}}, "edges[0] lacks 'head'"),
+        ],
+        ids=["report", "request_report", "request_d", "shift_spec", "path_step", "edge"],
+    )
+    def test_part_lacks_key_exit_2(self, capsys, tmp_path, command, files, detail):
+        # a missing key names the part that lacks it
+        assert error_of_files(capsys, tmp_path, command, files) == {"type": "InvalidRequest", "detail": detail}
+
+    @pytest.mark.parametrize("reverse", ["false", 0, 1, None])
+    def test_path_reverse_must_be_a_boolean(self, capsys, tmp_path, reverse):
+        # bool("false") is True: the step would silently walk backwards
+        twist = copy.deepcopy(TWIST)
+        twist["pairs"][0]["path"][0]["reverse"] = reverse
+        command = ["kitaev", "build", "--graph", "graph", "--d", "4", "--twist", "twist"]
+        assert error_of_files(capsys, tmp_path, command, {"twist": twist}) == {
+            "type": "InvalidRequest", "detail": f"pairs[0].path[0].reverse must be a boolean, got {reverse!r}"}
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["analyze", "--input", "request"], "[" * 100_000 + "]" * 100_000),
+            (["kitaev", "build", "--graph", "graph", "--d", "2"],
+             '{"vertices": [' + "[" * 900 + "0" + "]" * 900 + '], "edges": [], "faces": []}'),
+        ],
+        ids=["request", "graph_vertex"],
+    )
+    def test_deep_nesting_exit_2(self, capsys, tmp_path, command, text):
+        # past the recursion limit, in json.load or in a reader: a typed error, not a traceback
+        name = command[2] if command[0] == "analyze" else command[3]
+        assert error_of_files(capsys, tmp_path, command, {name: text}) == {
+            "type": "InvalidRequest", "detail": "input nests too deeply"}
 
     @given(cli_requests())
     @settings(max_examples=150, deadline=None)

@@ -113,7 +113,7 @@ class TestCrtChain:
 
 class TestHeisenbergStructure:
     def test_free_module_is_pauli_group(self):
-        structure = heisenberg_structure(SymplecticSpace.standard(2, 6))
+        structure = heisenberg_structure(SymplecticSpace(2, 6))
         assert structure.block_divisors == (6, 6)
         assert structure.canonical_chain == (6, 6)
         assert structure.group_order == phase_modulus(6) * (6 * 6) ** 2
@@ -122,7 +122,7 @@ class TestHeisenbergStructure:
     def test_s2_inside_d8(self):
         # the image of <X^4, Z^4>: quotient <2z,2x>/<4z,4x> is S_2, so the
         # extension is the qubit Pauli group with a 16th root adjoined
-        space = SymplecticSpace.standard(1, 8)
+        space = SymplecticSpace(1, 8)
         structure = heisenberg_structure(
             space, Submodule(8, 2, [(2, 0), (0, 2)]), Submodule(8, 2, [(4, 0), (0, 4)])
         )
@@ -130,7 +130,7 @@ class TestHeisenbergStructure:
         assert structure.group_order == 16 * 4
 
     def test_crt_regrouping_at_d6(self):
-        space = SymplecticSpace.standard(2, 6)
+        space = SymplecticSpace(2, 6)
         carrier = Submodule(6, 4, [(3, 0, 0, 0), (0, 0, 3, 0), (0, 2, 0, 0), (0, 0, 0, 2)])
         structure = heisenberg_structure(space, carrier)
         assert structure.canonical_chain == (6,)
@@ -138,7 +138,7 @@ class TestHeisenbergStructure:
         assert structure.group_order == phase_modulus(6) * 4 * 9
 
     def test_json_schema(self):
-        structure = heisenberg_structure(SymplecticSpace.standard(1, 6))
+        structure = heisenberg_structure(SymplecticSpace(1, 6))
         obj = structure.to_json_dict()
         assert obj["block_divisors"] == [6]
         assert obj["canonical_chain"] == [6]
@@ -152,7 +152,7 @@ class TestHeisenbergStructure:
         for _ in range(40):
             d = rng.choice([2, 3, 4, 6, 8])
             n = rng.randint(1, 2)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             vecs = []
             for _ in range(rng.randint(0, n)):
                 v = tuple(rng.randrange(d) for _ in range(2 * n))
@@ -170,7 +170,7 @@ class TestHeisenbergStructure:
     def test_degenerate_carrier(self):
         # the form vanishes on <2z, 2x> at d=4, so the quotient by zero is degenerate
         with pytest.raises(Degenerate):
-            heisenberg_structure(SymplecticSpace.standard(1, 4), Submodule(4, 2, [(2, 0), (0, 2)]))
+            heisenberg_structure(SymplecticSpace(1, 4), Submodule(4, 2, [(2, 0), (0, 2)]))
 
 
 class TestVerifyPresentation:
@@ -203,14 +203,14 @@ class TestVerifyPresentation:
 
 class TestLiftSymplectic:
     def test_identity(self):
-        space = SymplecticSpace.standard(2, 5)
+        space = SymplecticSpace(2, 5)
         aut = lift_symplectic(space, ZdMatrix.identity(5, 4))
         assert aut.z_images == tuple(PauliElement.z_op(5, 2, k) for k in range(2))
         assert aut.x_images == tuple(PauliElement.x_op(5, 2, k) for k in range(2))
 
     def test_qubit_shear_needs_zeta(self):
         # z -> z+x needs the order-2 lift zeta X Z (cf. the failed +-ZX lift)
-        space = SymplecticSpace.standard(1, 2)
+        space = SymplecticSpace(1, 2)
         psi = ZdMatrix.from_rows(2, [[1, 0], [1, 1]])
         aut = lift_symplectic(space, psi)
         assert aut.z_images[0] == PauliElement(2, 1, 1, (1,), (1,))
@@ -218,7 +218,7 @@ class TestLiftSymplectic:
         assert aut.induced_matrix() == psi
 
     def test_qutrit_rotation(self):
-        space = SymplecticSpace.standard(1, 3)
+        space = SymplecticSpace(1, 3)
         psi = ZdMatrix.from_rows(3, [[0, -1], [1, 0]])  # z -> x, x -> -z
         aut = lift_symplectic(space, psi)
         assert module_vector(aut.z_images[0]) == (0, 1)
@@ -226,7 +226,7 @@ class TestLiftSymplectic:
         assert aut.induced_matrix() == psi
 
     def test_rejects_non_symplectic(self):
-        space = SymplecticSpace.standard(1, 3)
+        space = SymplecticSpace(1, 3)
         with pytest.raises(NotSymplectic):
             lift_symplectic(space, ZdMatrix.from_rows(3, [[1, 0], [0, 2]]))
 
@@ -235,7 +235,7 @@ class TestLiftSymplectic:
         for _ in range(20):
             d = rng.choice([2, 3, 4, 6])
             n = rng.randint(1, 2)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             m1 = random_symplectic_matrix(rng, n, d)
             m2 = random_symplectic_matrix(rng, n, d)
             a1 = lift_symplectic(space, m1)
@@ -250,7 +250,7 @@ class TestLiftSymplectic:
     @given(st.sampled_from([2, 3, 4, 6, 12, 2**64]), st.integers(1, 4), st.randoms(use_true_random=False))
     @settings(max_examples=120, deadline=None)
     def test_apply_is_the_multiply_fold(self, d, n, rng):
-        aut = lift_symplectic(SymplecticSpace.standard(n, d), random_symplectic_matrix(rng, n, d))
+        aut = lift_symplectic(SymplecticSpace(n, d), random_symplectic_matrix(rng, n, d))
         for _ in range(4):
             p = random_pauli(rng, d, n)
             assert aut.apply(p) == apply_reference(aut, p)
@@ -265,7 +265,7 @@ class TestLiftSymplectic:
         monkeypatch.setattr(heisenberg, "order_matched_lift", zeta_times)
         psi = random_symplectic_matrix(random.Random(5), 2, 2)
         with pytest.raises(InternalInvariant) as info:
-            lift_symplectic(SymplecticSpace.standard(2, 2), psi)
+            lift_symplectic(SymplecticSpace(2, 2), psi)
         assert (info.value.stage, info.value.detail) == (
             "heisenberg.lift_symplectic", "lifted images violate the presentation")
 

@@ -15,6 +15,7 @@ import quditstab.oracle as oracle_module
 from quditstab.errors import BadBound, InternalInvariant, TooLarge
 from quditstab.kitaev import ShiftPair, apply_twist, build_model, torus_grid_graph
 from quditstab.oracle import (
+    DEFAULT_BOUND,
     PhasePermutation,
     eigenspace_dimensions,
     oracle_bound,
@@ -199,25 +200,14 @@ class TestRepresent:
         with pytest.raises(TooLarge):
             represent(PauliElement.identity(2, 4), bound=8)
 
-    def test_bound_env_override(self, monkeypatch):
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "8")
-        with pytest.raises(TooLarge):
-            represent(PauliElement.identity(2, 4))
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "16")
-        represent(PauliElement.identity(2, 4))
-
     @pytest.mark.parametrize("bound", [0, -5])
-    def test_non_positive_bound(self, monkeypatch, bound):
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", "64")
+    def test_non_positive_bound(self, bound):
         group = validate(2, 1, [PauliElement.z_op(2, 1, 0)])
         with pytest.raises(BadBound, match=f"bound {bound} is not positive"):
             verify_report(group, analyze(group), bound=bound)
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
-    def test_bad_bound_env(self, monkeypatch, value):
-        monkeypatch.setenv("QUDITSTAB_ORACLE_BOUND", value)
-        with pytest.raises(BadBound):
-            oracle_bound()
+    def test_oracle_bound_is_its_argument_or_the_default(self):
+        assert oracle_bound() == DEFAULT_BOUND
         assert oracle_bound(64) == 64
 
 

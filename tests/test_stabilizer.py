@@ -502,7 +502,15 @@ class TestReportJson:
         reports = [analyze(group) for group in groups]
         assert [r.kind for r in reports] == ["FREE", "GENERAL", "GENERAL"]
         for report in reports:
-            assert StabilizerReport.from_json_dict(report.to_json_dict()) == report
+            assert StabilizerReport.from_json_dict(report.to_json_dict(), report.d, report.n) == report
+
+    def test_read_in_the_given_dimensions(self):
+        report = analyze(x4z4_group())
+        obj = report.to_json_dict()
+        del obj["d"], obj["n"]
+        assert StabilizerReport.from_json_dict(obj, report.d, report.n) == report
+        with pytest.raises(DimensionMismatch, match=r"report has \(d, n\) = \(8, 1\), not \(4, 1\)"):
+            StabilizerReport.from_json_dict(report.to_json_dict(), 4, 1)
 
 
 class TestCanonicalConjugation:
@@ -537,7 +545,7 @@ class TestCanonicalConjugation:
         while done < 25:
             d = rng.choice([2, 3, 4, 5, 6])
             n = rng.randint(1, 3)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             k = rng.randint(1, n)
             vecs = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(k)]
             for _ in range(6):

@@ -61,7 +61,7 @@ def pairing_table_cases(draw):
 
 def carrier_modulo_case(d: int, n: int, gens):
     """(space, gens, modulo gens, carrier set, radical set), the modulo generated by the radical."""
-    space = SymplecticSpace.standard(n, d)
+    space = SymplecticSpace(n, d)
     carrier, radical = radical_reference(space, gens)
     return space, gens, sorted(radical), carrier, radical
 
@@ -94,7 +94,7 @@ class TestSymplecticSpace:
     @settings(max_examples=150, deadline=None)
     def test_pairing_and_functional_match_dense_products(self, case):
         d, n, u, v = case
-        space = SymplecticSpace.standard(n, d)
+        space = SymplecticSpace(n, d)
         gram = standard_gram(n, d)
         dense = gram.transpose().mul_vector(u)
         assert space.functional(u) == dense
@@ -110,7 +110,7 @@ class TestSymplecticSpace:
     @example((6, 2, [(0, 0, 0, 0), (-7, 13, 0, -1), (6, 0, -12, 18)], [(5, -1, 0, 25), (0, 0, 0, 0)]))
     def test_pairing_table_matches_pairing(self, case):
         d, n, us, vs = case
-        space = SymplecticSpace.standard(n, d)
+        space = SymplecticSpace(n, d)
         assert space.pairing_table(us, vs) == [[space.pairing(u, v) for v in vs] for u in us]
 
     def test_standard_gram_is_the_unit_vectors_table(self):
@@ -118,7 +118,7 @@ class TestSymplecticSpace:
         seen = set()
         for _ in range(120):
             d, n = rng.choice([2, 3, 6, 12, 2**64]), rng.randint(0, 3)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             units = ZdMatrix.identity(d, 2 * n).entries
             cols = [random_symplectic_matrix(rng, n, d).col(k) for k in range(2 * n)]
             if cols and rng.random() < 0.5:
@@ -135,18 +135,18 @@ class TestSymplecticSpace:
     def test_all_pairs_checks_call_no_pairing(self, monkeypatch):
         # the isotropy checks, the dual orthogonalisation and the lift's form
         # check each read one pairing_table instead of pairing every pair
-        space = SymplecticSpace.standard(3, 12)
+        space = SymplecticSpace(3, 12)
         psi = random_symplectic_matrix(random.Random(3), 3, 12)
         counts = count_pairings(monkeypatch)
         es, fs = extend_isotropic_basis(space, [psi.col(0), psi.col(1)])
-        classify_isotropic_block(SymplecticSpace.standard(1, 12), Submodule(12, 2, [(2, 0), (0, 6)]))
+        classify_isotropic_block(SymplecticSpace(1, 12), Submodule(12, 2, [(2, 0), (0, 6)]))
         lift_symplectic(space, psi)
         structure_decomposition(space)
         assert counts["pairing"] == 0
         assert_symplectic_basis(space, es, fs)
 
     def test_holds_only_n_and_modulus(self):
-        space = SymplecticSpace.standard(3, 6)
+        space = SymplecticSpace(3, 6)
         assert [f.name for f in dataclasses.fields(space)] == ["n", "modulus"]
         assert space.rank == 6
 
@@ -159,7 +159,7 @@ class TestSymplecticSpace:
             return real(mat)
 
         monkeypatch.setattr(ZdMatrix, "det", counting)
-        standard = SymplecticSpace.standard(3, 6)
+        standard = SymplecticSpace(3, 6)
         sub = Submodule(6, 6, [(1, 0, 0, 0, 0, 0)])
         perp(standard, sub)
         perp(standard, perp(standard, sub))
@@ -168,7 +168,7 @@ class TestSymplecticSpace:
 
 class TestPerp:
     def test_builds_no_column_transform(self, monkeypatch):
-        space = SymplecticSpace.standard(3, 6)
+        space = SymplecticSpace(3, 6)
         sub = Submodule(6, 6, [(1, 0, 2, 0, 3, 0), (0, 2, 0, 0, 0, 3)])
         widths = record_replays(monkeypatch)
         comp = perp(space, sub)
@@ -176,13 +176,13 @@ class TestPerp:
         assert widths == [len(comp.generators)] == [4]
 
     def test_extremes(self):
-        space = SymplecticSpace.standard(2, 4)
+        space = SymplecticSpace(2, 4)
         assert perp(space, Submodule.zero(4, 4)).cardinality == 4**4
         assert perp(space, Submodule.full(4, 4)).cardinality == 1
 
     def test_small_exhaustive(self):
         # d=4, n=1, N = <2z>: every element paired against all 16 vectors
-        space = SymplecticSpace.standard(1, 4)
+        space = SymplecticSpace(1, 4)
         sub = Submodule(4, 2, [(2, 0)])
         result = set(perp(space, sub).enumerate_elements())
         expected = {
@@ -198,7 +198,7 @@ class TestPerp:
         for _ in range(120):
             d = rng.choice([2, 3, 4, 6, 8])
             n = rng.randint(1, 2)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             sub = Submodule(
                 d, 2 * n,
                 [tuple(rng.randrange(d) for _ in range(2 * n)) for _ in range(rng.randint(0, 3))],
@@ -210,17 +210,17 @@ class TestPerp:
 
 class TestStructureDecomposition:
     def test_standard_module(self):
-        space = SymplecticSpace.standard(2, 6)
+        space = SymplecticSpace(2, 6)
         blocks = structure_decomposition(space)
         assert sorted(b.divisor for b in blocks) == [6, 6]
 
     def test_degenerate_carrier(self):
-        space = SymplecticSpace.standard(1, 4)
+        space = SymplecticSpace(1, 4)
         with pytest.raises(Degenerate):
             structure_decomposition(space, Submodule(4, 2, [(2, 0), (0, 2)]))
 
     def test_quotient_s2_at_d8(self):
-        space = SymplecticSpace.standard(1, 8)
+        space = SymplecticSpace(1, 8)
         blocks = structure_decomposition(
             space, Submodule(8, 2, [(2, 0), (0, 2)]), Submodule(8, 2, [(4, 0), (0, 4)])
         )
@@ -230,7 +230,7 @@ class TestStructureDecomposition:
     def test_chain_form_absorbs_coprime_blocks(self):
         # a carrier isomorphic to S_2 + S_3 is also S_6; the canonical
         # output is the divisor chain form
-        space = SymplecticSpace.standard(2, 6)
+        space = SymplecticSpace(2, 6)
         carrier = Submodule(6, 4, [(3, 0, 0, 0), (0, 0, 3, 0), (0, 2, 0, 0), (0, 0, 0, 2)])
         blocks = structure_decomposition(space, carrier)
         assert [b.divisor for b in blocks] == [6]
@@ -240,7 +240,7 @@ class TestStructureDecomposition:
         for _ in range(60):
             d = rng.choice([2, 3, 4, 6, 8])
             n = rng.randint(1, 2)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             modulo = Submodule(d, 2 * n, random_isotropic_vectors(rng, d, n, attempts=n))
             carrier = perp(space, modulo)
             blocks = structure_decomposition(space, carrier, modulo)
@@ -269,7 +269,7 @@ class TestStructureDecomposition:
         for _ in range(80):
             d = rng.choice([2, 4, 6, 8, 12])
             n = rng.randint(1, 3)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             modulo = Submodule(d, 2 * n, random_isotropic_vectors(rng, d, n, attempts=n + 1))
             carrier = perp(space, modulo)
             assert gram_blocks(space, carrier.generators) == structure_decomposition(space, carrier, modulo)
@@ -309,41 +309,41 @@ class TestStructureDecomposition:
 
 class TestSymplecticBasis:
     def test_standard(self):
-        space = SymplecticSpace.standard(2, 5)
+        space = SymplecticSpace(2, 5)
         assert_symplectic_basis(space, *symplectic_basis(space))
 
     def test_skew_carrier(self):
-        space = SymplecticSpace.standard(1, 5)
+        space = SymplecticSpace(1, 5)
         es, fs = symplectic_basis(space, Submodule(5, 2, [(1, 1), (0, 1)]))
         assert_symplectic_basis(space, es, fs)
 
     def test_not_free(self):
-        space = SymplecticSpace.standard(1, 4)
+        space = SymplecticSpace(1, 4)
         with pytest.raises(NotFreeSymplectic):
             symplectic_basis(space, Submodule(4, 2, [(2, 0), (0, 2)]))
 
     def test_helper_rejects_a_wrong_basis(self):
         # the helper's plain asserts must fire under python -O as well
-        space = SymplecticSpace.standard(1, 5)
+        space = SymplecticSpace(1, 5)
         with pytest.raises(AssertionError):
             assert_symplectic_basis(space, [(1, 0)], [(2, 0)])
 
 
 class TestExtendIsotropicBasis:
     def test_single_z(self):
-        space = SymplecticSpace.standard(2, 4)
+        space = SymplecticSpace(2, 4)
         es, fs = extend_isotropic_basis(space, [(1, 0, 0, 0)])
         assert es[0] == (1, 0, 0, 0)
         assert_symplectic_basis(space, es, fs)
 
     def test_diagonal_vector(self):
-        space = SymplecticSpace.standard(1, 3)
+        space = SymplecticSpace(1, 3)
         es, fs = extend_isotropic_basis(space, [(1, 1)])
         assert es[0] == (1, 1)
         assert space.pairing(es[0], fs[0]) == 1
 
     def test_not_isotropic(self):
-        space = SymplecticSpace.standard(2, 4)
+        space = SymplecticSpace(2, 4)
         with pytest.raises(NotIsotropic):
             extend_isotropic_basis(space, [(1, 0, 0, 0), (0, 0, 1, 0)])
 
@@ -352,7 +352,7 @@ class TestExtendIsotropicBasis:
         for _ in range(40):
             d = rng.choice([2, 3, 4, 5, 6])
             n = rng.randint(1, 3)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             k = rng.randint(1, n)
             vecs = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(k)]
             for _ in range(5):
@@ -368,7 +368,7 @@ class TestExtendIsotropicBasis:
 
 class TestLagrangianCanonicalForm:
     def test_free_lagrangian(self):
-        space = SymplecticSpace.standard(2, 6)
+        space = SymplecticSpace(2, 6)
         lagr = Submodule(6, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
         form = lagrangian_canonical_form(space, lagr)
         assert form.divisors == (6, 6)
@@ -376,7 +376,7 @@ class TestLagrangianCanonicalForm:
         assert_symplectic_basis(space, form.basis_e, form.basis_f)
 
     def test_half_lagrangian_d4(self):
-        space = SymplecticSpace.standard(1, 4)
+        space = SymplecticSpace(1, 4)
         lagr = Submodule(4, 2, [(2, 0), (0, 2)])
         form = lagrangian_canonical_form(space, lagr)
         assert form.divisors == (2,)
@@ -384,7 +384,7 @@ class TestLagrangianCanonicalForm:
 
     def test_cyclic_lagrangian_d6(self):
         # <2z, 3x> over Z_6 is free cyclic, so the canonical divisor is 6
-        space = SymplecticSpace.standard(1, 6)
+        space = SymplecticSpace(1, 6)
         lagr = Submodule(6, 2, [(2, 0), (0, 3)])
         assert perp(space, lagr) == lagr
         form = lagrangian_canonical_form(space, lagr)
@@ -396,7 +396,7 @@ class TestLagrangianCanonicalForm:
         # e and f from its module's Smith form; the top level reuses the
         # Lagrangian's own Smith form
         d, n = 6, 6
-        space = SymplecticSpace.standard(n, d)
+        space = SymplecticSpace(n, d)
         lagr = Submodule(d, 2 * n, [tuple(int(j == i) for j in range(2 * n)) for i in range(n)])
         calls = count_reductions(monkeypatch)
         form = lagrangian_canonical_form(space, lagr)
@@ -404,7 +404,7 @@ class TestLagrangianCanonicalForm:
         assert len({mat.entries for mat in calls}) == len(calls)
 
     def test_rejects_non_lagrangian(self):
-        space = SymplecticSpace.standard(1, 6)
+        space = SymplecticSpace(1, 6)
         with pytest.raises(NotLagrangian):
             lagrangian_canonical_form(space, Submodule(6, 2, [(2, 0)]))
 
@@ -413,7 +413,7 @@ class TestLagrangianCanonicalForm:
         for _ in range(50):
             d = rng.choice([2, 3, 4, 6, 8, 9])
             n = rng.randint(1, 2)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             es, fs = symplectic_basis(space)
             gens = []
             for i in range(n):
@@ -438,7 +438,7 @@ class TestLagrangianCanonicalForm:
         for _ in range(80):
             d = rng.choice([4, 8, 9, 12, 36, 72])
             n = rng.randint(1, 4)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             psi = random_symplectic_matrix(rng, n, d, steps=2 * n)
             gens = []
             for i in range(n):
@@ -474,7 +474,7 @@ class TestLagrangianCanonicalForm:
         for _ in range(40):
             d = rng.choice(sorted(squares))
             n = rng.randint(1, 4)
-            space = SymplecticSpace.standard(n, d)
+            space = SymplecticSpace(n, d)
             psi = random_symplectic_matrix(rng, n, d, steps=2 * n)
             gens = []
             for i in range(n):
@@ -496,7 +496,7 @@ class TestClassifyIsotropicBlock:
         rng = random.Random(67)
         for _ in range(200):
             d = rng.choice([4, 6, 12, 360, 2**64])
-            space = SymplecticSpace.standard(1, d)
+            space = SymplecticSpace(1, d)
             gens = random_isotropic_vectors(rng, d, 1)
             gens += [vec_scale(rng.randrange(d), g, d) for g in gens]
             sub = Submodule(d, 2, gens)
@@ -506,31 +506,31 @@ class TestClassifyIsotropicBlock:
             assert Submodule(d, 2, [vec_scale(a, e, d), vec_scale(b, f, d)]) == sub
 
     def test_zero(self):
-        space = SymplecticSpace.standard(1, 8)
+        space = SymplecticSpace(1, 8)
         a, b, (e, f) = classify_isotropic_block(space, Submodule(8, 2, []))
         assert (a, b) == (8, 8)
         assert space.pairing(e, f) == 1
 
     def test_z_line(self):
-        space = SymplecticSpace.standard(1, 8)
+        space = SymplecticSpace(1, 8)
         a, b, _ = classify_isotropic_block(space, Submodule(8, 2, [(1, 0)]))
         assert (a, b) == (1, 8)
 
     def test_x4_z4_image(self):
-        space = SymplecticSpace.standard(1, 8)
+        space = SymplecticSpace(1, 8)
         a, b, (e, f) = classify_isotropic_block(space, Submodule(8, 2, [(4, 0), (0, 4)]))
         assert (a, b) == (4, 4)
         assert (a * b) % 8 == 0 and b % a == 0
         assert space.pairing(e, f) == 1
 
     def test_not_isotropic(self):
-        space = SymplecticSpace.standard(1, 8)
+        space = SymplecticSpace(1, 8)
         with pytest.raises(NotIsotropic):
             classify_isotropic_block(space, Submodule(8, 2, [(1, 0), (0, 1)]))
 
     def test_large_modulus_needs_no_loop_up_to_d(self):
         d = 2**64
-        space = SymplecticSpace.standard(1, d)
+        space = SymplecticSpace(1, d)
         start = time.perf_counter()
         a, b, (e, f) = classify_isotropic_block(space, Submodule(d, 2, [(2**32, 0), (0, 2**32)]))
         assert time.perf_counter() - start < 1.0

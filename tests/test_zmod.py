@@ -10,9 +10,7 @@ from quditstab import zmod
 from quditstab.zmod import (
     Submodule,
     ZdMatrix,
-    kernel_matrix,
     smith_normal_form,
-    solve_linear,
     vec_scale,
 )
 from tests.helpers import (
@@ -177,8 +175,8 @@ class TestSmithSolve:
         rng = random.Random(5)
         for d in (6, 360, 2**64):
             a = random_matrix(rng, d, 5, 4)
-            assert solve_linear(a, a.mul_vector((1, 2, 3, 4))) is not None
-            solve_linear(a, tuple(rng.randrange(d) for _ in range(5)))  # mostly unsolvable
+            assert zmod.smith_normal_form(a).solve(a.mul_vector((1, 2, 3, 4))) is not None
+            zmod.smith_normal_form(a).solve(tuple(rng.randrange(d) for _ in range(5)))  # mostly unsolvable
             module = Submodule(d, 4, a.entries)
             assert module.contains(a.row(0))
         assert len(forms) == 9
@@ -190,13 +188,13 @@ class TestSmithSolve:
 
 class TestSolveLinear:
     def test_identity(self):
-        assert solve_linear(ZdMatrix.identity(5, 3), (1, 2, 3)) == (1, 2, 3)
+        assert smith_normal_form(ZdMatrix.identity(5, 3)).solve((1, 2, 3)) == (1, 2, 3)
 
     def test_no_solution(self):
-        assert solve_linear(ZdMatrix.from_rows(4, [[2]]), (1,)) is None
+        assert smith_normal_form(ZdMatrix.from_rows(4, [[2]])).solve((1,)) is None
 
     def test_witness(self):
-        x = solve_linear(ZdMatrix.from_rows(4, [[2]]), (2,))
+        x = smith_normal_form(ZdMatrix.from_rows(4, [[2]])).solve((2,))
         assert x is not None and (2 * x[0]) % 4 == 2
 
     def test_exhaustive_consistency(self):
@@ -206,7 +204,7 @@ class TestSolveLinear:
             r, c = rng.randint(1, 3), rng.randint(1, 3)
             a = random_matrix(rng, d, r, c)
             b = tuple(rng.randrange(d) for _ in range(r))
-            x = solve_linear(a, b)
+            x = smith_normal_form(a).solve(b)
             brute = any(
                 a.mul_vector(v) == b for v in itertools.product(range(d), repeat=c)
             )
@@ -214,6 +212,17 @@ class TestSolveLinear:
                 assert not brute
             else:
                 assert a.mul_vector(x) == b
+
+
+@st.composite
+def submodule_pairs(draw):
+    """Two submodules of (Z/dZ)^m, d in {12, 360, 2^64} and m <= 5, each generator scaled by a non-unit or 1."""
+    d = draw(st.sampled_from((12, 360, 2**64)))
+    m = draw(st.integers(min_value=0, max_value=5))
+    entry = st.integers(min_value=0, max_value=d - 1)
+    generator = st.tuples(st.sampled_from((1, 2, 3, 4, 6, 2**32)), st.tuples(*[entry] * m)).map(
+        lambda sv: tuple(sv[0] * x for x in sv[1]))
+    return tuple(Submodule(d, m, draw(st.lists(generator, max_size=4))) for _ in range(2))
 
 
 class TestSubmodule:
@@ -262,6 +271,16 @@ class TestSubmodule:
             n1, n2 = Submodule(d, 2, g1), Submodule(d, 2, g2)
             meet = set(n1.intersection(n2).enumerate_elements())
             assert meet == brute_span(g1, d, 2) & brute_span(g2, d, 2)
+
+    @given(submodule_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_without_enumeration(self, pair):
+        # A∩B ⊆ A, B and |A∩B|·|A+B| = |A|·|B| pin the intersection down at any d
+        a, b = pair
+        meet = a.intersection(b)
+        assert a.contains_module(meet) and b.contains_module(meet)
+        join = Submodule(a.modulus, a.ambient_rank, a.generators + b.generators)
+        assert meet.cardinality * join.cardinality == a.cardinality * b.cardinality
 
 
 @st.composite
@@ -357,7 +376,7 @@ class TestKernelMatrix:
             d = rng.choice([2, 3, 4, 6])
             r, c = rng.randint(1, 3), rng.randint(1, 3)
             a = random_matrix(rng, d, r, c)
-            ker = Submodule(d, c, kernel_matrix(a))
+            ker = Submodule(d, c, smith_normal_form(a).kernel())
             brute = {
                 v for v in itertools.product(range(d), repeat=c)
                 if not any(a.mul_vector(v))
