@@ -362,7 +362,7 @@ class ShiftPair:
     def from_json_dict(cls, obj: Mapping, where: str) -> "ShiftPair":
         """where names the pair in errors."""
         obj = json_object(obj, where)
-        return cls(_freeze(obj["vertex"]), json_int(obj["a"], "a"), json_int(obj["b"], "b"),
+        return cls(_freeze(obj["vertex"]), json_int(obj["a"], f"{where}.a"), json_int(obj["b"], f"{where}.b"),
                    tuple(_normalize_steps(obj["path"], f"{where}.path")))
 
 

@@ -229,7 +229,7 @@ class LogicalPair:
     def from_json_dict(cls, obj: dict, d: int, n: int, where: str) -> "LogicalPair":
         """Elements are read in the report's d and n; where names the pair in errors."""
         obj = json_object(obj, where)
-        divisor = json_int(obj["divisor"], "divisor")
+        divisor = json_int(obj["divisor"], f"{where}.divisor")
         if divisor < 1:
             raise ValueError(f"divisor {divisor} is not positive")
         return cls(divisor, _report_element(obj["z"], d, n, f"{where}.z"),

@@ -25,7 +25,7 @@ from .errors import (
     NotLagrangian,
 )
 from .zmod import (
-    _min_nonzero,
+    _pivot,
     Submodule,
     Vector,
     unit_lifting_gcd,
@@ -118,10 +118,12 @@ def gram_blocks(space: SymplecticSpace, generators: Sequence[Sequence[int]]) -> 
 
     One congruence reduction P G P^T = (+) [[0, s_i], [-s_i, 0]] of the
     alternating Gram matrix G of the generators (Newman, Integral Matrices,
-    Thm IV.1), with smith_normal_form's pivot rule: the smallest nonzero
-    entry, made gcd(s, d) by a unit.  The radical is span & perp(span), and
-    the product of the squared divisors is |span| / |radical|.  The s_i form
-    a chain, so the blocks come out with divisors d / s_i non-increasing.
+    Thm IV.1), with smith_normal_form's pivot rule: the least (gcd(x, d), x),
+    made s = gcd(x, d) by a unit before it eliminates, so at a prime power d
+    each block takes one round (a dirty round or bad row lowers the least gcd).
+    The radical is span & perp(span), and the product of the squared divisors
+    is |span| / |radical|.  The s_i form a chain, so the blocks come out with
+    divisors d / s_i non-increasing.
     """
     d = space.modulus
     # gens[i] is generator i after the row operations of P, and
@@ -156,10 +158,10 @@ def gram_blocks(space: SymplecticSpace, generators: Sequence[Sequence[int]]) -> 
     blocks: list[ElementaryBlock] = []
     k = 0
     while True:
-        pos = _min_nonzero(gram, k, c, c)
+        pos = _pivot(gram, k, c, c, d)
         if pos is None:
             break
-        _, i0, j0 = pos
+        i0, j0 = pos
         if i0 != k:
             swap(k, i0)
             if j0 == k:

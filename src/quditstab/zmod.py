@@ -6,11 +6,13 @@ integers; there is no floating point anywhere.
 
 The Smith reduction works on integer representatives, reducing mod d after
 every elementary operation (reducing mod d is the same as adding rows of
-d times the identity, so the augmentation by d*I is implicit).  Pivots are
-normalised to divisors of d by scaling with a unit, which is always
-possible and sidesteps zero-divisor pivots.  Each column operation walks
-only the rows it can change, and the replays of the recorded operations
-keep their rows sparse, so both cost what they touch.
+d times the identity, so the augmentation by d*I is implicit).  The pivot is
+the entry x with the least (gcd(x, d), x), scaled by a unit to gcd(x, d)
+before it eliminates: at a prime power d that divides every entry, so each
+pivot takes one round; otherwise a remainder below it lowers the least gcd,
+so the reduction still ends.  Each column operation walks only the rows it
+can change, and the replays of the recorded operations keep their rows
+sparse, so both cost what they touch.
 """
 
 from __future__ import annotations
@@ -303,29 +305,36 @@ class SmithForm:
         return _replay_columns(d, self.shape[1], picked, _inverses(d, reversed(self.col_ops)))
 
 
-def _min_nonzero(m: Sequence[Sequence[int]], k: int, r: int, c: int):
-    """(x, i, j) for the smallest nonzero entry of m[k:r][k:c], ties to lowest (i, j).
+def _pivot(m: Sequence[Sequence[int]], k: int, r: int, c: int, d: int):
+    """(i, j) of the entry x of m[k:r][k:c] with the least (gcd(x, d), x), ties to lowest (i, j).
 
     The pivot rule of every reduction here; None when the submatrix is zero.
+    Once the best entry is a unit, larger values are passed over with no gcd.
     """
-    best = None
+    best, bg, bx = None, 0, 0
     for i in range(k, r):
         mi = m[i]
         for j in range(k, c):
             x = mi[j]
-            if x and (best is None or x < best[0]):
-                best = (x, i, j)
-                if x == 1:
-                    return best
+            if not x or (bg == 1 and x >= bx):
+                continue
+            if x == 1:
+                return i, j
+            g = math.gcd(x, d)
+            if best is None or g < bg or (g == bg and x < bx):
+                best, bg, bx = (i, j), g, x
     return best
 
 
 def smith_normal_form(mat: ZdMatrix) -> SmithForm:
     """Smith form over Z/dZ with invertible row/column transforms.
 
-    Pivot choice: smallest nonzero entry of the working submatrix, ties
-    broken by lowest (row, col).  Each pivot is normalised to gcd(pivot, d)
-    by a unit row scaling, so the diagonal consists of divisors of d.
+    Pivot choice: _pivot, the least (gcd(x, d), x), ties to lowest (row, col).
+    Right after the swaps a unit row scaling makes the pivot g = gcd(x, d), so
+    the diagonal consists of divisors of d.  At a prime power d, g divides
+    every entry and each pivot takes one row and one column pass; otherwise a
+    dirty round, or the bad row added to the pivot row, leaves a remainder
+    below g in the next pass, so the least gcd falls and the loop ends.
     """
     d = mat.modulus
     r, c = mat.rows, mat.cols
@@ -367,15 +376,19 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
 
     for k in range(min(r, c)):
         while True:
-            pos = _min_nonzero(m, k, r, c)
+            pos = _pivot(m, k, r, c, d)
             if pos is None:
                 break
-            _, i0, j0 = pos
+            i0, j0 = pos
             if i0 != k:
                 row_swap(k, i0)
             if j0 != k:
                 col_swap(k, j0)
             p = m[k][k]
+            g = math.gcd(p, d)
+            if g != p:
+                row_scale(k, unit_lifting_gcd(p, d))
+                p = g
             dirty = False
             for i in range(k + 1, r):
                 if m[i][k]:
@@ -390,21 +403,9 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
-            g = math.gcd(p, d)
-            if g != p:
-                row_scale(k, unit_lifting_gcd(p, d))
-                p = g
             if p == 1:  # a unit divides every entry
                 break
-            bad = None
-            for i in range(k + 1, r):
-                mi = m[i]
-                for j in range(k + 1, c):
-                    if mi[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(k + 1, r) if any(x % p for x in m[i][k + 1:])), None)
             if bad is None:
                 break
             row_addmul(k, bad, 1)

@@ -232,4 +232,8 @@ _ERRORS = [
      {"vertices": [0], "edges": [5], "faces": []}),
     ("report_off_the_request_dimensions", ["oracle", "verify", "--input", "@input"],
      {"d": 2, "n": 1, "generators": [], "report": {"d": 3, "n": 7}}),
+    ("twist_exponent_not_an_integer", ["kitaev", "build", "--graph", "@graph", "--d", "4", "--twist", "@input"],
+     {**TWIST_SPEC, "pairs": [TWIST_SPEC["pairs"][0], {**TWIST_SPEC["pairs"][0], "a": 4.5}]}),
+    ("logical_divisor_not_an_integer", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": {"logical_operators": [{"divisor": 1.5}]}}),
 ]

@@ -461,9 +461,11 @@ def record_replays(monkeypatch) -> list:
 def smith_normal_form_reference(mat: ZdMatrix) -> SmithForm:
     """smith_normal_form on dense rows: every column operation walks all r rows.
 
-    The same pivot rule and order of operations, so the same diag, row_ops and
-    col_ops.  Operations are recorded as (0, i, j, 0) swap, (1, i, j, q)
-    row_i += q * row_j and (2, i, i, w) scale; col_j += q * col_k is (1, j, k, q).
+    The same pivot rule (least (gcd(x, d), x), then lowest (i, j)), the same
+    unit scale right after the swaps and the same order of operations, so the
+    same diag, row_ops and col_ops.  Operations are recorded as (0, i, j, 0)
+    swap, (1, i, j, q) row_i += q * row_j and (2, i, i, w) scale;
+    col_j += q * col_k is (1, j, k, q).
     """
     d = mat.modulus
     r, c = mat.rows, mat.cols
@@ -483,10 +485,10 @@ def smith_normal_form_reference(mat: ZdMatrix) -> SmithForm:
 
     for k in range(min(r, c)):
         while True:
-            entries = [(m[i][j], i, j) for i in range(k, r) for j in range(k, c) if m[i][j]]
+            entries = [(math.gcd(m[i][j], d), m[i][j], i, j) for i in range(k, r) for j in range(k, c) if m[i][j]]
             if not entries:
                 break
-            _, i0, j0 = min(entries)
+            *_, i0, j0 = min(entries)
             if i0 != k:
                 m[k], m[i0] = m[i0], m[k]
                 row_ops.append((0, k, i0, 0))
@@ -495,6 +497,12 @@ def smith_normal_form_reference(mat: ZdMatrix) -> SmithForm:
                     row[k], row[j0] = row[j0], row[k]
                 col_ops.append((0, k, j0, 0))
             p = m[k][k]
+            g = math.gcd(p, d)
+            if g != p:
+                w = zmod.unit_lifting_gcd(p, d)
+                m[k] = [(w * x) % d for x in m[k]]
+                row_ops.append((2, k, k, w))
+                p = g
             dirty = False
             for i in range(k + 1, r):
                 if m[i][k]:
@@ -506,12 +514,6 @@ def smith_normal_form_reference(mat: ZdMatrix) -> SmithForm:
                     dirty = dirty or bool(m[k][j])
             if dirty:
                 continue
-            g = math.gcd(p, d)
-            if g != p:
-                w = zmod.unit_lifting_gcd(p, d)
-                m[k] = [(w * x) % d for x in m[k]]
-                row_ops.append((2, k, k, w))
-                p = g
             if p == 1:
                 break
             bad = next((i for i in range(k + 1, r) if any(x % p for x in m[i][k + 1:])), None)

@@ -222,7 +222,8 @@ class TestOracleVerifyCommand:
         request["report"]["logical_operators"][0]["divisor"] = 2.0
         code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
         assert code == 2
-        assert json.loads(out)["error"]["type"] == "InvalidRequest"
+        assert json.loads(out)["error"] == {
+            "type": "InvalidRequest", "detail": "logical_operators[0].divisor must be an integer, got 2.0"}
 
     @pytest.mark.parametrize("divisor", [0, -2])
     def test_non_positive_divisor_in_report_exit_2(self, capsys, monkeypatch, divisor):
@@ -366,21 +367,23 @@ class TestKitaevCommand:
         assert json.loads(out)["error"]["type"] == "InvalidRequest"
 
     def test_float_twist_exponent_exit_2(self, capsys, tmp_path):
+        # the error names the pair and the field, not the bare key
         graph_file = tmp_path / "torus.json"
         graph_file.write_text(json.dumps(torus_grid_graph(2, 2).to_json_dict()))
         twist_file = tmp_path / "twist.json"
-        twist_file.write_text(json.dumps({
-            "source": [0, 0],
-            "pairs": [{"vertex": [0, 1], "a": 4.0, "b": 2,
-                       "path": [{"edge": ["h", 0, 0], "reverse": False}]}],
-        }))
-        code, out = run_cli(
-            capsys,
-            ["kitaev", "build", "--graph", str(graph_file), "--d", "4",
-             "--twist", str(twist_file)],
-        )
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "InvalidRequest"
+        pair = {"vertex": [0, 1], "a": 4, "b": 2, "path": [{"edge": ["h", 0, 0], "reverse": False}]}
+        for index, key, value in [(0, "a", 4.0), (1, "a", 4.5), (1, "b", True)]:
+            pairs = [dict(pair), dict(pair)]
+            pairs[index][key] = value
+            twist_file.write_text(json.dumps({"source": [0, 0], "pairs": pairs}))
+            code, out = run_cli(
+                capsys,
+                ["kitaev", "build", "--graph", str(graph_file), "--d", "4",
+                 "--twist", str(twist_file)],
+            )
+            assert code == 2
+            assert json.loads(out)["error"] == {
+                "type": "InvalidRequest", "detail": f"pairs[{index}].{key} must be an integer, got {value!r}"}
 
     def test_bad_surface_exit_2(self, capsys, monkeypatch, tmp_path):
         graph_file = tmp_path / "bad.json"

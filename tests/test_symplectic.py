@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quditstab.symplectic as symplectic_module
+from quditstab import zmod
 from quditstab.errors import Degenerate, NotFreeSymplectic, NotIsotropic, NotLagrangian
 from quditstab.heisenberg import lift_symplectic
 from quditstab.pauli import commutation_phase, from_module_vector
@@ -87,6 +88,16 @@ def carrier_modulo_pairs(draw):
         return case
     radical = case[2]
     return case[:2] + (draw(st.lists(st.sampled_from(radical), max_size=3)),) + case[3:]
+
+
+@st.composite
+def prime_power_generators(draw):
+    """(d, n, up to 8 vectors of (Z/dZ)^(2n)), n <= 4, at d = 2^16, 3^40 or 2^64, entries p^e * u of every valuation e."""
+    p, top = draw(st.sampled_from([(2, 16), (3, 40), (2, 64)]))
+    d = p**top
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.builds(lambda e, u: p**e * u % d, st.integers(0, top), st.integers(0, d - 1))
+    return d, n, draw(st.lists(st.tuples(*[entry] * (2 * n)), max_size=8))
 
 
 class TestSymplecticSpace:
@@ -273,6 +284,23 @@ class TestStructureDecomposition:
             modulo = Submodule(d, 2 * n, random_isotropic_vectors(rng, d, n, attempts=n + 1))
             carrier = perp(space, modulo)
             assert gram_blocks(space, carrier.generators) == structure_decomposition(space, carrier, modulo)
+
+    @given(prime_power_generators())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pivot_search_per_block_at_a_prime_power(self, case):
+        # the least-gcd pivot divides every Gram entry, so no round is dirty and
+        # no bad row is added: one search per block and one that finds nothing
+        d, n, gens = case
+        searches = []
+
+        def counting(*args):
+            searches.append(args)
+            return zmod._pivot(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symplectic_module, "_pivot", counting)
+            blocks = gram_blocks(SymplecticSpace(n, d), gens)
+        assert len(searches) <= len(blocks) + 1
 
     @settings(max_examples=80, deadline=None)
     @given(carrier_modulo_pairs())

@@ -106,15 +106,29 @@ def smith_systems(draw, moduli=(2, 4, 6, 12, 360, 2**64)):
 
 
 # (matrix, operations, one operation its reduction must record there): the
-# pivot 4 leaves 2 below and beside it, so a second round at k = 0 swaps a
-# column in (the dirty loop); the pivot 10 needs the unit 5 to become
-# gcd(10, 12) = 2; the pivot 2 divides its row and column but not the 3 past
-# them, so row 0 += row 1
+# pivot 4 (gcd 4, below 6's gcd 6) leaves 2 below and beside it, so a second
+# round at k = 0 swaps a column in (the dirty loop); the pivot 10 needs the
+# unit 5 to become gcd(10, 12) = 2; the pivot 2 (gcd 2, below 3's gcd 3)
+# divides its row and column but not the 3 past them, so row 0 += row 1; at
+# d = 8 the unit 3 beats the smaller 2, is swapped in and scaled by 3 to 1,
+# and one round clears the row
 BRANCH_EXAMPLES = [
     (ZdMatrix.from_rows(12, [(4, 6), (6, 4)]), "col_ops", (0, 0, 1, 0)),
     (ZdMatrix.from_rows(12, [(10,)]), "row_ops", (2, 0, 0, 5)),
     (ZdMatrix.from_rows(12, [(2, 0), (0, 3)]), "row_ops", (1, 0, 1, 1)),
+    (ZdMatrix.from_rows(8, [(2, 3)]), "row_ops", (2, 0, 0, 3)),
 ]
+
+
+@st.composite
+def prime_power_matrices(draw):
+    """An r x c matrix, r, c <= 8, at d = 2^16, 3^40 or 2^64, with entries p^e * u of every valuation e."""
+    p, top = draw(st.sampled_from([(2, 16), (3, 40), (2, 64)]))
+    d = p**top
+    r = draw(st.integers(min_value=0, max_value=8))
+    c = draw(st.integers(min_value=0, max_value=8))
+    entry = st.builds(lambda e, u: p**e * u % d, st.integers(0, top), st.integers(0, d - 1))
+    return ZdMatrix.from_rows(d, draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)), c)
 
 
 class TestSparseSmith:
@@ -133,6 +147,14 @@ class TestSparseSmith:
         s, ref = smith_normal_form(a), smith_normal_form_reference(a)
         assert (s.diag, s.row_ops, s.col_ops) == (ref.diag, ref.row_ops, ref.col_ops)
         assert witness in getattr(s, ops)
+
+    @given(prime_power_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_one_round_per_pivot_at_a_prime_power(self, a):
+        # per pivot k: a row swap, a column swap, a unit scale, r - k - 1 row and c - k - 1 column additions
+        s = smith_normal_form(a)
+        r, c = a.shape
+        assert len(s.row_ops) + len(s.col_ops) <= sum(r + c - 2 * k + 1 for k in range(min(r, c)))
 
 
 class TestSmithSolve:
