@@ -176,24 +176,28 @@ class KitaevModel:
     """Vertex/face operators and the stabiliser they generate."""
 
     def __init__(self, graph: SurfaceGraph, d: int):
+        if d < 2:
+            raise ValueError(f"d = {d}: need d >= 2")
         self.graph = graph
         self.d = d
         n = len(graph.edges)
         self.n = n
+        # entries are reduced where touched, so each operator is canonical as built
+        zero = (0,) * n
         xs = {s: [0] * n for s in graph.vertices}
         for i, e in enumerate(graph.edges):  # +1 at the head, -1 at the tail: a loop nets 0
-            xs[e.head][i] += 1
-            xs[e.tail][i] -= 1
+            xs[e.head][i] = (xs[e.head][i] + 1) % d
+            xs[e.tail][i] = (xs[e.tail][i] - 1) % d
         self.vertex_ops: dict[object, PauliElement] = {
-            s: PauliElement(d, n, 0, tuple(a), (0,) * n) for s, a in xs.items()
+            s: PauliElement._reduced(d, n, 0, tuple(a), zero) for s, a in xs.items()
         }
         self.face_ops: dict[int, PauliElement] = {}
         for fi, walk in enumerate(graph.faces):
             b = [0] * n
             for eid, side in walk:
                 i = graph.edge_index[eid]
-                b[i] += 1 if side == RIGHT else -1
-            self.face_ops[fi] = PauliElement(d, n, 0, (0,) * n, tuple(b))
+                b[i] = (b[i] + (1 if side == RIGHT else -1)) % d
+            self.face_ops[fi] = PauliElement._reduced(d, n, 0, zero, tuple(b))
         gens = [self.vertex_ops[s] for s in graph.vertices] + [
             self.face_ops[fi] for fi in range(len(graph.faces))
         ]
@@ -411,7 +415,8 @@ def apply_shift(model: KitaevModel, source, pairs: Sequence[ShiftPair]) -> Stabi
 
 
 def apply_twist(model: KitaevModel, source, pairs: Sequence[ShiftPair]) -> StabilizerGroup:
-    """Like apply_shift but only d | a*b; the defect c = a*b/d adds small qudits."""
+    """Like apply_shift but only d | a*b: each pair multiplies the protected dimension
+    by gcd(a, d) * gcd(b, d) / d, which is a*b/d only when a and b both divide d."""
     return _modified_group(model, source, pairs, twisted=True)
 
 

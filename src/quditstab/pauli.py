@@ -8,6 +8,10 @@ with X written before Z on each qudit.  Phases are exponents of zeta, the
 primitive root of unity of order phase_modulus(d) (d for odd d, 2d for
 even d); xi = zeta^2 enters only through the reordering rule
 Z^b X^a = xi^(a*b) X^a Z^b.
+
+Fields are canonical: 0 <= phase < phase_modulus(d), exponents in [0, d).  The
+constructor reduces its input; PauliElement._reduced trusts it, and only this
+module's arithmetic and the Kitaev operators, which reduce as they build, call it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ class PauliElement:
         object.__setattr__(self, "phase", self.phase % db)
         object.__setattr__(self, "a", tuple(x % self.d for x in self.a))
         object.__setattr__(self, "b", tuple(x % self.d for x in self.b))
+
+    @classmethod
+    def _reduced(cls, d: int, n: int, phase: int, a: Vector, b: Vector) -> "PauliElement":
+        """The element with fields already canonical, unchecked: never for outside input."""
+        p = object.__new__(cls)
+        p.__dict__.update(d=d, n=n, phase=phase, a=a, b=b)
+        return p
 
     @classmethod
     def identity(cls, d: int, n: int) -> "PauliElement":
@@ -126,28 +137,27 @@ def multiply(p: PauliElement, q: PauliElement) -> PauliElement:
     i.e. zeta^(2*a*b).
     """
     _check_same_group(p, q)
-    cross = sum(pb * qa for pb, qa in zip(p.b, q.a))
-    phase = p.phase + q.phase + 2 * cross
-    a = tuple(x + y for x, y in zip(p.a, q.a))
-    b = tuple(x + y for x, y in zip(p.b, q.b))
-    return PauliElement(p.d, p.n, phase, a, b)
+    d = p.d
+    phase = (p.phase + q.phase + 2 * sum(map(mul, p.b, q.a))) % phase_modulus(d)
+    a = tuple([(x + y) % d for x, y in zip(p.a, q.a)])
+    b = tuple([(x + y) % d for x, y in zip(p.b, q.b)])
+    return PauliElement._reduced(d, p.n, phase, a, b)
 
 
 def inverse(p: PauliElement) -> PauliElement:
-    cross = sum(x * y for x, y in zip(p.a, p.b))
-    phase = -p.phase + 2 * cross
-    return PauliElement(p.d, p.n, phase, tuple(-x for x in p.a), tuple(-x for x in p.b))
+    return power(p, -1)
 
 
 def power(p: PauliElement, m: int) -> PauliElement:
     """p**m in closed form: per qudit (X^a Z^b)^m = xi^(a b m(m-1)/2) X^(ma) Z^(mb)."""
-    db = phase_modulus(p.d)
+    d = p.d
+    db = phase_modulus(d)
     m = m % db  # p**db is always the identity
-    cross = sum(x * y for x, y in zip(p.a, p.b))
-    phase = p.phase * m + m * (m - 1) * cross  # m(m-1) is even: xi^(ab m(m-1)/2) = zeta^(ab m(m-1))
-    a = tuple(m * x for x in p.a)
-    b = tuple(m * x for x in p.b)
-    return PauliElement(p.d, p.n, phase, a, b)
+    cross = sum(map(mul, p.a, p.b))
+    phase = (p.phase * m + m * (m - 1) * cross) % db  # m(m-1) is even: xi^(ab m(m-1)/2) = zeta^(ab m(m-1))
+    a = tuple([m * x % d for x in p.a])
+    b = tuple([m * x % d for x in p.b])
+    return PauliElement._reduced(d, p.n, phase, a, b)
 
 
 def support(p: PauliElement) -> tuple[int, int, list, list]:
@@ -168,7 +178,7 @@ def word(d: int, n: int, phase: int, factors: Iterable[tuple[tuple, int]]) -> Pa
     multiply and power unrolled over the supports, for factors of order
     dividing d (e == 0 mod d is skipped): with m = e mod phase_modulus(d), g^m
     adds m c + m(m-1) a.b to the phase, and moving it past the Z part b of the
-    product so far adds 2 m (b . a).
+    product so far adds 2 m (b . a).  Entries are reduced as they are touched.
     """
     db = phase_modulus(d)
     a, b = [0] * n, [0] * n
@@ -178,10 +188,10 @@ def word(d: int, n: int, phase: int, factors: Iterable[tuple[tuple, int]]) -> Pa
         m = e % db
         phase += m * (c + (m - 1) * ab + 2 * sum(b[k] * x for k, x in xs))
         for k, x in xs:
-            a[k] += m * x
+            a[k] = (a[k] + m * x) % d
         for k, z in zs:
-            b[k] += m * z
-    return PauliElement(d, n, phase, tuple(a), tuple(b))
+            b[k] = (b[k] + m * z) % d
+    return PauliElement._reduced(d, n, phase % db, tuple(a), tuple(b))
 
 
 def is_scalar(p: PauliElement) -> bool:

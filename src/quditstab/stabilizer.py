@@ -65,7 +65,7 @@ class StabilizerGroup:
             if (g.d, g.n) != (d, n):
                 raise DimensionMismatch(f"generator on ({g.d},{g.n}) in a ({d},{n}) group")
         self.tau_rows = tuple(module_vector(g) for g in self.generators)
-        self.tau_image = Submodule(d, 2 * n, self.tau_rows)
+        self.tau_image = Submodule._of_reduced(d, 2 * n, self.tau_rows)  # rows of checked elements
         self.space = SymplecticSpace(n, d)
         self._relations: Optional[tuple[Vector, ...]] = None
         self._supports = [support(g) for g in self.generators]
@@ -90,7 +90,7 @@ class StabilizerGroup:
             rows = self.tau_rows
             g = len(rows)
             units = [tuple(int(k == j) for k in range(g)) for j, row in enumerate(rows) if not any(row)]
-            left = self.tau_image.smith.transpose().kernel()
+            left = self.tau_image.transposed_smith.kernel()
             self._relations = tuple(units + [self._in_generator_coordinates(lam) for lam in left])
         return self._relations
 
@@ -118,23 +118,16 @@ class StabilizerGroup:
         coefs = iter(lam)
         return tuple(next(coefs) if any(row) else 0 for row in self.tau_rows)
 
-    def _solve_word(self, v: Sequence[int]) -> Optional[Vector]:
-        """Exponents of a word over v, from tau_image's cached membership solve."""
-        lam = self.tau_image.coefficients_for(v)
-        if lam is None:
-            return None
-        return self._in_generator_coordinates(lam)
-
     def element_over(self, v: Sequence[int]) -> Optional[PauliElement]:
         """The canonical element of H with module image v, or None.
 
         Well defined because any two solutions differ by a relation whose
-        word is the identity (scalar-freeness).
+        word is the identity (scalar-freeness); over the zero vector it is the identity, with no solve.
         """
-        lam = self._solve_word(v)
-        if lam is None:
-            return None
-        return self.word(lam)
+        if len(v) == 2 * self.n and not any(v):
+            return PauliElement.identity(self.d, self.n)
+        lam = self.tau_image.coefficients_for(v)  # tau_image's cached membership solve
+        return None if lam is None else self.word(self._in_generator_coordinates(lam))
 
     def to_json_dict(self) -> dict:
         return {

@@ -110,7 +110,7 @@ def perp(space: SymplecticSpace, sub: Submodule) -> Submodule:
     if not sub.generators:
         return Submodule.full(d, m)
     # pairing(x, g) == g . functional(x), and functional's inverse is -functional
-    return Submodule(d, m, [space.functional(k) for k in sub.smith.kernel()])
+    return Submodule._of_reduced(d, m, [space.functional(k) for k in sub.smith.kernel()])
 
 
 def gram_blocks(space: SymplecticSpace, generators: Sequence[Sequence[int]]) -> list[ElementaryBlock]:

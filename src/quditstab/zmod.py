@@ -2,7 +2,9 @@
 
 Matrices and vectors carry their modulus explicitly and store entries as
 canonical representatives in [0, d).  Everything is computed with Python
-integers; there is no floating point anywhere.
+integers; there is no floating point anywhere.  The public constructors reduce
+their input; ZdMatrix._reduced and Submodule._of_reduced trust it, and only engine
+rows canonical by construction (module vectors, functionals, kernels) go there.
 
 The Smith reduction works on integer representatives, reducing mod d after
 every elementary operation (reducing mod d is the same as adding rows of
@@ -86,6 +88,13 @@ class ZdMatrix:
             raise ValueError("entries do not match shape")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "shape", shape)
+
+    @classmethod
+    def _reduced(cls, d: int, rows: tuple[Vector, ...], cols: int) -> "ZdMatrix":
+        """The matrix of canonical rows of length cols, unchecked: never for outside input."""
+        mat = object.__new__(cls)
+        mat.__dict__.update(modulus=d, entries=rows, shape=(len(rows), cols))
+        return mat
 
     @classmethod
     def from_rows(cls, d: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> "ZdMatrix":
@@ -281,8 +290,13 @@ class SmithForm:
                 y[i] = cvec[i] // si
             elif cvec[i]:
                 return None
-        _apply_row_ops_to_vector(d, y, _transposes(reversed(self.col_ops)))
+        _apply_row_ops_to_vector(d, y, self._v_ops)
         return tuple(y)
+
+    @cached_property
+    def _v_ops(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The transposed col_ops in reverse: replayed in order, they apply v."""
+        return tuple(_transposes(reversed(self.col_ops)))
 
     def transpose(self) -> "SmithForm":
         """The Smith form of a's transpose, unreduced: col_ops already build v^T as row operations."""
@@ -290,7 +304,7 @@ class SmithForm:
 
     def v_columns(self, picked: Sequence[tuple[int, int]]) -> list[Vector]:
         """scale * (column i of v) for (i, scale) in picked: the transposed col_ops replayed in reverse."""
-        return _replay_columns(self.modulus, self.shape[1], picked, _transposes(reversed(self.col_ops)))
+        return _replay_columns(self.modulus, self.shape[1], picked, self._v_ops)
 
     def kernel(self) -> list[Vector]:
         """Generators of {x : a @ x == 0 mod d}: column i of v times d / diag[i] (d past diag)."""
@@ -420,18 +434,27 @@ class Submodule:
     Instances are immutable by convention; all derived data is computed
     once from the generator tuple.  Each instance caches one Smith form, of
     its generator matrix, on first use.  Invariant factors and the
-    quasi-basis read it; membership solves with its transpose, so a run of
-    contains/coefficients_for queries reduces no further matrix.
+    quasi-basis read it; membership solves with its cached transpose, so a
+    run of contains/coefficients_for queries reduces no further matrix.
     """
 
     def __init__(self, modulus: int, ambient_rank: int, generators: Iterable[Sequence[int]]):
+        self._adopt(modulus, ambient_rank, ZdMatrix.from_rows(modulus, generators, ambient_rank))
+
+    @classmethod
+    def _of_reduced(cls, d: int, m: int, rows: Iterable[Vector]) -> "Submodule":
+        """The span of canonical rows of length m, taken as they are: never for outside input."""
+        sub = cls.__new__(cls)
+        sub._adopt(d, m, ZdMatrix._reduced(d, tuple(rows), m))
+        return sub
+
+    def _adopt(self, modulus: int, ambient_rank: int, mat: ZdMatrix) -> None:
         self.modulus = modulus
         self.ambient_rank = ambient_rank
-        mat = ZdMatrix.from_rows(modulus, generators, ambient_rank)
         self.generators: tuple[Vector, ...] = tuple(g for g in mat.entries if any(g))
         # reduced once: the Smith form's matrix is mat itself unless zero rows were dropped
         self.generator_matrix = mat if len(self.generators) == mat.rows \
-            else ZdMatrix.from_rows(modulus, self.generators, ambient_rank)
+            else ZdMatrix._reduced(modulus, self.generators, ambient_rank)
 
     @classmethod
     def zero(cls, d: int, m: int) -> "Submodule":
@@ -444,6 +467,11 @@ class Submodule:
     @cached_property
     def smith(self) -> SmithForm:
         return smith_normal_form(self.generator_matrix)
+
+    @cached_property
+    def transposed_smith(self) -> SmithForm:
+        """The Smith form of the generators as columns, which membership solves with."""
+        return self.smith.transpose()
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -484,10 +512,9 @@ class Submodule:
 
     def coefficients_for(self, v: Sequence[int]) -> Optional[Vector]:
         """lam with lam . generators == v, or None if v is not in the module."""
-        v = vec_reduce(v, self.modulus)
         if not self.generators:
-            return () if not any(v) else None
-        return self.smith.transpose().solve(v)
+            return () if not any(vec_reduce(v, self.modulus)) else None
+        return self.transposed_smith.solve(v)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coefficients_for(v) is not None
@@ -512,8 +539,8 @@ class Submodule:
         if (self.modulus, self.ambient_rank) != (other.modulus, other.ambient_rank):
             raise ValueError("modules live in different ambients")
         d, m = self.modulus, self.ambient_rank
-        annihilators = Submodule(d, m, self.smith.kernel() + other.smith.kernel())
-        return Submodule(d, m, annihilators.smith.kernel())
+        annihilators = Submodule._of_reduced(d, m, self.smith.kernel() + other.smith.kernel())
+        return Submodule._of_reduced(d, m, annihilators.smith.kernel())
 
     def enumerate_elements(self) -> Iterator[Vector]:
         """All elements, via quasi-basis coefficients (no duplicates).

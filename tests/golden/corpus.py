@@ -192,7 +192,7 @@ def entries() -> list[tuple[str, list, dict]]:
     out.append(("error/too_large", verify + ["--bound", "8"],
                 {"input": {**_group_spec("torus", 3, 2), "request": "oracle"}}))
     for name, command, literal in _ERRORS:
-        inputs = {"input": {"literal": literal}}
+        inputs = {"input": {"literal": literal}} if "@input" in command else {}
         if "@graph" in command:
             inputs.update(graph)
         out.append((f"error/{name}", command, inputs))
@@ -236,4 +236,6 @@ _ERRORS = [
      {**TWIST_SPEC, "pairs": [TWIST_SPEC["pairs"][0], {**TWIST_SPEC["pairs"][0], "a": 4.5}]}),
     ("logical_divisor_not_an_integer", ["oracle", "verify", "--input", "@input"],
      {"d": 3, "n": 1, "generators": [], "report": {"logical_operators": [{"divisor": 1.5}]}}),
+    ("kitaev_d_0", ["kitaev", "build", "--graph", "@graph", "--d", "0"], None),
+    ("kitaev_d_negative", ["kitaev", "build", "--graph", "@graph", "--d", "-3"], None),
 ]

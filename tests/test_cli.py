@@ -464,6 +464,15 @@ class TestRequestLimits:
         assert code == 2
         assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": "d = 1: need d >= 2"}
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_kitaev_d_below_1_is_checked_before_any_reduction(self, capsys, tmp_path, d):
+        # the operators are reduced as they are built, so d is checked first
+        graph_file = tmp_path / "torus.json"
+        graph_file.write_text(json.dumps(torus_grid_graph(2, 2).to_json_dict()))
+        code, out = run_cli(capsys, ["kitaev", "build", "--graph", str(graph_file), "--d", str(d)])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidRequest", "detail": f"d = {d}: need d >= 2"}
+
 
 # -- malformed requests, by property --------------------------------------
 

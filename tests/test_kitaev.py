@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import pytest
@@ -27,7 +28,7 @@ from quditstab.kitaev import (
     tetrahedron_graph,
     torus_grid_graph,
 )
-from quditstab.oracle import protected_basis, protected_dimension, represent
+from quditstab.oracle import protected_basis, protected_dimension, represent, verify_report
 from quditstab.pauli import PauliElement, commutation_phase, inverse, multiply, module_vector, power
 from quditstab.stabilizer import (
     CharacterMap,
@@ -335,6 +336,15 @@ class TestShiftsAndTwists:
         assert report.dim_protected == 32
         assert 2 in report.quotient_divisors
         assert report.kind == "GENERAL"
+
+    @pytest.mark.parametrize("d, a, b, dim", [(4, 4, 2, 32), (6, 3, 4, 36), (12, 6, 8, 288)])
+    def test_twist_defect_is_gcd_a_times_gcd_b_over_d(self, d, a, b, dim):
+        # a*b/d would give 32, 72 and 576: it is the defect only when a and b divide d
+        group = apply_twist(build_model(torus_grid_graph(2, 2), d), (0, 0), [ShiftPair((0, 1), a, b, self.PATH)])
+        report = analyze(group)
+        assert report.dim_protected == dim == d * math.gcd(a, d) * math.gcd(b, d)
+        if d == 4:  # 4^8 states, within the oracle's default bound
+            assert verify_report(group, report).passed
 
     def test_unit_defect_twist_equals_shift(self):
         model = build_model(torus_grid_graph(2, 2), 4)
