@@ -67,7 +67,6 @@ class SurfaceGraph:
         self.edge_index = {e.id: i for i, e in enumerate(self.edges)}
         if len(self.edge_index) != len(self.edges):
             raise BadSurface("duplicate edge ids")
-        by_id = {e.id: e for e in self.edges}
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise BadSurface("duplicate vertex ids")
@@ -82,7 +81,7 @@ class SurfaceGraph:
                 side = _SIDE_ALIASES.get(str(side).upper())
                 if side is None:
                     raise BadSurface(f"unknown side marker in face {fi}")
-                if eid not in by_id:
+                if eid not in self.edge_index:
                     raise BadSurface(f"face {fi} uses unknown edge {eid}")
                 key = (eid, side)
                 if key in seen:
@@ -95,7 +94,12 @@ class SurfaceGraph:
             if (e.id, LEFT) not in seen or (e.id, RIGHT) not in seen:
                 raise BadSurface(f"edge {e.id} does not have both sides covered")
         self._side_face = seen
-        self._check_connected()
+        if not self.vertices:
+            raise Disconnected("empty graph")
+        reached, _ = _spanning_tree_paths(self.vertices[0], self.vertices,
+                                          [(e.id, e.tail, e.head) for e in self.edges])
+        if len(reached) != len(self.vertices):
+            raise Disconnected("graph is not connected")
         if self.euler_characteristic % 2:
             raise OddEuler(f"Euler characteristic {self.euler_characteristic} is odd")
         if self.genus < 0:
@@ -124,24 +128,6 @@ class SurfaceGraph:
             "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in self.edges],
             "faces": [[{"edge": eid, "side": side} for eid, side in walk] for walk in self.faces],
         }
-
-    def _check_connected(self):
-        if not self.vertices:
-            raise Disconnected("empty graph")
-        adj: dict[object, list] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
-        seen = {self.vertices[0]}
-        queue = deque([self.vertices[0]])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(self.vertices):
-            raise Disconnected("graph is not connected")
 
     @property
     def euler_characteristic(self) -> int:
@@ -262,20 +248,20 @@ def dual_path_endpoints(graph: SurfaceGraph, steps: Sequence[PathStep]) -> tuple
     return _walk(graph, steps, dual=True)
 
 
-def _transport(model: KitaevModel, steps: Sequence, dual: bool) -> PauliElement:
-    """Exponent +1 per forward step and -1 per reversed one, on X (dual) or Z."""
+def _transport(model: KitaevModel, steps: Sequence, dual: bool) -> tuple[PauliElement, tuple]:
+    """(operator, (start, end)): exponent +1 per forward step and -1 per reversed one, on X (dual) or Z."""
     steps = _normalize_steps(steps)
-    _walk(model.graph, steps, dual)
+    ends = _walk(model.graph, steps, dual)
     v = [0] * model.n
     for eid, rev in steps:
         v[model.graph.edge_index[eid]] += -1 if rev else 1
     zero = (0,) * model.n
-    return PauliElement(model.d, model.n, 0, tuple(v) if dual else zero, zero if dual else tuple(v))
+    return PauliElement(model.d, model.n, 0, tuple(v) if dual else zero, zero if dual else tuple(v)), ends
 
 
 def path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
     """Z-type transport operator: Z on agreeing edges, Z^-1 otherwise."""
-    return _transport(model, steps, dual=False)
+    return _transport(model, steps, dual=False)[0]
 
 
 def dual_path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
@@ -284,7 +270,7 @@ def dual_path_operator(model: KitaevModel, steps: Sequence) -> PauliElement:
     A forward step crosses its edge from the right face to the left face
     and applies X; a reversed step applies X^-1.
     """
-    return _transport(model, steps, dual=True)
+    return _transport(model, steps, dual=True)[0]
 
 
 def charge_configuration(model: KitaevModel, chi: CharacterMap) -> ChargeConfiguration:
@@ -307,19 +293,17 @@ def _sort_key(x):
     return (str(type(x)), str(x))
 
 
-def _spanning_tree_paths(nodes, links):
-    """BFS tree from the smallest node; links are (key, node_a, node_b).
+def _spanning_tree_paths(root, nodes, links):
+    """BFS tree from root over links (key, node_a, node_b), taken in the order given.
 
     Returns (paths, tree_keys): paths[v] is the step list (key, reverse)
-    from the root to v, where forward means a -> b.
+    from root to v, where forward means a -> b; a node missing from paths
+    is not reachable from root.
     """
     adj: dict[object, list] = {v: [] for v in nodes}
     for key, a, b in links:
         adj[a].append((key, b, False))
         adj[b].append((key, a, True))
-    for v in adj:
-        adj[v].sort(key=lambda t: (_sort_key(t[0]), t[2]))
-    root = min(nodes, key=_sort_key)
     paths = {root: []}
     tree_keys = set()
     queue = deque([root])
@@ -334,18 +318,24 @@ def _spanning_tree_paths(nodes, links):
 
 
 def normalizer_generators(model: KitaevModel) -> list[PauliElement]:
-    """Loop and dual-loop operators from deterministic cycle bases."""
+    """Loop and dual-loop operators from deterministic cycle bases.
+
+    Each spanning tree grows by BFS from the node with the least _sort_key,
+    over the links sorted by the _sort_key of their edge ids.
+    """
     graph = model.graph
     out: list[PauliElement] = []
-    links = [(e.id, e.tail, e.head) for e in graph.edges]
-    paths, tree = _spanning_tree_paths(graph.vertices, links)
+    links = sorted(((e.id, e.tail, e.head) for e in graph.edges), key=lambda t: _sort_key(t[0]))
+    paths, tree = _spanning_tree_paths(min(graph.vertices, key=_sort_key), graph.vertices, links)
     for e in graph.edges:
         if e.id in tree:
             continue
         steps = paths[e.tail] + [(e.id, False)] + [(k, not r) for k, r in reversed(paths[e.head])]
         out.append(path_operator(model, steps))
-    dual_links = [(e.id, graph.right_face(e.id), graph.left_face(e.id)) for e in graph.edges]
-    dpaths, dtree = _spanning_tree_paths(range(len(graph.faces)), dual_links)
+    dual_links = sorted(((e.id, graph.right_face(e.id), graph.left_face(e.id)) for e in graph.edges),
+                        key=lambda t: _sort_key(t[0]))
+    faces = range(len(graph.faces))
+    dpaths, dtree = _spanning_tree_paths(min(faces, key=_sort_key), faces, dual_links)
     for e in graph.edges:
         if e.id in dtree:
             continue
@@ -383,29 +373,26 @@ def _modified_group(
     d = model.d
     graph = model.graph
     removed = {source}
-    new_gens: list[PauliElement] = []
+    transports: list[PauliElement] = []
     for pair in pairs:
         if pair.a < 1 or pair.b < 1 or (pair.a * pair.b) % d:
             raise BadSplit(f"need d | a*b, got a={pair.a} b={pair.b}")
         if not twisted and pair.a * pair.b != d:
             raise BadSplit(f"shift needs a*b = d, got a={pair.a} b={pair.b}")
-        steps = _normalize_steps(pair.path)
-        start, end = path_endpoints(graph, steps)
+        op, (start, end) = _transport(model, pair.path, dual=False)
+        transports.append(op)
         if start != source or end != pair.vertex:
             raise PathMismatch(
                 f"path runs {start} -> {end}, expected {source} -> {pair.vertex}"
             )
         removed.add(pair.vertex)
-    for s in graph.vertices:
-        if s not in removed:
-            new_gens.append(model.vertex_ops[s])
-    for pair in pairs:
+    new_gens = [model.vertex_ops[s] for s in graph.vertices if s not in removed]
+    for pair, op in zip(pairs, transports):
         if pair.a % d:
             new_gens.append(power(model.vertex_ops[pair.vertex], pair.a))
         if pair.b % d:
-            new_gens.append(power(path_operator(model, pair.path), pair.b))
-    for fi in range(len(graph.faces)):
-        new_gens.append(model.face_ops[fi])
+            new_gens.append(power(op, pair.b))
+    new_gens.extend(model.face_ops[fi] for fi in range(len(graph.faces)))
     return validate(d, model.n, new_gens)
 
 

@@ -11,6 +11,7 @@ order-matched lifts of the quotient block pairs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -249,6 +250,10 @@ class CssSplit:
         return cls(part("z_generators"), part("x_generators"))
 
 
+# the classifications StabilizerReport.classification writes, and the only ones its reader takes
+_CLASSIFICATION = re.compile(r"(?P<kind>FREE|SHIFTED_FREE)\((?P<rank>0|[1-9][0-9]*)\)|GENERAL")
+
+
 @dataclass(frozen=True)
 class StabilizerReport:
     """Structural analysis output for one stabiliser group."""
@@ -291,8 +296,11 @@ class StabilizerReport:
         css = obj.get("css")
         css_obj = CssSplit.from_json_dict(json_object(css, "css"), d, n) if css else None
         cls_text = json_str(obj["classification"], "classification")
-        kind = cls_text.split("(")[0]
-        rank = int(cls_text.split("(")[1].rstrip(")")) if "(" in cls_text else None
+        match = _CLASSIFICATION.fullmatch(cls_text)
+        if match is None:
+            raise ValueError(f"classification must be FREE(r), SHIFTED_FREE(r) or GENERAL, got {cls_text!r}")
+        kind = match["kind"] or cls_text
+        rank = int(match["rank"]) if match["rank"] else None
         return cls(
             d=d,
             n=n,

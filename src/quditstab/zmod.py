@@ -431,30 +431,27 @@ def smith_normal_form(mat: ZdMatrix) -> SmithForm:
 class Submodule:
     """Finitely generated submodule of (Z/dZ)^m, with cached Smith data.
 
-    Instances are immutable by convention; all derived data is computed
-    once from the generator tuple.  Each instance caches one Smith form, of
-    its generator matrix, on first use.  Invariant factors and the
-    quasi-basis read it; membership solves with its cached transpose, so a
-    run of contains/coefficients_for queries reduces no further matrix.
+    Instances are immutable by convention; the generators, canonical and
+    nonzero, are the only rows stored, and all derived data is computed once
+    from them.  Each instance caches one Smith form, of the matrix whose rows
+    are the generators, on first use.  Invariant factors and the quasi-basis
+    read it; membership solves with its cached transpose, so a run of
+    contains/coefficients_for queries reduces no further matrix.
     """
 
     def __init__(self, modulus: int, ambient_rank: int, generators: Iterable[Sequence[int]]):
-        self._adopt(modulus, ambient_rank, ZdMatrix.from_rows(modulus, generators, ambient_rank))
+        self.modulus = modulus
+        self.ambient_rank = ambient_rank
+        rows = ZdMatrix.from_rows(modulus, generators, ambient_rank).entries
+        self.generators: tuple[Vector, ...] = tuple(g for g in rows if any(g))
 
     @classmethod
     def _of_reduced(cls, d: int, m: int, rows: Iterable[Vector]) -> "Submodule":
         """The span of canonical rows of length m, taken as they are: never for outside input."""
         sub = cls.__new__(cls)
-        sub._adopt(d, m, ZdMatrix._reduced(d, tuple(rows), m))
+        sub.modulus, sub.ambient_rank = d, m
+        sub.generators = tuple(g for g in rows if any(g))
         return sub
-
-    def _adopt(self, modulus: int, ambient_rank: int, mat: ZdMatrix) -> None:
-        self.modulus = modulus
-        self.ambient_rank = ambient_rank
-        self.generators: tuple[Vector, ...] = tuple(g for g in mat.entries if any(g))
-        # reduced once: the Smith form's matrix is mat itself unless zero rows were dropped
-        self.generator_matrix = mat if len(self.generators) == mat.rows \
-            else ZdMatrix._reduced(modulus, self.generators, ambient_rank)
 
     @classmethod
     def zero(cls, d: int, m: int) -> "Submodule":
@@ -462,11 +459,12 @@ class Submodule:
 
     @classmethod
     def full(cls, d: int, m: int) -> "Submodule":
-        return cls(d, m, ZdMatrix.identity(d, m).entries)
+        zero = (0,) * m
+        return cls._of_reduced(d, m, [zero[:i] + (1 % d,) + zero[i + 1:] for i in range(m)])
 
     @cached_property
     def smith(self) -> SmithForm:
-        return smith_normal_form(self.generator_matrix)
+        return smith_normal_form(ZdMatrix._reduced(self.modulus, self.generators, self.ambient_rank))
 
     @cached_property
     def transposed_smith(self) -> SmithForm:

@@ -236,6 +236,12 @@ _ERRORS = [
      {**TWIST_SPEC, "pairs": [TWIST_SPEC["pairs"][0], {**TWIST_SPEC["pairs"][0], "a": 4.5}]}),
     ("logical_divisor_not_an_integer", ["oracle", "verify", "--input", "@input"],
      {"d": 3, "n": 1, "generators": [], "report": {"logical_operators": [{"divisor": 1.5}]}}),
+    ("classification_not_a_number", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": {"classification": "FREE(x)"}}),
+    ("classification_unclosed", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": {"classification": "FREE(3"}}),
+    ("classification_unknown", ["oracle", "verify", "--input", "@input"],
+     {"d": 3, "n": 1, "generators": [], "report": {"classification": "BOGUS"}}),
     ("kitaev_d_0", ["kitaev", "build", "--graph", "@graph", "--d", "0"], None),
     ("kitaev_d_negative", ["kitaev", "build", "--graph", "@graph", "--d", "-3"], None),
 ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import quditstab.oracle as oracle_module
 from quditstab.cli import main
 from quditstab.kitaev import torus_grid_graph
-from quditstab.stabilizer import StabilizerGroup, analyze
+from quditstab.stabilizer import StabilizerGroup, StabilizerReport, analyze
 from tests.helpers import tampered_represent
 
 
@@ -205,6 +205,25 @@ class TestOracleVerifyCommand:
         error = json.loads(out)["error"]
         assert error["type"] == "InvalidRequest"
         assert "classification must be a string" in error["detail"]
+
+    @pytest.mark.parametrize("value", ["FREE(x)", "GENERAL()", "FREE(3", "FREE(3)(4)", "BOGUS",
+                                       "FREE(03)", "FREE(-1)", "free(1)", "GENERAL\n", "SHIFTED_FREE"])
+    def test_malformed_classification_exit_2(self, capsys, monkeypatch, value):
+        # only what the writer emits is read: FREE(r), SHIFTED_FREE(r) or GENERAL
+        request = self.build_request(capsys, monkeypatch)
+        request["report"]["classification"] = value
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidRequest"
+        assert error["detail"] == f"classification must be FREE(r), SHIFTED_FREE(r) or GENERAL, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["FREE(0)", "FREE(12)", "SHIFTED_FREE(3)", "GENERAL"])
+    def test_written_classifications_are_read(self, value):
+        report = StabilizerReport.from_json_dict(
+            {"cardinality": 1, "dim_protected": 2, "quotient_divisors": [], "canonical_chain": [],
+             "classification": value}, 2, 1)
+        assert report.classification == value
 
     @pytest.mark.parametrize(
         "field, value",

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from quditstab import kitaev
 from quditstab.errors import (
     BadSplit,
     BadSurface,
@@ -81,6 +82,18 @@ class TestSurfaceGraph:
         faces = [[("e", "L"), ("e", "R")], [("f", "L"), ("f", "R")]]
         with pytest.raises(Disconnected):
             SurfaceGraph([0, 1], edges, faces)
+
+    def test_one_graph_search_per_construction(self, monkeypatch):
+        calls = []
+        real = kitaev._spanning_tree_paths
+
+        def counting(root, nodes, links):
+            calls.append(root)
+            return real(root, nodes, links)
+
+        monkeypatch.setattr(kitaev, "_spanning_tree_paths", counting)
+        torus_grid_graph(3, 3)
+        assert calls == [(0, 0)]
 
     def test_degenerate_warnings(self):
         with pytest.warns(DegenerateModelWarning):
@@ -243,6 +256,21 @@ class TestNormalizerGenerators:
         vectors = [module_vector(op) for op in gens] + list(model.stabilizer.tau_image.generators)
         assert Submodule(3, 2 * model.n, vectors) == model.stabilizer.tau_image
 
+    @pytest.mark.parametrize("graph, expected", [
+        (tetrahedron_graph(), ["Z:120100", "Z:102010", "Z:012001", "X:111000", "X:200110", "X:020201"]),
+        (torus_grid_graph(2, 3), [
+            "Z:101010000000", "Z:210200100000", "Z:010000010000", "Z:100112001000", "Z:000100000100",
+            "Z:020021000010", "Z:000001000001", "X:201100000200", "X:220010010000", "X:010101000000",
+            "X:100000100000", "X:100200001100", "X:110000020010", "X:000000010101"]),
+    ], ids=["tetrahedron", "torus2x3"])
+    def test_output_is_pinned(self, graph, expected):
+        # the cycle bases come from BFS trees over the links sorted by edge id, from the least node
+        def text(op):
+            assert op.phase == 0 and not (any(op.a) and any(op.b))
+            return "X:" + "".join(map(str, op.a)) if any(op.a) else "Z:" + "".join(map(str, op.b))
+
+        assert [text(op) for op in normalizer_generators(build_model(graph, 3))] == expected
+
 
 class TestCharges:
     def test_trivial_character(self):
@@ -358,6 +386,36 @@ class TestShiftsAndTwists:
             apply_shift(model, (0, 0), [ShiftPair((0, 1), 3, 2, self.PATH)])
         with pytest.raises(BadSplit):
             apply_twist(model, (0, 0), [ShiftPair((0, 1), 3, 2, self.PATH)])
+
+    def test_each_path_is_walked_once(self, monkeypatch):
+        model = build_model(torus_grid_graph(2, 2), 4)
+        pairs = [ShiftPair((0, 1), 4, 2, self.PATH), ShiftPair((1, 0), 2, 2, ((("v", 0, 0), False),))]
+        expected = apply_twist(model, (0, 0), pairs)
+        walks = []
+        real = kitaev._walk
+
+        def counting(graph, steps, dual):
+            walks.append(list(steps))
+            return real(graph, steps, dual)
+
+        monkeypatch.setattr(kitaev, "_walk", counting)
+        group = apply_twist(model, (0, 0), pairs)
+        assert walks == [list(self.PATH), [(("v", 0, 0), False)]]
+        assert group.generators == expected.generators
+        assert power(path_operator(model, self.PATH), 2) in group.generators
+
+    def test_error_order(self):
+        # BadSplit, then the step format, then NotAPath, then PathMismatch
+        model = build_model(torus_grid_graph(2, 2), 4)
+        broken = ((("h", 0, 0), False), (("h", 1, 1), False))
+        with pytest.raises(BadSplit):
+            apply_twist(model, (0, 0), [ShiftPair((0, 1), 3, 2, ((("h", 0, 0), "no"),))])
+        with pytest.raises(TypeError, match="reverse must be a boolean"):
+            apply_twist(model, (1, 1), [ShiftPair((0, 1), 4, 2, ((("h", 0, 0), "no"),))])
+        with pytest.raises(NotAPath):
+            apply_twist(model, (1, 1), [ShiftPair((0, 1), 4, 2, broken)])
+        with pytest.raises(PathMismatch):
+            apply_twist(model, (1, 1), [ShiftPair((0, 1), 4, 2, self.PATH)])
 
     def test_path_mismatch(self):
         model = build_model(torus_grid_graph(2, 2), 4)

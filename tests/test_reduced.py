@@ -4,9 +4,10 @@ PauliElement._reduced, ZdMatrix._reduced and Submodule._of_reduced skip the
 reduction mod d, so only values that are canonical by construction may reach
 them.  multiply, power, word and the Kitaev operators are compared with the
 checked PauliElement(...) fed the same unreduced values, at small and huge d,
-and Submodule._of_reduced with Submodule(...).  An ast test keeps every reader
-of outside input (cli.py, oracle.py, each from_json_dict and from_text) off
-the trusted path.
+and Submodule._of_reduced with Submodule(...) in its generators, the only rows
+a Submodule stores, and in the Smith form of their matrix.  An ast test keeps
+every reader of outside input (cli.py, oracle.py, each from_json_dict and
+from_text) off the trusted path.
 """
 
 import ast
@@ -129,8 +130,7 @@ def test_of_reduced_equals_the_checked_submodule(drawn):
     d, m, rows = drawn
     trusted, checked = Submodule._of_reduced(d, m, rows), Submodule(d, m, rows)
     assert trusted.generators == checked.generators
-    assert trusted.generator_matrix == checked.generator_matrix
-    assert trusted.generator_matrix.shape == checked.generator_matrix.shape == (len(checked.generators), m)
+    assert trusted.smith.shape == checked.smith.shape == (len(checked.generators), m)
     assert trusted.smith == checked.smith == smith_normal_form(ZdMatrix.from_rows(d, checked.generators, m))
     assert trusted == checked
 

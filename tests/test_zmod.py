@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditstab import zmod
+from quditstab.stabilizer import validate
+from quditstab.symplectic import perp
 from quditstab.zmod import (
     Submodule,
     ZdMatrix,
@@ -15,6 +17,7 @@ from quditstab.zmod import (
 )
 from tests.helpers import (
     brute_span,
+    count_reductions,
     enumerate_elements_reference,
     record_replays,
     smith_diagonal,
@@ -253,17 +256,43 @@ class TestSubmodule:
         assert Submodule(6, 2, [(2, 0), (0, 3)]).invariant_factors == (6,)
         assert Submodule(4, 2, [(2, 0), (0, 2)]).invariant_factors == (2, 2)
 
-    def test_generator_matrix_holds_the_reduced_generators(self):
+    def test_smith_reduces_the_reduced_generators(self, monkeypatch):
         # the rows are reduced once: the Smith form's matrix holds the generator tuples themselves
         sub = Submodule(6, 3, [(7, 8, 9), [1, 2, 3]])
         assert sub.generators == ((1, 2, 3), (1, 2, 3))
-        assert all(row is g for row, g in zip(sub.generator_matrix.entries, sub.generators, strict=True))
+        expected = smith_normal_form(ZdMatrix.from_rows(6, sub.generators))
+        calls = count_reductions(monkeypatch)
+        assert sub.smith == expected
+        assert len(calls) == 1 and calls[0].entries is sub.generators and calls[0].shape == (2, 3)
         dropped = Submodule(6, 3, [(6, 0, -6), (1, 2, 3)])
         assert dropped.generators == ((1, 2, 3),)
-        assert dropped.generator_matrix == ZdMatrix.from_rows(6, [(1, 2, 3)])
-        assert Submodule(6, 3, []).generator_matrix == ZdMatrix.zeros(6, 0, 3)
+        assert dropped.smith == smith_normal_form(ZdMatrix.from_rows(6, [(1, 2, 3)]))
+        assert Submodule(6, 3, []).smith.shape == (0, 3)
         with pytest.raises(ValueError):
             Submodule(6, 3, [(1, 2)])
+
+    @pytest.mark.parametrize("d", [2, 6, 2**64])
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_full_equals_the_checked_identity(self, d, m):
+        full = Submodule.full(d, m)
+        checked = Submodule(d, m, ZdMatrix.identity(d, m).entries)
+        assert full.generators == checked.generators
+        assert full.smith == checked.smith
+        assert full.cardinality == d**m
+
+    def test_full_and_empty_perp_build_no_checked_matrix(self, monkeypatch):
+        # the identity rows are canonical as built, so no ZdMatrix is checked and reduced for them
+        group = validate(6, 2, [])
+        expected = Submodule(6, 4, ZdMatrix.identity(6, 4).entries)
+
+        def refuse(self):
+            raise AssertionError("ZdMatrix.__post_init__ called")
+
+        monkeypatch.setattr(ZdMatrix, "__post_init__", refuse)
+        assert Submodule.full(6, 3).generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        whole = perp(group.space, group.tau_image)
+        assert whole.generators == expected.generators
+        assert whole.smith == expected.smith and whole.invariant_factors == (6,) * 4
 
     def test_cardinality_matches_enumeration(self):
         rng = random.Random(1)
