@@ -15,8 +15,8 @@ each of its steps, so it equals the plain BFS or raises InternalInvariant.
 A closure edge that returns to its own template position (every edge of an
 X-free generator) has phase discrepancy phase[x] alone: the potentials
 cancel.  An X-free generator's permutation is range(d^n), which holds no
-table and fixes every index, so its edges skip the member check; every
-other permutation is an array of machine ints.
+table and fixes every index, so its edges skip the member check; any other
+is an array of machine ints.  A phase takes one byte while 2d <= 256.
 
 Every call represents each generator once, repeating whole tables off the
 generator's support, and makes one scan, which serves the dimension, every
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -104,8 +105,9 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
     value's shift or scale.  Where p has no X (Z) part on qudit r, the shift
     (phase) table is repeated d times as it is, so entry-wise work happens
     on p's support alone.  An X-free p has perm = range(d^n), with no table;
-    any other p has perm as an array('l') of machine ints.  phase stays a
-    tuple: its entries are below 2d, so at small d they are cached small ints.
+    any other p has perm as an array('l') of machine ints.  The phase table
+    takes one byte an entry while db <= 256, as bytes, and each block adds
+    its constant by bytes.translate; past 256 it is an array('l').
     """
     from array import array  # on first use: importing the package need not load the extension
 
@@ -114,7 +116,7 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
     db = phase_modulus(d)
     moves = any(p.a)
     shift = [0]
-    phase = [p.phase % db]
+    phase = bytes([p.phase % db]) if db <= 256 else array("l", [p.phase % db])
     for r in range(n - 1, -1, -1):
         a, b = p.a[r], p.b[r]
         if a:
@@ -125,11 +127,14 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
             shift *= d
         if b:
             scale = [(2 * b * x) % db for x in range(d)]
-            phase = [(q + c) % db for c in scale for q in phase]
+            if db <= 256:
+                phase = b"".join(phase.translate(bytes((q + c) % db for q in range(256))) for c in scale)
+            else:
+                phase = array("l", [(q + c) % db for c in scale for q in phase])
         else:
             phase *= d
     perm = array("l", map(add, range(size), shift)) if moves else range(size)
-    return PhasePermutation(d, n, perm, tuple(phase))
+    return PhasePermutation(d, n, perm, phase)
 
 
 class _Scan:
@@ -140,21 +145,23 @@ class _Scan:
     BFS of orbit(0) records its tree edges (parent position, generator), the
     generator word of each position, and its closure edges (position,
     generator, target position) with their word differences du (2*delta_word).
-    Each unvisited start replays the tree edges to mark its members and
-    potentials; then each closure edge is checked for all orbits at once, and
-    yields one phase discrepancy per orbit.  A tree edge that lands on a
-    visited index, or a closure edge that misses its predicted member, raises
-    InternalInvariant("oracle.scan").  When neither fires, the replayed
+    Each unvisited start replays the tree edges; orbit o's members and their
+    potentials fill o*m .. o*m + m - 1 (m = |orbit(0)|) of two flat arrays.
+    Then one itemgetter per template position checks each closure edge for
+    all orbits at once, and yields one phase discrepancy per orbit.  A tree
+    edge that lands on a visited index, or a closure edge that misses its
+    predicted member, raises InternalInvariant("oracle.scan").  When neither fires, the replayed
     members are closed under every generator, so each replay visits, orders
     and closes its orbit exactly as a BFS from its start would: the
     translation property is checked on the generator tables, not assumed.
     Only a self-loop of a range(size) action skips its member check, since
     range(size)[x] == x; any other container is checked.
 
-    An orbit's key is its tuple of discrepancies, one per closure edge;
-    orbits index the list of distinct keys, and each key is a class.  A
-    class carries a w-eigenvector iff its key is du . w edge by edge, and
-    the keys are distinct, so at most one class does.  The closure edges
+    An orbit's key holds its discrepancies, one per closure edge, as bytes
+    while db <= 256, else as a tuple; key_of maps each orbit to its index in
+    the list of distinct keys, and each key is a class.  A class carries a
+    w-eigenvector iff its key is du . w edge by edge, and the keys are
+    distinct, so at most one class does.  The closure edges
     share a few distinct du rows (du_rows, with edge_row the index of each
     edge's row), and du . w is equal on edges with equal rows.  So only the
     classes whose key agrees on such edges can match; row_index keys them by
@@ -166,10 +173,6 @@ class _Scan:
         self.size = _check_size(group.d, group.n, bound)
         self.db = phase_modulus(group.d)
         self.reps = [represent(g, bound) for g in group.generators]
-        self.pot = [0] * self.size
-        self.orbits: list[list[int]] = []  # members in BFS order
-        self.keys: list[tuple[int, ...]] = []
-        self.key_of: list[int] = []  # per orbit, its index into keys
         self._explore()
         self.sizes = Counter(self.key_of)  # class -> number of orbits
 
@@ -201,67 +204,76 @@ class _Scan:
         return tree, words, closure, du
 
     def _explore(self):
-        db = self.db
+        from array import array  # on first use, as in represent
+
+        db, size = self.db, self.size
+        narrow = db <= 256
         perms = [r.perm for r in self.reps]
         phases = [r.phase for r in self.reps]
-        pot = self.pot
-        orbit_id = [-1] * self.size
         tree, self.words, closure, du = self._template()
         row_index: dict[tuple[int, ...], int] = {}
         self.edge_row = [row_index.setdefault(row, len(row_index)) for row in du]
         self.du_rows = list(row_index)
-        orbits = self.orbits
+        m = len(self.words)  # every orbit has as many members as orbit(0)
+        members = self.members = array("l")  # orbit o's members at o*m .. o*m + m - 1, in BFS order
+        pots = self.pots = bytearray() if narrow else array("l")  # aligned with members
+        seen = bytearray(size)
         steps = [(p, perms[j], phases[j]) for p, j in tree]
-        for start in range(self.size):
-            if orbit_id[start] != -1:
-                continue
-            oid = len(orbits)
-            orbit_id[start] = oid
-            members = [start]
+        start = seen.find(0)
+        while start != -1:
+            base = len(members)
+            seen[start] = 1
+            members.append(start)
+            pots.append(0)
             for p, perm, phase in steps:
-                x = members[p]
+                x = members[base + p]
                 t = perm[x]
-                if orbit_id[t] != -1:
+                if seen[t]:
                     raise InternalInvariant("oracle.scan", f"tree edge from {x} lands on visited {t}")
-                orbit_id[t] = oid
-                pot[t] = (pot[x] + phase[x]) % db
+                seen[t] = 1
                 members.append(t)
-            orbits.append(members)
-        columns = [list(col) for col in zip(*orbits)]  # columns[pos][oid]
-        identity = range(self.size)
-        discrepancies = []
-        for p, j, tp in closure:
-            perm, phase = perms[j], phases[j]
-            sources, targets = columns[p], columns[tp]
-            # range(size)[x] == x, so a self-loop of the identity action lands on its member
-            if not (p == tp and perm == identity) and [perm[x] for x in sources] != targets:
-                raise InternalInvariant("oracle.scan", "closure edge misses its template member")
-            if p == tp:  # a self-loop: the potentials cancel, and phase is already reduced
-                discrepancies.append([phase[x] for x in sources])
-            else:
-                discrepancies.append([(pot[x] + phase[x] - pot[t]) % db for x, t in zip(sources, targets)])
-        index: dict[tuple[int, ...], int] = {}
-        keys = zip(*discrepancies) if discrepancies else [()] * len(orbits)
-        self.key_of = [index.setdefault(key, len(index)) for key in keys]
+                pots.append((pots[base + p] + phase[x]) % db)
+            start = seen.find(0, start)
+        count = size // m
+        identity = range(size)
+        joined = bytearray() if narrow else []  # closure edge e's discrepancies at e*count .. e*count + count - 1
+        for p, edges in groupby(closure, itemgetter(0)):
+            gather = _gather(members[p::m])  # over position p of every orbit
+            for _, j, tp in edges:
+                perm, phase = perms[j], phases[j]
+                # range(size)[x] == x, so a self-loop of the identity action lands on its member
+                if not (p == tp and perm == identity) and array("l", gather(perm)) != members[tp::m]:
+                    raise InternalInvariant("oracle.scan", "closure edge misses its template member")
+                if p == tp:  # a self-loop: the potentials cancel, and phase is already reduced
+                    joined.extend(gather(phase))
+                else:
+                    joined.extend((s + ph - t) % db for s, ph, t in zip(pots[p::m], gather(phase), pots[tp::m]))
+        view, pack = (memoryview(joined), bytes) if narrow else (joined, tuple)  # a view copies no table
+        index: dict[Sequence[int], int] = {}
+        self.key_of = [index.setdefault(pack(view[o::count]), len(index)) for o in range(count)]
         self.keys = list(index)
         # edges with equal du rows get equal entries of du . w, so only a class whose
         # key agrees on them can match; its key is then fixed by one entry per row
         first = [self.edge_row.index(r) for r in range(len(self.du_rows))]
-        rep_edge = [first[r] for r in self.edge_row]  # per edge, the first edge with its du row
-        self.row_index: dict[tuple[int, ...], int] = {}
-        if len(rep_edge) < 2:  # itemgetter of one index returns a bare item, and of none raises
-            agreeing = range(len(self.keys))  # each edge is its own first, so every key agrees
-        else:
-            on_rep = itemgetter(*rep_edge)
-            agreeing = [k for k, key in enumerate(self.keys) if on_rep(key) == key]
-        for k in agreeing:
-            self.row_index[tuple(map(self.keys[k].__getitem__, first))] = k
+        on_rep = _gather([first[r] for r in self.edge_row])  # per edge, the first edge with its du row
+        self.row_index: dict[tuple[int, ...], int] = {
+            tuple(map(key.__getitem__, first)): k
+            for k, key in enumerate(self.keys)
+            if pack(on_rep(key)) == key
+        }
 
     def class_of(self, w: Sequence[int]) -> Optional[int]:
         """The class whose orbits carry a w-eigenvector, or None when no class does."""
         db = self.db
         dots = tuple(sum(map(mul, row, w)) % db for row in self.du_rows)
         return self.row_index.get(dots)
+
+
+def _gather(indices: Sequence[int]):
+    """seq -> the tuple of seq[i] over indices: itemgetter alone returns a bare item for one index."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
 
 
 def _protected_dimension(scan: _Scan) -> int:
@@ -311,12 +323,12 @@ def _histogram(group: StabilizerGroup, scan: _Scan) -> dict[int, int]:
 
 def _protected_basis(scan: _Scan, w: tuple[int, ...]) -> list[dict[int, int]]:
     """The w-eigenspace basis: amplitude zeta^(pot - (2*word) . w) on each orbit of class_of(w)."""
-    db = scan.db
+    db, m, members, pots = scan.db, len(scan.words), scan.members, scan.pots
     k = scan.class_of(w)
     shift = [sum(2 * c * x for c, x in zip(word, w)) for word in scan.words]
     vectors = [
-        {x: (scan.pot[x] - s) % db for x, s in zip(members, shift)}
-        for members, c in zip(scan.orbits, scan.key_of)
+        {x: (pt - s) % db for x, pt, s in zip(members[o * m:o * m + m], pots[o * m:o * m + m], shift)}
+        for o, c in enumerate(scan.key_of)
         if c == k
     ]
     for vec in vectors:
@@ -402,9 +414,11 @@ def verify_report(
     Checks: (a) the protected dimension, (b) logical operators preserve
     the fixed space, (c) the Heisenberg relations of the logical pairs
     hold modulo the group, (d) the report's count: prod s_i * |H| = d^n,
-    |H| equals the oracle's own count of the characters and prod s_i equals
-    the oracle's dimension, and (e) transitivity: every character's eigenspace
-    has the same dimension.  The histogram (dimension -> number of
+    |H| equals the oracle's own count of the characters, prod s_i equals
+    the oracle's dimension, and FREE(r) and SHIFTED_FREE(r) have |H| = d^r
+    and n - r divisors all d, GENERAL some divisor below d (what tells
+    SHIFTED_FREE from FREE is not checked), and (e) transitivity: every
+    character's eigenspace has the same dimension.  The histogram (dimension -> number of
     characters) comes from the fibres of the homomorphism through which the
     scan reads a character, so its work follows the number of distinct
     images, not of characters, and nothing is skipped.
@@ -468,6 +482,12 @@ def verify_report(
         details["irreducibility_count"] = f"oracle |H| {order} != reported {report.cardinality}"
     elif prodq != dim:
         details["irreducibility_count"] = f"divisors multiply to {prodq} != oracle dimension {dim}"
+    elif report.rank is not None and (report.rank > n or order != d**report.rank):
+        details["irreducibility_count"] = f"{report.classification} needs |H| = {d}^{report.rank}, oracle |H| {order}"
+    elif report.rank is not None and report.quotient_divisors != (d,) * (n - report.rank):
+        details["irreducibility_count"] = f"{report.classification} needs {n - report.rank} quotient divisors, all {d}"
+    elif report.rank is None and all(s == d for s in report.quotient_divisors):
+        details["irreducibility_count"] = f"{report.classification} needs a quotient divisor below {d}"
     checks["irreducibility_count"] = "irreducibility_count" not in details
 
     checks["transitivity"] = len(histogram) == 1

@@ -123,6 +123,20 @@ def scan_reference(reps, size: int, db: int, with_words: bool):
     return orbits, pot
 
 
+def scan_orbits(scan) -> list[list[int]]:
+    """A scan's orbits as member lists in BFS order, cut from its flat members array."""
+    m = len(scan.words)
+    return [list(scan.members[o:o + m]) for o in range(0, scan.size, m)]
+
+
+def scan_pot(scan) -> list[int]:
+    """A scan's potential of each basis index, from its potentials aligned with its members."""
+    pot = [0] * scan.size
+    for x, pt in zip(scan.members, scan.pots):
+        pot[x] = pt
+    return pot
+
+
 def chi_basis_reference(reps, size: int, db: int, w) -> list[dict[int, int]]:
     """The w-eigenspace basis of the generator actions by a plain BFS from each unvisited index.
 

@@ -304,6 +304,19 @@ class TestOracleVerifyCommand:
         assert code == 3
         assert json.loads(out)["verdict"] == "fail"
 
+    @pytest.mark.parametrize("classification, detail", [
+        ("GENERAL", "GENERAL needs a quotient divisor below 2"),
+        ("FREE(2)", "FREE(2) needs |H| = 2^2, oracle |H| 2"),
+    ])
+    def test_classification_contradicting_the_counts_exit_3(self, capsys, monkeypatch, classification, detail):
+        zz = {"d": 2, "n": 2, "generators": [{"phase": 0, "a": [0, 0], "b": [1, 1]}]}
+        request = self.build_request(capsys, monkeypatch, zz)
+        assert request["report"]["classification"] == "FREE(1)"
+        request["report"]["classification"] = classification
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 3
+        assert json.loads(out)["details"] == {"irreducibility_count": detail}
+
 
 class TestKitaevCommand:
     def test_build_and_verify(self, capsys, monkeypatch, tmp_path):
