@@ -8,15 +8,15 @@ complex numbers.
 Orbits of the group action on basis indices are explored once; each orbit
 carries the spanning-tree phases and the cycle-closure discrepancies, from
 which the consistent characters (and hence all eigenspace dimensions) are
-read off.  X parts act on indices as translations, so one BFS of the orbit
-of index 0, with the generator word of each of its positions, gives a
-template that is replayed from every other orbit's start; the replay checks
-each of its steps, so it equals the plain BFS or raises InternalInvariant.
-A closure edge that returns to its own template position (every edge of an
-X-free generator) has phase discrepancy phase[x] alone: the potentials
-cancel.  An X-free generator's permutation is range(d^n), which holds no
-table and fixes every index, so its edges skip the member check; any other
-is an array of machine ints.  A phase takes one byte while 2d <= 256.
+read off.  X parts act on indices as translations, so the orbits are the
+cosets of T = orbit(0), whose least members form a mixed-radix grid read off
+T.  One BFS of T gives a template replayed column by column from the grid:
+one gather per tree edge fills its position in every orbit.  Each closure
+edge is checked on every orbit and one pass checks that the replays cover
+each index once, so they equal the plain BFS or raise InternalInvariant.  A
+closure edge back to its own position has discrepancy phase[x] alone.  An
+X-free generator's permutation is range(d^n), which fixes every index, so
+its self-loops skip the member check; a phase takes one byte while 2d <= 256.
 
 Every call represents each generator once, repeating whole tables off the
 generator's support, and makes one scan, which serves the dimension, every
@@ -34,10 +34,12 @@ its own support.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import add, itemgetter, mul
+from itertools import chain, groupby, repeat
+from operator import add, itemgetter, mod, mul, sub
+from struct import iter_unpack
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadBound, InternalInvariant, TooLarge
@@ -67,7 +69,7 @@ class PhasePermutation:
     """Exact action on basis vectors: p(v_i) = zeta^phase[i] v_perm[i].
 
     perm and phase are any integer sequences: represent gives an X-free
-    element perm = range(d^n) and any other an array('l'), compose gives
+    element perm = range(d^n) and any other an array('i'), compose gives
     tuples.  Two actions are equal when their d, n and entries are, whatever
     the containers.
     """
@@ -105,9 +107,9 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
     value's shift or scale.  Where p has no X (Z) part on qudit r, the shift
     (phase) table is repeated d times as it is, so entry-wise work happens
     on p's support alone.  An X-free p has perm = range(d^n), with no table;
-    any other p has perm as an array('l') of machine ints.  The phase table
-    takes one byte an entry while db <= 256, as bytes, and each block adds
-    its constant by bytes.translate; past 256 it is an array('l').
+    any other p has perm as an array('i') ('l' past d^n = 2^31 - 1).  The
+    phase table takes one byte an entry while db <= 256, as bytes, and each
+    block adds its constant by bytes.translate; past 256 it is an array('l').
     """
     from array import array  # on first use: importing the package need not load the extension
 
@@ -133,59 +135,53 @@ def represent(p: PauliElement, bound: Optional[int] = None) -> PhasePermutation:
                 phase = array("l", [(q + c) % db for c in scale for q in phase])
         else:
             phase *= d
-    perm = array("l", map(add, range(size), shift)) if moves else range(size)
+    perm = array("i" if size <= 2**31 - 1 else "l", map(add, range(size), shift)) if moves else range(size)
     return PhasePermutation(d, n, perm, phase)
 
 
 class _Scan:
-    """Orbit exploration over the generator actions, by replaying one orbit template.
+    """Orbit exploration over the generator actions, by replaying one orbit template column by column.
 
-    X parts act on basis indices as digit-wise translations, so the orbit of
-    s is s + orbit(0), and the BFS tree of orbit(0) spans every orbit.  One
-    BFS of orbit(0) records its tree edges (parent position, generator), the
-    generator word of each position, and its closure edges (position,
-    generator, target position) with their word differences du (2*delta_word).
-    Each unvisited start replays the tree edges; orbit o's members and their
-    potentials fill o*m .. o*m + m - 1 (m = |orbit(0)|) of two flat arrays.
-    Then one itemgetter per template position checks each closure edge for
-    all orbits at once, and yields one phase discrepancy per orbit.  A tree
-    edge that lands on a visited index, or a closure edge that misses its
-    predicted member, raises InternalInvariant("oracle.scan").  When neither fires, the replayed
-    members are closed under every generator, so each replay visits, orders
-    and closes its orbit exactly as a BFS from its start would: the
-    translation property is checked on the generator tables, not assumed.
-    Only a self-loop of a range(size) action skips its member check, since
-    range(size)[x] == x; any other container is checked.
+    X parts act on basis indices as digit-wise translations, so the orbits
+    are the cosets of T = orbit(0).  One BFS of T records each position's
+    generator word and its edges (position, generator, target position) in
+    BFS order, with the word difference du (2*delta_word) of each closure
+    edge.  Orbit o's members and potentials fill o*m .. o*m + m - 1 (m = |T|)
+    of two flat arrays from the o-th coset minimum (_coset_minima), so
+    position q of all orbits is the column [q::m].  One itemgetter over
+    column p serves p's edges: a tree edge to q fills column q by one gather
+    of its permutation and one of its phases; a closure edge checks its
+    target column and gives one discrepancy per orbit.  A grid without d^n/m
+    starts, a closure edge that misses its member, or replays that miss an
+    index raise InternalInvariant("oracle.scan").  Else the replays are
+    closed under every generator and hold each index once, so each visits,
+    orders and closes its start's orbit as a BFS from it would: the
+    translation property is checked, not assumed.
 
     An orbit's key holds its discrepancies, one per closure edge, as bytes
-    while db <= 256, else as a tuple; key_of maps each orbit to its index in
-    the list of distinct keys, and each key is a class.  A class carries a
-    w-eigenvector iff its key is du . w edge by edge, and the keys are
-    distinct, so at most one class does.  The closure edges
-    share a few distinct du rows (du_rows, with edge_row the index of each
-    edge's row), and du . w is equal on edges with equal rows.  So only the
-    classes whose key agrees on such edges can match; row_index keys them by
-    their one entry per row, and class_of(w) costs one dot product per
-    distinct row and one lookup.  Every reader works from this one scan.
+    while db <= 256, else as a tuple, read from one orbit-major table;
+    key_of maps each orbit to its index in the list of distinct keys, and
+    each key is a class.  A class carries a w-eigenvector iff its key is
+    du . w edge by edge, and the keys are distinct, so at most one class
+    does.  The closure edges share a few distinct du rows (du_rows, with
+    edge_row the index of each edge's row), and du . w is equal on edges
+    with equal rows.  So only the classes whose key agrees on such edges can
+    match; row_index keys them by their one entry per row, and class_of(w)
+    costs one dot product per distinct row and one lookup.
     """
 
     def __init__(self, group: StabilizerGroup, bound: Optional[int]):
         self.size = _check_size(group.d, group.n, bound)
         self.db = phase_modulus(group.d)
         self.reps = [represent(g, bound) for g in group.generators]
-        self._explore()
+        self._explore(group.d, group.n)
         self.sizes = Counter(self.key_of)  # class -> number of orbits
 
-    def _template(self):
-        """BFS of the orbit of index 0: tree edges, words, closure edges and their du."""
-        db = self.db
-        g = len(self.reps)
-        perms = [r.perm for r in self.reps]
-        order = [0]
-        position = {0: 0}
-        words = [(0,) * g]
-        tree: list[tuple[int, int]] = []
-        closure: list[tuple[int, int, int]] = []
+    def _template(self, perms: list[Sequence[int]]):
+        """BFS of orbit(0): members, words, edges (p, j, tp, e) (e is None on tree edges) and closure edge e's du."""
+        db, g = self.db, len(perms)
+        order, position, words = [0], {0: 0}, [(0,) * g]
+        edges: list[tuple[int, int, int, Optional[int]]] = []  # in BFS order, so grouped by p
         du: list[tuple[int, ...]] = []
         for p, node in enumerate(order):  # order grows as the BFS discovers members
             for j in range(g):
@@ -195,62 +191,63 @@ class _Scan:
                 wt[j] += 1
                 if tp is None:
                     position[t] = len(order)
+                    edges.append((p, j, len(order), None))
                     order.append(t)
-                    tree.append((p, j))
                     words.append(tuple(wt))
                 else:
-                    closure.append((p, j, tp))
+                    edges.append((p, j, tp, len(du)))
                     du.append(tuple((2 * (x - y)) % db for x, y in zip(wt, words[tp])))
-        return tree, words, closure, du
+        return order, words, edges, du
 
-    def _explore(self):
+    def _explore(self, d: int, n: int):
         from array import array  # on first use, as in represent
 
         db, size = self.db, self.size
-        narrow = db <= 256
-        perms = [r.perm for r in self.reps]
-        phases = [r.phase for r in self.reps]
-        tree, self.words, closure, du = self._template()
+        narrow, code = db <= 256, ("i" if size <= 2**31 - 1 else "l")  # represent's index typecode
+        perms, phases = [r.perm for r in self.reps], [r.phase for r in self.reps]
+        order, self.words, edges, du = self._template(perms)
         row_index: dict[tuple[int, ...], int] = {}
         self.edge_row = [row_index.setdefault(row, len(row_index)) for row in du]
         self.du_rows = list(row_index)
-        m = len(self.words)  # every orbit has as many members as orbit(0)
-        members = self.members = array("l")  # orbit o's members at o*m .. o*m + m - 1, in BFS order
-        pots = self.pots = bytearray() if narrow else array("l")  # aligned with members
-        seen = bytearray(size)
-        steps = [(p, perms[j], phases[j]) for p, j in tree]
-        start = seen.find(0)
-        while start != -1:
-            base = len(members)
-            seen[start] = 1
-            members.append(start)
-            pots.append(0)
-            for p, perm, phase in steps:
-                x = members[base + p]
-                t = perm[x]
-                if seen[t]:
-                    raise InternalInvariant("oracle.scan", f"tree edge from {x} lands on visited {t}")
-                seen[t] = 1
-                members.append(t)
-                pots.append((pots[base + p] + phase[x]) % db)
-            start = seen.find(0, start)
-        count = size // m
-        identity = range(size)
-        joined = bytearray() if narrow else []  # closure edge e's discrepancies at e*count .. e*count + count - 1
-        for p, edges in groupby(closure, itemgetter(0)):
+        m, width = len(order), len(du)  # every orbit has as many members as orbit(0)
+        starts = _coset_minima(sorted(order), d, n, code)
+        if (count := len(starts)) * m != size:
+            raise InternalInvariant("oracle.scan", f"{count} coset starts of {m} members do not fill {size} indices")
+        members = self.members = array(code, [0]) * size  # orbit o's members at o*m .. o*m + m - 1, in BFS order
+        members[::m] = starts
+        pots = self.pots = bytearray(size) if narrow else array("l", [0]) * size  # aligned with members
+        joined = bytearray(count * width) if narrow else [0] * (count * width)  # orbit o's key from o*width on
+        if db <= 128:  # a sum of two residues fits a byte, so one translate table reduces it
+            reduced, negated = bytes(v % db for v in range(256)), bytes(-v % db for v in range(256))
+            plus, negate = lambda a, b: bytes(map(add, a, b)).translate(reduced), lambda a: a.translate(negated)
+        else:  # one mod an entry, into bytes to 256 and an array('l') past it
+            wrap = bytes if narrow else (lambda entries: array("l", entries))
+            plus, negate = lambda a, b: wrap(map(mod, map(add, a, b), repeat(db))), lambda a: map(sub, repeat(db), a)
+        for p, out in groupby(edges, itemgetter(0)):
             gather = _gather(members[p::m])  # over position p of every orbit
-            for _, j, tp in edges:
-                perm, phase = perms[j], phases[j]
+            for _, j, tp, e in out:
+                perm, phase = perms[j], gather(phases[j])
+                if e is None:  # a tree edge: position tp of every orbit at once
+                    members[tp::m] = array(code, gather(perm))
+                    pots[tp::m] = plus(pots[p::m], phase)
+                    continue
                 # range(size)[x] == x, so a self-loop of the identity action lands on its member
-                if not (p == tp and perm == identity) and array("l", gather(perm)) != members[tp::m]:
+                if not (p == tp and perm == range(size)) and array(code, gather(perm)) != members[tp::m]:
                     raise InternalInvariant("oracle.scan", "closure edge misses its template member")
-                if p == tp:  # a self-loop: the potentials cancel, and phase is already reduced
-                    joined.extend(gather(phase))
-                else:
-                    joined.extend((s + ph - t) % db for s, ph, t in zip(pots[p::m], gather(phase), pots[tp::m]))
-        view, pack = (memoryview(joined), bytes) if narrow else (joined, tuple)  # a view copies no table
+                # a self-loop's potentials cancel, and phase is already reduced
+                joined[e::width] = phase if p == tp else plus(plus(pots[p::m], phase), negate(pots[tp::m]))
+        seen = bytearray(size)
+        for x in members:
+            seen[x] = 1
+        if (missed := seen.find(0)) != -1:  # else the size members hold each index once
+            raise InternalInvariant("oracle.scan", f"the replayed orbits miss index {missed}")
+        pack = bytes if narrow else tuple
+        if narrow and width:
+            rows = iter_unpack(f"{width}s", joined)  # one (key,) per orbit
+        else:  # with no closure edge every key is empty
+            rows = zip(zip(*[iter(joined)] * width) if width else repeat(pack(), count))
         index: dict[Sequence[int], int] = {}
-        self.key_of = [index.setdefault(pack(view[o::count]), len(index)) for o in range(count)]
+        self.key_of = [index.setdefault(key, len(index)) for key, in rows]
         self.keys = list(index)
         # edges with equal du rows get equal entries of du . w, so only a class whose
         # key agrees on them can match; its key is then fixed by one entry per row
@@ -274,6 +271,24 @@ def _gather(indices: Sequence[int]):
     if len(indices) > 1:
         return itemgetter(*indices)
     return lambda seq: tuple(seq[i] for i in indices)
+
+
+def _coset_minima(template: Sequence[int], d: int, n: int, code: str):
+    """The least members of the cosets of T, ascending, from T's sorted members (the template).
+
+    With p_r the least leading digit of the members of T whose first nonzero
+    digit is r (d if none), they are the mixed-radix grid of digits r in
+    [0, p_r), grown least significant digit first as represent's tables are.
+    """
+    from array import array  # on first use, as in represent
+
+    starts = array(code, [0])
+    for r in range(n - 1, -1, -1):
+        stride = d ** (n - 1 - r)
+        i = bisect_left(template, stride)
+        least = template[i] // stride if i < len(template) and template[i] < stride * d else d
+        starts = array(code, chain.from_iterable(map(add, starts, repeat(c * stride)) for c in range(least)))
+    return starts
 
 
 def _protected_dimension(scan: _Scan) -> int:

@@ -186,6 +186,19 @@ class TestOracleVerifyCommand:
         error = json.loads(out)["error"]
         assert (error["type"], error["stage"]) == ("InternalInvariant", "oracle.scan")
 
+    def test_tampered_orbit_of_zero_that_is_no_subgroup_exit_4(self, capsys, monkeypatch):
+        # X at d=4 made to fix 2 has orbit(0) = {0, 1, 3}, so the coset grid cannot fill the basis
+        x_at_d4 = {"d": 4, "n": 1, "generators": [{"phase": 0, "a": [1], "b": [0]}]}
+        request = self.build_request(capsys, monkeypatch, x_at_d4)
+        monkeypatch.setattr(oracle_module, "represent", tampered_represent(oracle_module.represent, 2))
+        code, out = run_cli(capsys, ["oracle", "verify", "--input", "-"], request, monkeypatch)
+        assert code == 4
+        assert json.loads(out)["error"] == {
+            "type": "InternalInvariant",
+            "stage": "oracle.scan",
+            "detail": "1 coset starts of 3 members do not fill 4 indices",
+        }
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_bound_exit_2(self, capsys, monkeypatch, value):
         request = self.build_request(capsys, monkeypatch)
